@@ -1,11 +1,12 @@
 """Direct 3D diagonalization against the closed-form spectrum.
 
-The matrix-free Lanczos solve never uses separability, so agreement with the
-closed forms is a genuine three-dimensional cross-check.  The half-offset X2
-axis keeps the barrier plane between nodes; each level then appears as a
-nearly degenerate mirror pair, the grid's view of the two half-line sectors.
+The matrix-free Lanczos solve never uses separability, only the reflection
+symmetries of the grid, so agreement with the closed forms is a genuine
+three-dimensional cross-check.  The half-offset X2 axis keeps the barrier
+plane between nodes; each level then appears as a nearly degenerate mirror
+pair, the grid's view of the two half-line sectors.
 
-Run:  python demos/grid3d_check.py      (about half a minute)
+Run:  python demos/grid3d_check.py      (a few seconds)
 """
 
 from wolfes4 import ModelParams, delta_constant, richardson, solve_hd_3d

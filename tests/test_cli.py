@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import pathlib
 
 import pytest
 
@@ -242,11 +244,17 @@ class TestExitCodes:
         import subprocess
         import sys
 
+        # the package must import from the subprocess's working directory,
+        # so a relative PYTHONPATH is replaced by the absolute source path
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-m", "wolfes4", "spectrum", "--max-quanta", "0"],
-            capture_output=True, text=True, cwd=workdir)
+            capture_output=True, text=True, cwd=workdir, env=env)
         assert done.returncode == EXIT_PASS
         assert json.loads(done.stdout)["levels"]
         done = subprocess.run([sys.executable, "-m", "wolfes4", "verify", "bogus"],
-                              capture_output=True, text=True, cwd=workdir)
+                              capture_output=True, text=True, cwd=workdir, env=env)
         assert done.returncode == EXIT_USAGE

@@ -1,5 +1,4 @@
-"""The narrative demo scripts must stay runnable (the 3D one is exercised
-elsewhere; it is skipped here for time)."""
+"""The narrative demo scripts must stay runnable."""
 
 import pathlib
 import subprocess
@@ -14,6 +13,7 @@ QUICK_DEMOS = [
     "channel_oracles.py",
     "spherical_chain.py",
     "hellmann_feynman.py",
+    "grid3d_check.py",
 ]
 
 

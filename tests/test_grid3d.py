@@ -11,7 +11,8 @@ from wolfes4 import (
     lanczos_lowest,
     solve_hd_3d,
 )
-from wolfes4.grid3d import _build_operator
+from wolfes4 import grid3d
+from wolfes4.grid3d import SECTORS, _build_operator
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -33,6 +34,32 @@ def tensor_sum_oracle(params, layout, k):
     e_off = axis_eigs(layout.nodes_offset(), layout.h_offset, True)
     sums = (e_sym[:, None, None] + e_off[None, :, None] + e_sym[None, None, :])
     return np.sort(sums.ravel())[:k]
+
+
+def full_grid_stencil(params, layout):
+    """The 7-point stencil on the whole grid, no symmetry used; shares nothing
+    with the sector operators of the solver."""
+    x1 = layout.nodes_sym()
+    x2 = layout.nodes_offset()
+    pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
+                                    + x1[None, None, :] ** 2)
+           + params.g1_squared / (6.0 * x2[None, :, None] ** 2))
+    diag = pot + 2.0 / layout.h_sym**2 + 1.0 / layout.h_offset**2
+    c1 = -0.5 / layout.h_sym**2
+    c2 = -0.5 / layout.h_offset**2
+
+    def matvec(u):
+        u = u.reshape(pot.shape)
+        y = diag * u
+        y[1:, :, :] += c1 * u[:-1, :, :]
+        y[:-1, :, :] += c1 * u[1:, :, :]
+        y[:, 1:, :] += c2 * u[:, :-1, :]
+        y[:, :-1, :] += c2 * u[:, 1:, :]
+        y[:, :, 1:] += c1 * u[:, :, :-1]
+        y[:, :, :-1] += c1 * u[:, :, 1:]
+        return y.ravel()
+
+    return matvec
 
 
 class TestAxisLayout:
@@ -99,15 +126,57 @@ class TestSolver:
         assert e2 == pytest.approx(2.0 * e1, rel=1e-7)
 
     def test_vectors_on_request(self):
-        res = solve_hd_3d(P, 16, 5.0, k=2, tol=1e-9, want_vectors=True)
-        assert res.eigenvectors is not None and res.eigenvectors.shape[0] == 2
-        matvec, n = _build_operator(P, AxisLayout.for_resolution(16, 5.0))
+        params = ModelParams(omega=1.0, g1_squared=1.0)
+        res = solve_hd_3d(params, 16, 5.0, k=6, tol=1e-9, want_vectors=True)
+        assert res.eigenvectors is not None and res.eigenvectors.shape[0] == 6
+        matvec = full_grid_stencil(params, AxisLayout.for_resolution(16, 5.0))
         for lam, v in zip(res.eigenvalues, res.eigenvectors):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(matvec(v) - lam * v) <= 1e-7
+        overlap = res.eigenvectors @ res.eigenvectors.T
+        assert overlap == pytest.approx(np.eye(6), abs=1e-10)
+
+    @pytest.mark.parametrize("g1_squared", [0.3, 1.0, 3.0])
+    def test_degenerate_partners_not_missed(self, g1_squared):
+        # levels 2-5 are two exactly degenerate X1 <-> X3 image pairs
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, 41, 5.5, k=6)
+        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(41, 5.5), 6)
+        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("g1_squared", [0.3, 3.0])
+    def test_sectors_topped_up_to_the_lowest_k(self, g1_squared, monkeypatch):
+        asked = []
+
+        def recording(matvec, n, k, **kwargs):
+            asked.append(k)
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, 20, 5.0, k=12)
+        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(20, 5.0), 12)
+        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+        assert len(asked) > len(SECTORS)  # some sector was asked for more
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
             solve_hd_3d(P, 16, 5.0, k=0)
+
+
+class TestSectors:
+    def test_sectors_partition_the_grid(self):
+        lay = AxisLayout.for_resolution(21, 5.0)
+        sizes = [_build_operator(P, lay, sector)[1] for sector in SECTORS]
+        assert sum(sizes) == lay.n_sym * lay.n_offset * lay.n_sym
+        assert max(sizes) < 0.15 * sum(sizes)
+
+    def test_sector_operators_are_symmetric(self):
+        lay = AxisLayout.for_resolution(16, 5.0)
+        for sector in SECTORS:
+            matvec, n = _build_operator(P, lay, sector)
+            A = np.column_stack([matvec(e) for e in np.eye(n)])
+            assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestLanczos:
