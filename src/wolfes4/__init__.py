@@ -7,7 +7,6 @@ resolves two misprinted constants in the published level formulas.
 """
 
 from .model import (
-    DerivedConstants,
     EnergyLevel,
     LEVEL_MERGE_TOL,
     ModelParams,
@@ -25,7 +24,6 @@ from .model import (
     radial_energy,
     radial_energy_candidate,
     radial_energy_published,
-    scale_energy,
     sho_energy_published,
     sho_energy_resolved,
 )

@@ -38,23 +38,22 @@ EXIT_USAGE = 2
 
 STATE_FILE_NAME = "resolved_constants.txt"
 
-#: Command-dependent defaults for flags left unset (1D suites vs the 3D grid).
-DEFAULT_GRID_POINTS_1D = 2001
-DEFAULT_GRID_POINTS_3D = 61
-DEFAULT_EXTENT_1D = 12.0
-DEFAULT_EXTENT_3D = 7.0
-DEFAULT_TOL_1D = 1e-4
-DEFAULT_TOL_3D = 5e-3
-
 
 @dataclass
 class RunConfig:
+    """Settings of one command.
+
+    ``grid_points``, ``domain_extent`` and ``tol`` stay None unless a flag or
+    the config file sets them; the check a command calls then keeps its own
+    default, which differs between the 1D channels and the 3D grid.
+    """
+
     omega: float = 1.0
     g1_squared: float = 3.0
     max_quanta: int = 6
-    grid_points: int = DEFAULT_GRID_POINTS_1D
-    domain_extent: float = DEFAULT_EXTENT_1D
-    tol: float = DEFAULT_TOL_1D
+    grid_points: int | None = None
+    domain_extent: float | None = None
+    tol: float | None = None
     sector_multiplicity: int = 1
     format: str = "json"
     out: str | None = None
@@ -66,11 +65,11 @@ class RunConfig:
             raise ValueError("g1sq must be nonnegative")
         if self.max_quanta < 0:
             raise ValueError("max-quanta must be nonnegative")
-        if self.grid_points < 3:
+        if self.grid_points is not None and self.grid_points < 3:
             raise ValueError("grid-points must be at least 3")
-        if self.domain_extent <= 0:
+        if self.domain_extent is not None and self.domain_extent <= 0:
             raise ValueError("domain-extent must be positive")
-        if self.tol <= 0:
+        if self.tol is not None and self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.sector_multiplicity not in (1, 2):
             raise ValueError("sector-mult must be 1 or 2")
@@ -278,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_config(args: argparse.Namespace, three_d: bool = False) -> RunConfig:
+def make_config(args: argparse.Namespace) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else {}
     flag_values = {
         "omega": args.omega,
@@ -291,23 +290,21 @@ def make_config(args: argparse.Namespace, three_d: bool = False) -> RunConfig:
         "format": args.format,
         "out": args.out,
     }
-    defaults = {
-        "grid_points": DEFAULT_GRID_POINTS_3D if three_d else DEFAULT_GRID_POINTS_1D,
-        "domain_extent": DEFAULT_EXTENT_3D if three_d else DEFAULT_EXTENT_1D,
-        "tol": DEFAULT_TOL_3D if three_d else DEFAULT_TOL_1D,
-    }
     merged: dict = {}
     for f in fields(RunConfig):
         if flag_values.get(f.name) is not None:
             merged[f.name] = flag_values[f.name]
         elif f.name in file_values:
             merged[f.name] = file_values[f.name]
-        elif f.name in defaults:
-            merged[f.name] = defaults[f.name]
     return RunConfig(**merged)
 
 
 # -- commands ---------------------------------------------------------------
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments the user set; the rest keep the callee's defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
 def _resolution(config: RunConfig, config_path: str | None):
@@ -354,8 +351,7 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
     return EXIT_PASS
 
 
-def cmd_verify(config: RunConfig, which: str, config_path: str | None,
-               explicit: dict) -> int:
+def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
     try:
         offset, rule, _ = _resolution(config, config_path)
     except ResolutionError as exc:
@@ -363,26 +359,18 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None,
         return EXIT_FAIL
     resolved = {"sho_offset": offset, "radial_rule": rule}
     report = VerificationReport(params=config.params)
+    channel = _given(tol=config.tol, n_points=config.grid_points)
     if which in ("jacobi", "all"):
         report.extend(verify_jacobi_route(config.params, config.max_quanta,
-                                          config.tol, offset,
-                                          n_points=config.grid_points))
+                                          offset=offset, **channel))
     if which in ("spherical", "all"):
         n_cap = min(config.max_quanta, 4)
         report.extend(verify_spherical_route(
-            config.params, (n_cap, n_cap, n_cap // 2), config.tol, offset,
-            n_points=config.grid_points))
+            config.params, (n_cap, n_cap, n_cap // 2), offset=offset, **channel))
     if which in ("3d", "all"):
-        if which == "3d":
-            points, tol, extent = config.grid_points, config.tol, config.domain_extent
-        else:
-            # for `all` the shared flags default to the 1D suite values, so
-            # the 3D leg keeps its own defaults unless a flag was explicit
-            points = config.grid_points if explicit["grid_points"] else DEFAULT_GRID_POINTS_3D
-            tol = config.tol if explicit["tol"] else DEFAULT_TOL_3D
-            extent = config.domain_extent if explicit["domain_extent"] else DEFAULT_EXTENT_3D
-        report.extend(verify_3d(config.params, k=6, tol=tol, offset=offset,
-                                n_per_axis=points, extent=extent))
+        report.extend(verify_3d(config.params, k=6, offset=offset,
+                                **_given(tol=config.tol, n_per_axis=config.grid_points,
+                                         extent=config.domain_extent)))
     emit(config, render_checks(config, report, resolved))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -393,8 +381,8 @@ def cmd_hf_check(config: RunConfig, config_path: str | None) -> int:
             "error: hf-check needs g1sq > 0 so the central difference stays "
             "inside the admissible coupling range\n")
         return EXIT_USAGE
-    report = hellmann_feynman_check(config.params, n2=0, tol=config.tol,
-                                    n_points=config.grid_points)
+    report = hellmann_feynman_check(
+        config.params, n2=0, **_given(tol=config.tol, n_points=config.grid_points))
     emit(config, render_checks(config, report, None))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -409,8 +397,8 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
     else:
         params_list = None
     try:
-        offset, rule, report = resolve_formula_offsets(params_list,
-                                                       n_points=config.grid_points)
+        offset, rule, report = resolve_formula_offsets(
+            params_list, **_given(tol=config.tol, n_points=config.grid_points))
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
@@ -421,7 +409,8 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
 
 
 def cmd_audit(config: RunConfig, config_path: str | None) -> int:
-    report = bk_audit(config.params, tol=config.tol, n_points=config.grid_points)
+    report = bk_audit(config.params,
+                      **_given(tol=config.tol, n_points=config.grid_points))
     emit(config, render_checks(config, report, None))
     return EXIT_PASS
 
@@ -433,8 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        three_d = args.command == "verify" and args.which in ("3d",)
-        config = make_config(args, three_d=three_d)
+        config = make_config(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -442,10 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.config)
         if args.command == "verify":
-            explicit = {"grid_points": args.grid_points is not None,
-                        "tol": args.tol is not None,
-                        "domain_extent": args.domain_extent is not None}
-            return cmd_verify(config, args.which, args.config, explicit)
+            return cmd_verify(config, args.which, args.config)
         if args.command == "hf-check":
             return cmd_hf_check(config, args.config)
         if args.command == "resolve":

@@ -76,6 +76,12 @@ SECTORS = tuple((p1, p2, p3, swap)
                 for p1, p2, p3 in itertools.product((1, -1), repeat=3)
                 for swap in ((1, -1) if p1 == p3 else (0,)))
 
+#: Lanczos basis size of a sector solve.  16-30 measured alike at 41 points
+#: per axis; 16 came near the restart cap at 81.
+SECTOR_KRYLOV_DIM = 24
+#: Thick restarts a sector solve may take before it raises ConvergenceError.
+SECTOR_MAX_RESTARTS = 40
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -258,8 +264,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
 
 
 def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
-                krylov_dim: int = 24, max_restarts: int = 40, tol: float = 1e-8,
-                want_vectors: bool = False) -> EigenResult:
+                tol: float = 1e-8, want_vectors: bool = False) -> EigenResult:
     """Lowest k eigenvalues of the relative-motion operator on the 3D grid.
 
     ``n_per_axis`` is rounded to the nearest admissible per-axis counts
@@ -268,7 +273,7 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     one at half resolution and extrapolating is the intended usage for
     quantitative checks.
 
-    Every sector of SECTORS is solved with ``krylov_dim`` Lanczos vectors
+    Every sector of SECTORS is solved with SECTOR_KRYLOV_DIM Lanczos vectors
     (more if it is asked for many values).  A sector that returns fewer than
     k values, all below the merged k-th value, is asked again for twice as
     many, so the merged k values are the lowest of every sector.  Vectors are
@@ -289,8 +294,8 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
             # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
             solved[sector] = lanczos_lowest(
                 matvec, n, wanted[sector],
-                krylov_dim=max(krylov_dim, 2 * wanted[sector] + 10),
-                max_restarts=max_restarts, tol=tol, want_vectors=want_vectors)
+                krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted[sector] + 10),
+                max_restarts=SECTOR_MAX_RESTARTS, tol=tol, want_vectors=want_vectors)
         vals = np.concatenate([solved[s][0] for s in SECTORS])
         # near-degenerate pairs may come back equal to rounding; order ties stably
         order = np.argsort(vals, kind="stable")[:k]

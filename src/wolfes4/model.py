@@ -42,17 +42,6 @@ class ModelParams:
             raise ValueError(f"g1_squared must be nonnegative, got {self.g1_squared}")
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants computable from ModelParams alone."""
-
-    delta: float
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "DerivedConstants":
-        return cls(delta=delta_constant(params))
-
-
 def delta_constant(params: ModelParams) -> float:
     """sqrt(1/4 + g1_squared/3); equals 1/2 exactly when the barrier is off."""
     return math.sqrt(0.25 + params.g1_squared / 3.0)
@@ -172,13 +161,6 @@ def hf_derivative_closed_form(n2: int, params: ModelParams) -> float:
     return params.omega / (6.0 * delta_constant(params))
 
 
-def scale_energy(e_at_unit_omega: float, omega: float) -> float:
-    """Rescale an omega=1 energy: H(omega, g1) = omega * H(1, g1)."""
-    if not (omega > 0):
-        raise ValueError("omega must be positive")
-    return omega * e_at_unit_omega
-
-
 @dataclass
 class EnergyLevel:
     """One distinct energy with the triples that produce it.
@@ -204,9 +186,6 @@ class SpectrumTable:
     params: ModelParams
     cutoff: int
     sector_multiplicity: int
-
-    def values(self) -> list[float]:
-        return [lv.value for lv in self.levels]
 
     def flattened(self) -> list[float]:
         """Every state energy repeated by its degeneracy, ascending."""

@@ -7,6 +7,7 @@ import pathlib
 
 import pytest
 
+from wolfes4 import VerificationReport, cli
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -157,6 +158,12 @@ class TestResolveCommand:
         assert code == EXIT_PASS
         assert "reduced sweep" in err
 
+    def test_tolerance_reaches_the_resolution(self, workdir, capsys):
+        code, _, err = run_cli(capsys, "resolve", "--tol", "1e-30")
+        assert code == EXIT_FAIL
+        assert "ambiguous or matched nothing" in err and "residuals" in err
+        assert not (workdir / "resolved_constants.txt").exists()
+
     def test_emits_discrepancy_table(self, workdir, capsys):
         _, out, _ = run_cli(capsys, "resolve")
         names = [c["name"] for c in json.loads(out)["checks"]]
@@ -192,6 +199,25 @@ class TestVerifyCommand:
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
         assert "grid3d-mirror-pair" in names
+
+    def test_3d_settings_reach_every_leg_alike(self, workdir, capsys, monkeypatch):
+        seen = []
+
+        def record(params, k, **kwargs):
+            seen.append(kwargs)
+            return VerificationReport(params=params)
+
+        monkeypatch.setattr(cli, "verify_3d", record)
+        cfg = workdir / "run.cfg"
+        cfg.write_text("grid_points = 41\ndomain_extent = 5\ntol = 0.01\n"
+                       "max_quanta = 1\n")
+        flags = ("--grid-points", "41", "--domain-extent", "5", "--tol", "0.01",
+                 "--max-quanta", "1")
+        run_cli(capsys, "verify", "3d", "--config", str(cfg))
+        run_cli(capsys, "verify", "all", "--config", str(cfg))
+        run_cli(capsys, "verify", "all", *flags)
+        assert seen[0] == seen[1] == seen[2]
+        assert (seen[0]["n_per_axis"], seen[0]["extent"], seen[0]["tol"]) == (41, 5.0, 0.01)
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE

@@ -226,20 +226,3 @@ class TestMonotoneCoupling:
                   for g in sweep]
         for lo, hi in zip(levels, levels[1:]):
             assert np.all(hi > lo)
-
-
-class TestThreadCap:
-    def test_env_cap_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("WOLFES_THREADS", "1")
-        serial = resolve_formula_offsets(n_points=301)
-        monkeypatch.setenv("WOLFES_THREADS", "4")
-        threaded = resolve_formula_offsets(n_points=301)
-        assert serial[0] == threaded[0] and serial[1] == threaded[1]
-        a = [(c.name, c.measured) for c in serial[2].checks]
-        b = [(c.name, c.measured) for c in threaded[2].checks]
-        assert a == b
-
-    def test_invalid_env_is_auto(self, monkeypatch):
-        monkeypatch.setenv("WOLFES_THREADS", "not a number")
-        offset, rule, _ = resolve_formula_offsets(n_points=301)
-        assert offset == 1.0 and rule == "candidate"
