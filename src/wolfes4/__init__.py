@@ -8,7 +8,6 @@ resolves two misprinted constants in the published level formulas.
 
 from .model import (
     EnergyLevel,
-    LEVEL_MERGE_TOL,
     ModelParams,
     QuantumTriple,
     RADIAL_RULE_CANDIDATE,

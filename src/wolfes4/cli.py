@@ -16,12 +16,14 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
 from .model import (
     ModelParams,
     SHO_OFFSET_CANDIDATES,
     enumerate_spectrum,
 )
 from .verify import (
+    RESOLUTION_LEVELS,
     ResolutionError,
     VerificationReport,
     bk_audit,
@@ -38,6 +40,10 @@ EXIT_USAGE = 2
 
 STATE_FILE_NAME = "resolved_constants.txt"
 
+#: Largest --max-quanta.  The triples grow as the cube of it: 60 gives ~20k
+#: and a 1.2 MB spectrum report.
+MAX_QUANTA = 60
+
 
 @dataclass
 class RunConfig:
@@ -46,6 +52,8 @@ class RunConfig:
     ``grid_points``, ``domain_extent`` and ``tol`` stay None unless a flag or
     the config file sets them; the check a command calls then keeps its own
     default, which differs between the 1D channels and the 3D grid.
+    ``params``, the ModelParams of ``omega`` and ``g1_squared``, is built
+    once at construction and validates them.
     """
 
     omega: float = 1.0
@@ -59,12 +67,10 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.g1_squared < 0:
-            raise ValueError("g1sq must be nonnegative")
-        if self.max_quanta < 0:
-            raise ValueError("max-quanta must be nonnegative")
+        self.params = ModelParams(omega=self.omega, g1_squared=self.g1_squared)
+        if not 0 <= self.max_quanta <= MAX_QUANTA:
+            raise ValueError(f"max-quanta must lie in [0, {MAX_QUANTA}], "
+                             f"got {self.max_quanta}")
         if self.grid_points is not None and self.grid_points < 3:
             raise ValueError("grid-points must be at least 3")
         if self.domain_extent is not None and self.domain_extent <= 0:
@@ -75,10 +81,6 @@ class RunConfig:
             raise ValueError("sector-mult must be 1 or 2")
         if self.format not in ("json", "csv"):
             raise ValueError("format must be json or csv")
-
-    @property
-    def params(self) -> ModelParams:
-        return ModelParams(omega=self.omega, g1_squared=self.g1_squared)
 
 
 def format_float(x: float) -> str:
@@ -307,6 +309,16 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
+def _require_grid_points(config: RunConfig, least: int, where: str,
+                         most: int | None = None) -> None:
+    """Reject a --grid-points value the command cannot use, before any solve runs."""
+    n = config.grid_points
+    if n is None or least <= n and (most is None or n <= most):
+        return
+    bound = f"at least {least}" if most is None else f"in [{least}, {most}]"
+    raise ValueError(f"--grid-points must be {bound} for {where}, got {n}")
+
+
 def _resolution(config: RunConfig, config_path: str | None):
     """Stored resolution if present, otherwise computed in memory."""
     stored = load_state_file(state_file_path(config_path))
@@ -352,19 +364,27 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
 
 
 def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
+    n_cap = min(config.max_quanta, 4)
+    # a 1D leg asks a channel for one level more than the largest class it checks
+    if which in ("jacobi", "all"):
+        _require_grid_points(config, config.max_quanta + 1, "verify jacobi")
+    if which == "spherical":
+        _require_grid_points(config, n_cap + 1, "verify spherical")
+    if which in ("3d", "all"):
+        _require_grid_points(config, MIN_POINTS_PER_AXIS, "the 3D grid",
+                             MAX_POINTS_PER_AXIS)
     try:
         offset, rule, _ = _resolution(config, config_path)
     except ResolutionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
     resolved = {"sho_offset": offset, "radial_rule": rule}
-    report = VerificationReport(params=config.params)
+    report = VerificationReport()
     channel = _given(tol=config.tol, n_points=config.grid_points)
     if which in ("jacobi", "all"):
         report.extend(verify_jacobi_route(config.params, config.max_quanta,
                                           offset=offset, **channel))
     if which in ("spherical", "all"):
-        n_cap = min(config.max_quanta, 4)
         report.extend(verify_spherical_route(
             config.params, (n_cap, n_cap, n_cap // 2), offset=offset, **channel))
     if which in ("3d", "all"):
@@ -389,6 +409,7 @@ def cmd_hf_check(config: RunConfig, config_path: str | None) -> int:
 
 def cmd_resolve(config: RunConfig, config_path: str | None,
                 explicit_g1sq: bool) -> int:
+    _require_grid_points(config, RESOLUTION_LEVELS, "resolve")
     if explicit_g1sq:
         sys.stderr.write(
             "warning: resolution run on a reduced sweep (single g1sq value); "

@@ -38,6 +38,12 @@ from scipy.linalg import eigh
 from .model import ModelParams
 from .numsolve import ConvergenceError, EigenResult
 
+#: Smallest and largest requested points per axis.  At the largest, the
+#: biggest sector has ~220k unknowns and its Lanczos basis takes ~45 MB
+#: (`verify 3d` peaks near 150 MB); it admits a halving of the 61-point default.
+MIN_POINTS_PER_AXIS = 16
+MAX_POINTS_PER_AXIS = 121
+
 
 @dataclass(frozen=True)
 class AxisLayout:
@@ -51,8 +57,9 @@ class AxisLayout:
 
     @classmethod
     def for_resolution(cls, n_per_axis: int, extent: float) -> "AxisLayout":
-        if n_per_axis < 16:
-            raise ValueError("n_per_axis must be at least 16")
+        if not MIN_POINTS_PER_AXIS <= n_per_axis <= MAX_POINTS_PER_AXIS:
+            raise ValueError(f"n_per_axis must lie in [{MIN_POINTS_PER_AXIS}, "
+                             f"{MAX_POINTS_PER_AXIS}], got {n_per_axis}")
         if not (extent > 0):
             raise ValueError("extent must be positive")
         n_sym = n_per_axis if n_per_axis % 2 == 1 else n_per_axis + 1
@@ -107,19 +114,6 @@ def _sector_axis(nodes: np.ndarray, h: float, parity: int):
     return x, kinetic
 
 
-def _sector_axes(layout: AxisLayout, sector: tuple):
-    p1, p2, p3, _ = sector
-    return (_sector_axis(layout.nodes_sym(), layout.h_sym, p1),
-            _sector_axis(layout.nodes_offset(), layout.h_offset, p2),
-            _sector_axis(layout.nodes_sym(), layout.h_sym, p3))
-
-
-def _swap_basis(n: int, swap: int):
-    """Index pairs i >= j (i > j when odd) of the X1 <-> X3 mirror basis and their norms."""
-    i, j = np.tril_indices(n, 0 if swap > 0 else -1)
-    return i, j, np.where(i == j, 1.0, _SQRT2)[:, None]
-
-
 def _build_operator(params: ModelParams, layout: AxisLayout,
                     sector: tuple = SECTORS[0]):
     """Matrix-free symmetric operator of one sector of SECTORS, and its size.
@@ -127,7 +121,10 @@ def _build_operator(params: ModelParams, layout: AxisLayout,
     The 7-point stencil is applied axis by axis: each axis's tridiagonal
     kinetic matrix acts along its own axis of the half grid.
     """
-    (x1, k1), (x2, k2), (x3, k3) = _sector_axes(layout, sector)
+    p1, p2, p3, swap = sector
+    x1, k1 = _sector_axis(layout.nodes_sym(), layout.h_sym, p1)
+    x2, k2 = _sector_axis(layout.nodes_offset(), layout.h_offset, p2)
+    x3, k3 = _sector_axis(layout.nodes_sym(), layout.h_sym, p3)
     pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
                                     + x3[None, None, :] ** 2)
            + params.g1_squared / (6.0 * x2[None, :, None] ** 2))
@@ -141,48 +138,21 @@ def _build_operator(params: ModelParams, layout: AxisLayout,
         y += u @ k3
         return y
 
-    swap = sector[3]
     if not swap:
         return (lambda u: stencil(u).ravel()), pot.size
 
-    basis = _swap_basis(shape[0], swap)
-    i, j, norm = basis
+    # X1 <-> X3 mirror basis: index pairs i >= j (i > j when odd) and their norms
+    i, j = np.tril_indices(shape[0], 0 if swap > 0 else -1)
+    norm = np.where(i == j, 1.0, _SQRT2)[:, None]
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        return (stencil(_unswap(u, shape, swap, basis))[i, :, j] * norm).ravel()
+        c = u.reshape(i.size, shape[1]) / norm
+        full = np.zeros(shape)
+        full[i, :, j] = c
+        full[j, :, i] = swap * c
+        return (stencil(full)[i, :, j] * norm).ravel()
 
     return matvec, i.size * shape[1]
-
-
-def _unswap(u: np.ndarray, shape: tuple, swap: int, basis) -> np.ndarray:
-    """A vector in the X1 <-> X3 mirror basis, spread over the half grid of ``shape``."""
-    i, j, norm = basis
-    c = u.reshape(i.size, shape[1]) / norm
-    full = np.zeros(shape)
-    full[i, :, j] = c
-    full[j, :, i] = swap * c
-    return full
-
-
-def _unfold(u: np.ndarray, layout: AxisLayout, sector: tuple) -> np.ndarray:
-    """A sector eigenvector as a unit vector on the full grid."""
-    shape = tuple(len(x) for x, _ in _sector_axes(layout, sector))
-    swap = sector[3]
-    if swap:
-        u = _unswap(u, shape, swap, _swap_basis(shape[0], swap))
-    else:
-        u = u.reshape(shape)
-    counts = (layout.n_sym, layout.n_offset, layout.n_sym)
-    for axis, (n, parity) in enumerate(zip(counts, sector[:3])):
-        half = np.moveaxis(u, axis, 0) / _SQRT2
-        mirror = parity * half[::-1]
-        if n % 2 and parity > 0:
-            half[0] *= _SQRT2
-            mirror = mirror[:-1]
-        elif n % 2:
-            mirror = np.concatenate([mirror, np.zeros((1,) + half.shape[1:])])
-        u = np.moveaxis(np.concatenate([mirror, half]), 0, axis)
-    return u.ravel()
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -197,16 +167,15 @@ def _start_vector(n: int) -> np.ndarray:
 
 def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    krylov_dim: int = 90, max_restarts: int = 40,
-                   tol: float = 1e-8, want_vectors: bool = False,
-                   history: list | None = None):
-    """Lowest k eigenpairs by thick-restart Lanczos with full reorthogonalization.
+                   tol: float = 1e-8, history: list | None = None):
+    """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
-    Deterministic: fixed start vector, fixed restart schedule, fixed
-    iteration cap (krylov_dim * max_restarts matrix applications).  Raises
-    ConvergenceError with the residuals if the cap is exhausted.  When
-    ``history`` is a list, the lowest Ritz value of each restart cycle is
-    appended to it; the sequence is non-increasing by the variational
-    principle.
+    Thick-restart Lanczos with full reorthogonalization.  Deterministic:
+    fixed start vector, fixed restart schedule, fixed iteration cap
+    (krylov_dim * max_restarts matrix applications).  Raises ConvergenceError
+    with the residuals if the cap is exhausted.  When ``history`` is a list,
+    the lowest Ritz value of each restart cycle is appended to it; the
+    sequence is non-increasing by the variational principle.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
@@ -246,10 +215,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
         if history is not None:
             history.append(float(lam[0]))
         if np.all(res[:k] <= tol * np.maximum(1.0, np.abs(lam[:k]))):
-            vecs = None
-            if want_vectors:
-                vecs = (V[:m].T @ S[:, order[:k]]).T
-            return lam[:k], res[:k], vecs
+            return lam[:k], res[:k]
         kk = k + keep_extra
         keep = order[:kk]
         ritz = (V[:m].T @ S[:, keep]).T
@@ -264,7 +230,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
 
 
 def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
-                tol: float = 1e-8, want_vectors: bool = False) -> EigenResult:
+                tol: float = 1e-8) -> EigenResult:
     """Lowest k eigenvalues of the relative-motion operator on the 3D grid.
 
     ``n_per_axis`` is rounded to the nearest admissible per-axis counts
@@ -276,9 +242,8 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     Every sector of SECTORS is solved with SECTOR_KRYLOV_DIM Lanczos vectors
     (more if it is asked for many values).  A sector that returns fewer than
     k values, all below the merged k-th value, is asked again for twice as
-    many, so the merged k values are the lowest of every sector.  Vectors are
-    returned on the full grid, ``residual_bound`` is the largest residual of
-    any sector.
+    many, so the merged k values are the lowest of every sector.
+    ``residual_bound`` is the largest residual of any sector.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -295,7 +260,7 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
             solved[sector] = lanczos_lowest(
                 matvec, n, wanted[sector],
                 krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted[sector] + 10),
-                max_restarts=SECTOR_MAX_RESTARTS, tol=tol, want_vectors=want_vectors)
+                max_restarts=SECTOR_MAX_RESTARTS, tol=tol)
         vals = np.concatenate([solved[s][0] for s in SECTORS])
         # near-degenerate pairs may come back equal to rounding; order ties stably
         order = np.argsort(vals, kind="stable")[:k]
@@ -306,9 +271,5 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
             break
         for sector in short:
             wanted[sector] = min(k, 2 * wanted[sector])
-    vecs = None
-    if want_vectors:
-        vecs = np.concatenate([[_unfold(v, layout, s) for v in solved[s][2]]
-                               for s in SECTORS])[order]
-    return EigenResult(eigenvalues=vals[order], eigenvectors=vecs, grid=None,
+    return EigenResult(eigenvalues=vals[order], eigenvectors=None,
                        residual_bound=float(max(np.max(solved[s][1]) for s in SECTORS)))

@@ -24,9 +24,6 @@ SHO_OFFSET_CANDIDATES = (0.5, 1.0)
 RADIAL_RULE_PUBLISHED = "published"
 RADIAL_RULE_CANDIDATE = "candidate"
 
-#: Relative tolerance (in units of omega) for merging equal closed-form levels.
-LEVEL_MERGE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -36,10 +33,11 @@ class ModelParams:
     g1_squared: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (self.omega > 0):
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not (self.g1_squared >= 0):
-            raise ValueError(f"g1_squared must be nonnegative, got {self.g1_squared}")
+        if not (0 < self.omega < math.inf):
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not (0 <= self.g1_squared < math.inf):
+            raise ValueError(
+                f"g1_squared must be nonnegative and finite, got {self.g1_squared}")
 
 
 def delta_constant(params: ModelParams) -> float:
@@ -180,11 +178,9 @@ class EnergyLevel:
 
 @dataclass
 class SpectrumTable:
-    """Closed-form levels up to a total-quanta cutoff, sorted ascending."""
+    """Closed-form levels, one per total-quanta class, sorted ascending."""
 
     levels: list[EnergyLevel]
-    params: ModelParams
-    cutoff: int
     sector_multiplicity: int
 
     def flattened(self) -> list[float]:
@@ -197,34 +193,25 @@ class SpectrumTable:
 
 def enumerate_spectrum(params: ModelParams, cutoff: int, offset: float,
                        sector_multiplicity: int = 1) -> SpectrumTable:
-    """All levels with n1 + n3 + 2*n2 <= cutoff, merged by value.
+    """One level per total-quanta class N = n1 + n3 + 2*n2 <= cutoff.
 
-    Distinct total-quanta classes are separated by omega, far beyond the
-    merge tolerance, so levels coincide exactly with N-classes.
+    The energy depends on a triple only through N, so each class is one
+    level, its members in ascending triple order.  The members' float
+    energies differ only by rounding; the level takes the smallest.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if sector_multiplicity not in (1, 2):
         raise ValueError("sector_multiplicity must be 1 or 2")
 
-    by_value: list[EnergyLevel] = []
-    triples = []
-    for n2 in range(cutoff // 2 + 1):
-        for n1 in range(cutoff - 2 * n2 + 1):
-            for n3 in range(cutoff - 2 * n2 - n1 + 1):
-                triples.append(QuantumTriple(n1, n2, n3))
-    triples.sort(key=lambda t: (composite_energy(t, params, offset), t))
-
-    tol = LEVEL_MERGE_TOL * params.omega
-    for t in triples:
-        e = composite_energy(t, params, offset)
-        if by_value and abs(by_value[-1].value - e) <= tol:
-            lv = by_value[-1]
-            lv.members.extend([t] * sector_multiplicity)
-            lv.degeneracy = len(lv.members)
-        else:
-            by_value.append(EnergyLevel(value=e,
-                                        degeneracy=sector_multiplicity,
-                                        members=[t] * sector_multiplicity))
-    return SpectrumTable(levels=by_value, params=params, cutoff=cutoff,
-                         sector_multiplicity=sector_multiplicity)
+    levels = []
+    for n in range(cutoff + 1):
+        triples = [QuantumTriple(n1, n2, n - n1 - 2 * n2)
+                   for n1 in range(n + 1) for n2 in range((n - n1) // 2 + 1)]
+        members = [t for t in triples for _ in range(sector_multiplicity)]
+        levels.append(EnergyLevel(
+            value=min(composite_energy(t, params, offset) for t in triples),
+            degeneracy=len(members), members=members))
+    if not math.isfinite(levels[-1].value):
+        raise ValueError(f"the level energies overflow by N = {cutoff}")
+    return SpectrumTable(levels=levels, sector_multiplicity=sector_multiplicity)

@@ -88,17 +88,16 @@ class TridiagonalMatrix:
 
 @dataclass
 class EigenResult:
-    """Ascending eigenvalues plus optional eigenvectors (rows) and their grid.
+    """Ascending eigenvalues plus optional eigenvectors (rows).
 
-    Vectors from the 1D channel solves are trapezoid-normalized on their
-    grid (sum v_i^2 * spacing = 1); vectors without a grid carry unit
+    Vectors from ``solve_channel`` are trapezoid-normalized on its grid
+    (sum v_i^2 * spacing = 1); those from ``eigen_tridiag`` carry unit
     Euclidean norm.  ``residual_bound`` bounds ||T v - lambda v|| for every
     returned pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    grid: Grid1D | None
     residual_bound: float
 
     def __post_init__(self) -> None:
@@ -170,11 +169,10 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
         vecs = vecs[:, order].T
         resid = max(float(np.linalg.norm(T.matvec(v) - lam * v))
                     for lam, v in zip(vals, vecs))
-        return EigenResult(eigenvalues=vals, eigenvectors=vecs, grid=None,
-                           residual_bound=resid)
+        return EigenResult(eigenvalues=vals, eigenvectors=vecs, residual_bound=resid)
     vals = eigh_tridiagonal(T.diag, T.offdiag, eigvals_only=True, select="i",
                             select_range=(0, k - 1), lapack_driver="stebz")
-    return EigenResult(eigenvalues=np.sort(vals), eigenvectors=None, grid=None,
+    return EigenResult(eigenvalues=np.sort(vals), eigenvectors=None,
                        residual_bound=np.finfo(float).eps * scale)
 
 
@@ -204,17 +202,26 @@ def _power_step(j: np.ndarray, b: float) -> np.ndarray:
 def _singular_tridiag(grid: Grid1D, smooth: Callable[[np.ndarray], np.ndarray],
                       c_left: float, c_right: float,
                       kinetic_prefactor: float) -> TridiagonalMatrix:
-    """Stencil for -kappa u'' + smooth(x) + c_left/x_rel^2 (+ c_right at the far end)."""
+    """Stencil for -kappa u'' + smooth(x) + c_left/x_rel^2 (+ c_right at the far end).
+
+    Raises ValueError when a coupling is so strong that the exact-local-power
+    diagonal overflows.
+    """
     T = discretize(smooth, grid, kinetic_prefactor)
     diag = T.diag.copy()
     j = np.arange(1, grid.n_points + 1)
     h = grid.spacing
-    if c_left != 0.0:
-        b = 0.5 + math.sqrt(0.25 + c_left / kinetic_prefactor)
-        diag += kinetic_prefactor / h**2 * _power_step(j, b)
-    if c_right != 0.0:
-        b = 0.5 + math.sqrt(0.25 + c_right / kinetic_prefactor)
-        diag += kinetic_prefactor / h**2 * _power_step(grid.n_points + 1 - j, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if c_left != 0.0:
+            b = 0.5 + math.sqrt(0.25 + c_left / kinetic_prefactor)
+            diag += kinetic_prefactor / h**2 * _power_step(j, b)
+        if c_right != 0.0:
+            b = 0.5 + math.sqrt(0.25 + c_right / kinetic_prefactor)
+            diag += kinetic_prefactor / h**2 * _power_step(grid.n_points + 1 - j, b)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError(
+            f"inverse-square coupling {max(c_left, c_right):g} overflows the "
+            "exact-local-power diagonal; it is too strong for this solver")
     return TridiagonalMatrix(diag=diag, offdiag=T.offdiag)
 
 
@@ -294,7 +301,7 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, grid: Grid1D, k: int,
     vecs = res.eigenvectors
     if vecs is not None:
         vecs = vecs / math.sqrt(grid.spacing)  # trapezoid normalization
-    return EigenResult(eigenvalues=vals, eigenvectors=vecs, grid=grid,
+    return EigenResult(eigenvalues=vals, eigenvectors=vecs,
                        residual_bound=res.residual_bound)
 
 
@@ -304,8 +311,7 @@ HO_EXTENT = 12.0
 HALF_LINE_MARGIN = 2.0
 
 
-def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
-                     extent: float = HO_EXTENT) -> Grid1D:
+def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int) -> Grid1D:
     """Default solve domain for a channel, scaled with 1/sqrt(omega).
 
     Scaling the box with 1/sqrt(omega) makes the discrete operators at
@@ -314,9 +320,9 @@ def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
     """
     scale = 1.0 / math.sqrt(params.omega)
     if kind is ChannelKind.HO:
-        return Grid1D(-extent * scale, extent * scale, n_points)
+        return Grid1D(-HO_EXTENT * scale, HO_EXTENT * scale, n_points)
     if kind in (ChannelKind.SHO, ChannelKind.RADIAL):
-        return Grid1D(0.0, (extent + HALF_LINE_MARGIN) * scale, n_points)
+        return Grid1D(0.0, (HO_EXTENT + HALF_LINE_MARGIN) * scale, n_points)
     return Grid1D(0.0, math.pi, n_points)
 
 
@@ -326,9 +332,9 @@ def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray):
 
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
-                               k: int, extent: float = HO_EXTENT) -> np.ndarray:
+                               k: int) -> np.ndarray:
     """Eigenvalues at the recommended domain, Richardson-extrapolated (h and h/2)."""
-    coarse = recommended_grid(spec.kind, params, n_points, extent)
+    coarse = recommended_grid(spec.kind, params, n_points)
     e_h = solve_channel(spec, params, coarse, k).eigenvalues
     e_half = solve_channel(spec, params, coarse.refined(), k).eigenvalues
     return richardson(e_h, e_half)

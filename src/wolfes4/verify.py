@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid3d import solve_hd_3d
+from .grid3d import MIN_POINTS_PER_AXIS, solve_hd_3d
 from .model import (
     ModelParams,
     QuantumTriple,
@@ -46,8 +46,11 @@ RESOLUTION_TOL = 1e-4
 ANCHOR_TOL = 1e-5
 #: Barrier strengths of the standard resolution sweep.
 STANDARD_SWEEP = (0.0, 1.0, 3.0, 7.5)
-#: Centrifugal strengths probed on the radial channel during resolution.
+#: Centrifugal strengths probed on the radial channel during resolution;
+#: k^2 = 2 is also an anchor.
 STANDARD_RADIAL_KSQ = (2.0, 6.0)
+#: Lowest levels of each channel compared against the candidate formulas.
+RESOLUTION_LEVELS = 6
 #: Bound on the Richardson-extrapolated 3D grid levels against the closed forms.
 GRID3D_TOL = 5e-3
 
@@ -77,9 +80,6 @@ class CheckEntry:
 @dataclass
 class VerificationReport:
     checks: list[CheckEntry] = field(default_factory=list)
-    params: ModelParams | None = None
-    resolved_sho_offset: float | None = None
-    resolved_radial_rule: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -97,10 +97,6 @@ class VerificationReport:
 
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
-        if other.resolved_sho_offset is not None:
-            self.resolved_sho_offset = other.resolved_sho_offset
-        if other.resolved_radial_rule is not None:
-            self.resolved_radial_rule = other.resolved_radial_rule
 
 
 def _pmap(fn: Callable, items: Sequence) -> list:
@@ -113,30 +109,28 @@ def _pmap(fn: Callable, items: Sequence) -> list:
 
 
 def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
-                            radial_k_squared: Sequence[float] = STANDARD_RADIAL_KSQ,
-                            n_levels: int = 6, n_points: int = 2001,
-                            tol: float = RESOLUTION_TOL,
+                            n_points: int = 2001, tol: float = RESOLUTION_TOL,
                             ) -> tuple[float, str, VerificationReport]:
     """Select the SHO offset and the radial exponent rule that match the numerics.
 
-    For every parameter set the lowest ``n_levels`` eigenvalues of the SHO
-    channel are compared against omega*(2n + offset + delta) for both
-    candidate offsets, and the radial channel (for each probed k^2) against
-    both printed and corrected exponent rules.  Exactly one candidate per
-    family must fit within ``tol`` uniformly; anything else raises
-    ResolutionError carrying the residual table.
+    For every parameter set the lowest RESOLUTION_LEVELS eigenvalues of the
+    SHO channel are compared against omega*(2n + offset + delta) for both
+    candidate offsets, and the radial channel (for each k^2 of
+    STANDARD_RADIAL_KSQ) against both printed and corrected exponent rules.
+    Exactly one candidate per family must fit within ``tol`` uniformly;
+    anything else raises ResolutionError carrying the residual table.
     """
     if params_list is None:
         params_list = [ModelParams(omega=1.0, g1_squared=g) for g in STANDARD_SWEEP]
     if not params_list:
         raise ValueError("params_list must be nonempty")
 
-    report = VerificationReport(params=params_list[0])
-    ns = np.arange(n_levels)
+    report = VerificationReport()
+    ns = np.arange(RESOLUTION_LEVELS)
 
     sho_spec = ChannelSpec(ChannelKind.SHO)
     sho_numeric = _pmap(
-        lambda p: solve_channel_extrapolated(sho_spec, p, n_points, n_levels),
+        lambda p: solve_channel_extrapolated(sho_spec, p, n_points, RESOLUTION_LEVELS),
         list(params_list))
 
     sho_resid = {off: 0.0 for off in SHO_OFFSET_CANDIDATES}
@@ -155,11 +149,11 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     rules = (RADIAL_RULE_PUBLISHED, RADIAL_RULE_CANDIDATE)
     radial_resid = {rule: 0.0 for rule in rules}
     radial_printed = []  # residual of the published rule, per radial case
-    radial_cases = [(w, k2) for w in omegas for k2 in radial_k_squared]
+    radial_cases = [(w, k2) for w in omegas for k2 in STANDARD_RADIAL_KSQ]
     radial_numeric = _pmap(
         lambda case: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=case[1]),
-            ModelParams(omega=case[0], g1_squared=0.0), n_points, n_levels),
+            ModelParams(omega=case[0], g1_squared=0.0), n_points, RESOLUTION_LEVELS),
         radial_cases)
     for (w, k2), e_num in zip(radial_cases, radial_numeric):
         p = ModelParams(omega=w, g1_squared=0.0)
@@ -179,8 +173,6 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
             table=table)
     offset = sho_winners[0]
     rule = radial_winners[0]
-    report.resolved_sho_offset = offset
-    report.resolved_radial_rule = rule
 
     # analytically forced anchors
     zero_barrier = [p for p in params_list if p.g1_squared == 0.0]
@@ -189,11 +181,10 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
         ground = sho_numeric[list(params_list).index(p0)][0]
         report.add("sho-anchor[g1sq=0]", ground, 1.5 * p0.omega, ANCHOR_TOL,
                    "half-line Dirichlet oscillator forces omega*(2n + 3/2)")
-    if 2.0 in radial_k_squared:
-        e = radial_numeric[radial_cases.index((omegas[0], 2.0))][0]
-        report.add("radial-anchor[k2=2]", e, 2.5 * omegas[0], ANCHOR_TOL,
-                   "k^2 = 2 is the l = 1 isotropic-oscillator channel, "
-                   "E = omega*(2n + l + 3/2)")
+    e = radial_numeric[radial_cases.index((omegas[0], 2.0))][0]
+    report.add("radial-anchor[k2=2]", e, 2.5 * omegas[0], ANCHOR_TOL,
+               "k^2 = 2 is the l = 1 isotropic-oscillator channel, "
+               "E = omega*(2n + l + 3/2)")
 
     report.add("sho-offset-unique", sho_resid[offset], 0.0, tol,
                f"selected offset {offset}; residuals by candidate: "
@@ -235,7 +226,7 @@ def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
                         tol: float = RESOLUTION_TOL,
                         n_points: int = 2001) -> VerificationReport:
     """Check that summed 1D channel numerics reproduce the closed-form table."""
-    report = VerificationReport(params=params)
+    report = VerificationReport()
     numeric = _jacobi_numeric_levels(params, cutoff, n_points)
     closed = enumerate_spectrum(params, cutoff, offset, sector_multiplicity=1)
 
@@ -291,7 +282,7 @@ def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
     energy multisets are paired greedily; the first unpaired level is named.
     """
     m_max, l_max, n_max = ranges
-    report = VerificationReport(params=params)
+    report = VerificationReport()
     n_cap = min(l_max, m_max, 2 * n_max + 1)
 
     f2, k2_rows, energies = _spherical_chain(params, m_max, l_max, n_max, n_points)
@@ -316,20 +307,19 @@ def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
     return report
 
 
-def hellmann_feynman_check(params: ModelParams, n2: int, delta_g2: float | None = None,
-                           tol: float = RESOLUTION_TOL,
+def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION_TOL,
                            n_points: int = 2001) -> VerificationReport:
     """Three-way derivative comparison dE/d(g1^2) on one SHO level.
 
-    Compares the central finite difference of the numeric eigenvalue, the
-    eigenvector expectation of 1/(6 X2^2), and the closed form omega/(6 delta);
-    all three must agree pairwise within ``tol`` and be strictly positive.
+    Compares the central finite difference of the numeric eigenvalue (step
+    1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), and the
+    closed form omega/(6 delta); all three must agree pairwise within ``tol``
+    and be strictly positive.
     """
-    if delta_g2 is None:
-        delta_g2 = 1e-3 * max(1.0, params.g1_squared)
+    delta_g2 = 1e-3 * max(1.0, params.g1_squared)
     if params.g1_squared - delta_g2 < 0:
         raise ValueError("need g1_squared - delta_g2 >= 0 for the central difference")
-    report = VerificationReport(params=params)
+    report = VerificationReport()
     spec = ChannelSpec(ChannelKind.SHO)
 
     def level(g: float) -> float:
@@ -365,19 +355,18 @@ def hellmann_feynman_check(params: ModelParams, n2: int, delta_g2: float | None 
     return report
 
 
-def bk_audit(params: ModelParams, other_g1_squared: float | None = None,
-             tol: float = RESOLUTION_TOL, n_points: int = 2001) -> VerificationReport:
+def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
+             n_points: int = 2001) -> VerificationReport:
     """Measure the three claims of the earlier spherical-coordinate treatment.
 
     The audited claims: the spectrum does not depend on the barrier strength;
     the azimuthal eigenvalues are all equal at fixed strength; the polar
     separation constants equal l(l+1) regardless of strength.  Each entry
-    records the measured counter-evidence.
+    records the measured counter-evidence.  The spectrum is compared with
+    the one at g1^2 = 1 (at 3 when g1^2 is 1 already).
     """
-    if other_g1_squared is None:
-        other_g1_squared = 1.0 if params.g1_squared != 1.0 else 3.0
-    other = replace(params, g1_squared=other_g1_squared)
-    report = VerificationReport(params=params)
+    other = replace(params, g1_squared=1.0 if params.g1_squared != 1.0 else 3.0)
+    report = VerificationReport()
     sho = ChannelSpec(ChannelKind.SHO)
 
     g_here = float(solve_channel_extrapolated(sho, params, n_points, 1)[0])
@@ -385,7 +374,7 @@ def bk_audit(params: ModelParams, other_g1_squared: float | None = None,
     predicted = params.omega * (delta_constant(params) - delta_constant(other))
     report.add("audit-spectrum-depends-on-g1", g_here - g_there, predicted, tol,
                f"numeric ground levels at g1^2 = {params.g1_squared:g} vs "
-               f"{other_g1_squared:g}; a g1-independent spectrum would give 0")
+               f"{other.g1_squared:g}; a g1-independent spectrum would give 0")
 
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
@@ -415,16 +404,14 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     fine-grid values and the mirror-pair splitting are recorded in the
     provenance of each entry.
     """
-    report = VerificationReport(params=params)
+    report = VerificationReport()
     extent_eff = extent / math.sqrt(params.omega)
     fine = solve_hd_3d(params, n_per_axis, extent_eff, k)
-    coarse = solve_hd_3d(params, max(16, n_per_axis // 2), extent_eff, k)
+    coarse = solve_hd_3d(params, max(MIN_POINTS_PER_AXIS, n_per_axis // 2), extent_eff, k)
     extrap = richardson(coarse.eigenvalues, fine.eigenvalues)
 
-    cutoff = 0
-    while len(enumerate_spectrum(params, cutoff, offset, 2).flattened()) < k:
-        cutoff += 1
-    closed = enumerate_spectrum(params, cutoff, offset, 2).flattened()[:k]
+    # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
+    closed = enumerate_spectrum(params, (k - 1) // 2, offset, 2).flattened()[:k]
 
     for i in range(k):
         report.add(f"grid3d-level[{i}]", float(extrap[i]), closed[i], tol,

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import warnings
 
 import pytest
 
@@ -83,6 +84,14 @@ class TestConfigFiles:
         code, _, err = run_cli(capsys, "spectrum", "--omega", "-1")
         assert code == EXIT_USAGE
         assert "omega" in err
+
+    @pytest.mark.parametrize("flags", [("--g1sq", "inf"), ("--omega", "inf"),
+                                       ("--omega", "nan"),
+                                       ("--max-quanta", str(cli.MAX_QUANTA + 1))])
+    def test_unbounded_value_is_usage_error(self, workdir, capsys, flags):
+        code, out, err = run_cli(capsys, "spectrum", *flags)
+        assert code == EXIT_USAGE and out == ""
+        assert "must" in err
 
 
 class TestSpectrumCommand:
@@ -205,7 +214,7 @@ class TestVerifyCommand:
 
         def record(params, k, **kwargs):
             seen.append(kwargs)
-            return VerificationReport(params=params)
+            return VerificationReport()
 
         monkeypatch.setattr(cli, "verify_3d", record)
         cfg = workdir / "run.cfg"
@@ -218,6 +227,18 @@ class TestVerifyCommand:
         run_cli(capsys, "verify", "all", *flags)
         assert seen[0] == seen[1] == seen[2]
         assert (seen[0]["n_per_axis"], seen[0]["extent"], seen[0]["tol"]) == (41, 5.0, 0.01)
+
+    @pytest.mark.parametrize("argv", [("all", "--grid-points", "15", "--max-quanta", "1"),
+                                      ("3d", "--grid-points", "4001")])
+    def test_3d_grid_points_checked_before_any_leg(self, workdir, capsys, monkeypatch,
+                                                   argv):
+        ran = []
+        for name in ("verify_jacobi_route", "verify_spherical_route", "verify_3d"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw:
+                                ran.append(name) or VerificationReport())
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and out == "" and ran == []
+        assert "--grid-points must be in [16, 121] for the 3D grid" in err
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE
@@ -235,6 +256,13 @@ class TestHfCheckCommand:
         code, _, err = run_cli(capsys, "hf-check", "--g1sq", "0")
         assert code == EXIT_USAGE
         assert "g1sq" in err
+
+    def test_overflowing_coupling_is_one_usage_error(self, workdir, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code, out, err = run_cli(capsys, "hf-check", "--g1sq", "1e5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.count("\n") == 1 and "coupling" in err
 
 
 class TestAuditCommand:
@@ -265,6 +293,16 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage(self, workdir):
         assert main(["frobnicate"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, least", [(("resolve",), 6),
+                                             (("verify", "jacobi"), 7),
+                                             (("verify", "spherical"), 5)])
+    def test_too_few_grid_points_is_usage_error(self, workdir, capsys, argv, least):
+        code, out, err = run_cli(capsys, *argv, "--grid-points", str(least - 1))
+        assert code == EXIT_USAGE and out == ""
+        assert f"--grid-points must be at least {least} for" in err
+        # the least value runs: too coarse to pass, but no usage error
+        assert main([*argv, "--grid-points", str(least)]) != EXIT_USAGE
 
     def test_module_entry_point(self, workdir):
         import subprocess

@@ -53,6 +53,11 @@ class TestParamsAndConstants:
             ModelParams(omega=-1.0)
         with pytest.raises(ValueError):
             ModelParams(g1_squared=-0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ModelParams(omega=bad)
+            with pytest.raises(ValueError):
+                ModelParams(g1_squared=bad)
 
     def test_delta(self):
         assert delta_constant(P0) == 0.5
@@ -208,7 +213,33 @@ def brute_force_degeneracy(n_total):
     return count
 
 
+def float_sorted_levels(params, cutoff, offset):
+    """Levels found by sorting every triple's float energy and merging values
+    within 1e-9 * omega; independent of the N-class construction."""
+    triples = sorted(
+        (composite_energy(QuantumTriple(n1, n2, n3), params, offset),
+         QuantumTriple(n1, n2, n3))
+        for n1 in range(cutoff + 1) for n2 in range(cutoff + 1)
+        for n3 in range(cutoff + 1) if n1 + n3 + 2 * n2 <= cutoff)
+    levels = []
+    for e, t in triples:
+        if levels and abs(levels[-1][0] - e) <= 1e-9 * params.omega:
+            levels[-1][1].add(t)
+        else:
+            levels.append((e, {t}))
+    return levels
+
+
 class TestEnumerateSpectrum:
+    @pytest.mark.parametrize("params", [P1, P0, ModelParams(0.37, 0.3),
+                                        ModelParams(2.0, 7.5), ModelParams(3.3, 1e6)])
+    @pytest.mark.parametrize("offset", [0.5, 1.0])
+    def test_classes_match_the_float_sort(self, params, offset):
+        table = enumerate_spectrum(params, 12, offset)
+        assert [(lv.value, set(lv.members)) for lv in table.levels] == \
+            float_sorted_levels(params, 12, offset)
+        assert all(lv.members == sorted(lv.members) for lv in table.levels)
+
     def test_cutoff_zero(self):
         table = enumerate_spectrum(P1, 0, 1.0)
         assert len(table.levels) == 1
@@ -262,6 +293,8 @@ class TestEnumerateSpectrum:
             enumerate_spectrum(P1, -1, 1.0)
         with pytest.raises(ValueError):
             enumerate_spectrum(P1, 2, 1.0, sector_multiplicity=3)
+        with pytest.raises(ValueError):
+            enumerate_spectrum(ModelParams(omega=1e308), 2, 1.0)
 
     def test_energy_level_invariant(self):
         with pytest.raises(ValueError):

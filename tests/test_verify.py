@@ -36,8 +36,6 @@ class TestResolution:
         assert offset == 1.0
         assert rule == "candidate"
         assert report.passed
-        assert report.resolved_sho_offset == 1.0
-        assert report.resolved_radial_rule == "candidate"
 
     def test_anchors(self, resolution):
         _, _, report = resolution
