@@ -2,9 +2,9 @@
 
 The matrix-free Lanczos solve never uses separability, only the reflection
 symmetries of the grid, so agreement with the closed forms is a genuine
-three-dimensional cross-check.  The half-offset X2 axis keeps the barrier
-plane between nodes; each level then appears as a nearly degenerate mirror
-pair, the grid's view of the two half-line sectors.
+three-dimensional cross-check.  The barrier splits space into two mirror
+half-spaces, so the grid holds X2 > 0 behind a Dirichlet plane at X2 = 0
+and counts each level twice; the mirror-pair splitting is exactly 0.
 
 Run:  python demos/grid3d_check.py      (a few seconds)
 """

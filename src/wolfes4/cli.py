@@ -1,8 +1,8 @@
 """Batch command-line surface: spectra, verification suites, reports.
 
 Commands: ``spectrum``, ``verify {jacobi|spherical|3d|all}``, ``hf-check``,
-``resolve``, ``audit``.  Exit codes: 0 = pass, 1 = verification failure,
-2 = usage or configuration error.  Output is JSON (default) or CSV with a
+``resolve``, ``audit``.  Exit codes: 0 = pass, 1 = verification failure
+(or a 3D eigensolve that did not converge), 2 = usage or configuration error.  Output is JSON (default) or CSV with a
 fixed float format, so identical configurations produce byte-identical
 reports.
 """
@@ -16,12 +16,13 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
+from .grid3d import MAX_G1_SQUARED, MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
 from .model import (
     ModelParams,
     SHO_OFFSET_CANDIDATES,
     enumerate_spectrum,
 )
+from .numsolve import ConvergenceError
 from .verify import (
     RESOLUTION_LEVELS,
     ResolutionError,
@@ -373,6 +374,9 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
     if which in ("3d", "all"):
         _require_grid_points(config, MIN_POINTS_PER_AXIS, "the 3D grid",
                              MAX_POINTS_PER_AXIS)
+        if config.g1_squared > MAX_G1_SQUARED:
+            raise ValueError(f"--g1sq must be at most {MAX_G1_SQUARED:g} for the 3D grid, "
+                             f"got {config.g1_squared:g}")
     try:
         offset, rule, _ = _resolution(config, config_path)
     except ResolutionError as exc:
@@ -463,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except ConvergenceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL
     return EXIT_USAGE
 
 

@@ -1,28 +1,24 @@
 """Direct 3D diagonalization of the relative-motion operator on a cubic grid.
 
-This is the route that never uses separability: the full three-dimensional
-operator
+This is the route that never uses separability: the full operator
 
     -(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2)
     + (omega^2/2) (X1^2 + X2^2 + X3^2) + g1^2/(6 X2^2)
 
-is discretized with the 7-point stencil.  The X2 axis uses half-offset nodes
-(j + 1/2) * h so no node hits the singular plane while mirror symmetry is
-kept; the barrier then splits every level into a nearly degenerate even/odd
-pair, which is the grid signature of the two half-line sectors.
+is discretized with the 7-point stencil.  The barrier makes the particles
+impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
+images, so the grid holds X2 > 0 only, the positive nodes j * h of the X1/X3
+axis behind a Dirichlet plane at X2 = 0, and every level counts twice.  The
+barrier diagonal (see POWER_STEP_MAX_G1SQ) keeps the grid second order at
+every g1^2; g1^2 = 0 is the impenetrable limit.
 
-The grid is solved sector by sector.  The reflections X1 -> -X1, X2 -> -X2
-and X3 -> -X3 commute with the stencil and the potential, and so does the
-mirror X1 <-> X3, because the two axes share their nodes.  Each reflection
-sector is a symmetric operator on a half grid in every axis, about an eighth
-of the unknowns; where the X1 and X3 parities agree, the X1 <-> X3 mirror
-halves it once more.  The lowest eigenvalues of every sector come from a
-matrix-free Lanczos iteration with full reorthogonalization and thick
-restarts, and the sectors are merged.  The split is needed for correctness
-as well as speed: a single-vector Krylov space holds one vector of each
-eigenspace, so exactly degenerate partners such as an X1 <-> X3 image pair
-are found only because they fall in different sectors, and the two members
-of a barrier pair no longer have to be told apart inside one Krylov space.
+The reflections X1 -> -X1, X3 -> -X3 and the mirror X1 <-> X3 commute with
+the stencil and the potential, so the half-space splits into sectors, each
+solved by a matrix-free thick-restart Lanczos iteration with full
+reorthogonalization.  The split is needed for correctness as well as speed:
+a single-vector Krylov space holds one vector of each eigenspace, so exactly
+degenerate partners such as an X1 <-> X3 image pair are found only because
+they fall in different sectors.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .model import ModelParams
-from .numsolve import ConvergenceError, EigenResult
+from .numsolve import ConvergenceError, EigenResult, inverse_square_diag
 
 #: Smallest and largest requested points per axis.  At the largest, the
 #: biggest sector has ~220k unknowns and its Lanczos basis takes ~45 MB
@@ -47,12 +43,14 @@ MAX_POINTS_PER_AXIS = 121
 
 @dataclass(frozen=True)
 class AxisLayout:
-    """Per-axis node counts and spacings for a requested resolution."""
+    """Node count and spacing for a requested resolution.
 
-    n_sym: int      # X1 and X3: odd count, node-centered including 0
-    n_offset: int   # X2: even count, half-offset symmetric nodes
+    X1 and X3 carry n_sym (odd) node-centered nodes including 0; X2 carries
+    their (n_sym - 1) / 2 positive nodes.  One spacing serves every axis.
+    """
+
+    n_sym: int
     h_sym: float
-    h_offset: float
     extent: float
 
     @classmethod
@@ -63,24 +61,17 @@ class AxisLayout:
         if not (extent > 0):
             raise ValueError("extent must be positive")
         n_sym = n_per_axis if n_per_axis % 2 == 1 else n_per_axis + 1
-        n_offset = n_per_axis if n_per_axis % 2 == 0 else n_per_axis - 1
-        return cls(n_sym=n_sym, n_offset=n_offset,
-                   h_sym=2.0 * extent / (n_sym + 1),
-                   h_offset=2.0 * extent / (n_offset + 1),
-                   extent=extent)
+        return cls(n_sym=n_sym, h_sym=2.0 * extent / (n_sym + 1), extent=extent)
 
     def nodes_sym(self) -> np.ndarray:
         return -self.extent + self.h_sym * np.arange(1, self.n_sym + 1)
 
-    def nodes_offset(self) -> np.ndarray:
-        return (np.arange(1, self.n_offset + 1) - (self.n_offset + 1) / 2.0) * self.h_offset
-
 
 #: Reflection sectors in the order they are solved: the parities (+1 even,
-#: -1 odd) under X1 -> -X1, X2 -> -X2 and X3 -> -X3, then the parity under
-#: X1 <-> X3 where the X1 and X3 parities agree (0 where they differ).
-SECTORS = tuple((p1, p2, p3, swap)
-                for p1, p2, p3 in itertools.product((1, -1), repeat=3)
+#: -1 odd) under X1 -> -X1 and X3 -> -X3, then the parity under X1 <-> X3
+#: where the X1 and X3 parities agree (0 where they differ).
+SECTORS = tuple((p1, p3, swap)
+                for p1, p3 in itertools.product((1, -1), repeat=2)
                 for swap in ((1, -1) if p1 == p3 else (0,)))
 
 #: Lanczos basis size of a sector solve.  16-30 measured alike at 41 points
@@ -89,6 +80,16 @@ SECTOR_KRYLOV_DIM = 24
 #: Thick restarts a sector solve may take before it raises ConvergenceError.
 SECTOR_MAX_RESTARTS = 40
 
+#: Largest g1^2 whose X2 barrier is the exact-local-power diagonal; it equals
+#: the sampled barrier that takes over above, as b = 3.  Sampling is order
+#: 2b - 1 for b < 3/2; past b = 3 the power step's excess, b(b-1)(b-2)(b-3)
+#: / (12 j^4), grows as b^4: at g1^2 = 100 it quadruples the X2-axis error.
+POWER_STEP_MAX_G1SQ = 18.0
+#: Largest g1^2 the grid takes.  The barrier g1^2 / (6 h^2) at the first X2
+#: node widens the spectrum: the 61-point default passes to g1^2 = 800 and
+#: stops converging near 1000, finer grids sooner; near 1e300 it overflows.
+MAX_G1_SQUARED = 1000.0
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -96,20 +97,16 @@ def _sector_axis(nodes: np.ndarray, h: float, parity: int):
     """One axis of a reflection sector: kept nodes and the axis kinetic matrix.
 
     The kept nodes are x >= 0 in the orthonormal basis (delta_x +/- delta_-x)
-    / sqrt(2), with delta_0 alone for an even function on a node-centered
-    axis.  There the x = 0 node couples to x = h by sqrt(2) times the stencil
-    weight (even), or is dropped, which leaves a Dirichlet boundary (odd).
-    On a half-offset axis the first node's mirror image is its neighbour,
-    which adds +/- the stencil weight to the first diagonal entry.
+    / sqrt(2), with delta_0 alone for an even function.  The x = 0 node
+    couples to x = h by sqrt(2) times the stencil weight (even), or is
+    dropped, which leaves a Dirichlet boundary (odd).
     """
     c = -0.5 / h**2
     half = len(nodes) // 2
-    x = nodes[half + 1:] if len(nodes) % 2 and parity < 0 else nodes[half:]
+    x = nodes[half + 1:] if parity < 0 else nodes[half:]
     links = np.full(len(x) - 1, c)
     kinetic = np.diag(np.full(len(x), 1.0 / h**2)) + np.diag(links, 1) + np.diag(links, -1)
-    if len(nodes) % 2 == 0:
-        kinetic[0, 0] += parity * c
-    elif parity > 0:
+    if parity > 0:
         kinetic[0, 1] = kinetic[1, 0] = _SQRT2 * c
     return x, kinetic
 
@@ -118,16 +115,20 @@ def _build_operator(params: ModelParams, layout: AxisLayout,
                     sector: tuple = SECTORS[0]):
     """Matrix-free symmetric operator of one sector of SECTORS, and its size.
 
-    The 7-point stencil is applied axis by axis: each axis's tridiagonal
-    kinetic matrix acts along its own axis of the half grid.
+    The 7-point stencil is applied axis by axis, each axis's tridiagonal
+    kinetic matrix along its own axis; X2 is kept as an odd axis is.
     """
-    p1, p2, p3, swap = sector
-    x1, k1 = _sector_axis(layout.nodes_sym(), layout.h_sym, p1)
-    x2, k2 = _sector_axis(layout.nodes_offset(), layout.h_offset, p2)
-    x3, k3 = _sector_axis(layout.nodes_sym(), layout.h_sym, p3)
+    p1, p3, swap = sector
+    nodes, h = layout.nodes_sym(), layout.h_sym
+    x1, k1 = _sector_axis(nodes, h, p1)
+    x2, k2 = _sector_axis(nodes, h, -1)
+    x3, k3 = _sector_axis(nodes, h, p3)
+    g = params.g1_squared
+    barrier = (inverse_square_diag(np.arange(1, len(x2) + 1), g / 6.0, 0.5, h)
+               if g <= POWER_STEP_MAX_G1SQ else g / (6.0 * x2**2))
     pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
                                     + x3[None, None, :] ** 2)
-           + params.g1_squared / (6.0 * x2[None, :, None] ** 2))
+           + barrier[None, :, None])
     shape = pot.shape
 
     def stencil(u: np.ndarray) -> np.ndarray:
@@ -157,10 +158,8 @@ def _build_operator(params: ModelParams, layout: AxisLayout,
 
 def _start_vector(n: int) -> np.ndarray:
     # The all-equal vector with a tiny deterministic modulation, so that no
-    # regular pattern on the grid leaves it orthogonal to an eigenvector.  It
-    # does not reach both members of an exactly degenerate pair: the Krylov
-    # space holds only the start vector's projection onto each eigenspace,
-    # which is why degenerate partners must live in different sectors.
+    # regular pattern on the grid leaves it orthogonal to an eigenvector; it
+    # reaches one vector of each eigenspace only (see the module docstring).
     v = 1.0 + 1e-3 * np.sin(1.0 + np.arange(n, dtype=float))
     return v / np.linalg.norm(v)
 
@@ -170,12 +169,11 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    tol: float = 1e-8, history: list | None = None):
     """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
-    Thick-restart Lanczos with full reorthogonalization.  Deterministic:
-    fixed start vector, fixed restart schedule, fixed iteration cap
-    (krylov_dim * max_restarts matrix applications).  Raises ConvergenceError
-    with the residuals if the cap is exhausted.  When ``history`` is a list,
-    the lowest Ritz value of each restart cycle is appended to it; the
-    sequence is non-increasing by the variational principle.
+    Thick-restart Lanczos with full reorthogonalization, deterministic, with
+    at most krylov_dim * max_restarts matrix applications; raises
+    ConvergenceError with the residuals beyond them.  A ``history`` list gets
+    the lowest Ritz value of each restart cycle, non-increasing by the
+    variational principle.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
@@ -233,23 +231,26 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                 tol: float = 1e-8) -> EigenResult:
     """Lowest k eigenvalues of the relative-motion operator on the 3D grid.
 
-    ``n_per_axis`` is rounded to the nearest admissible per-axis counts
-    (odd on the node-centered X1/X3 axes, even on the half-offset X2 axis);
-    see AxisLayout.  Eigenvalues converge at O(h^2), so pairing a run with
-    one at half resolution and extrapolating is the intended usage for
-    quantitative checks.
+    ``n_per_axis`` is rounded up to an odd count on X1 and X3; X2 holds
+    their positive half (see AxisLayout).  Eigenvalues converge at O(h^2),
+    so a run paired with one at half resolution can be extrapolated.
 
-    Every sector of SECTORS is solved with SECTOR_KRYLOV_DIM Lanczos vectors
-    (more if it is asked for many values).  A sector that returns fewer than
-    k values, all below the merged k-th value, is asked again for twice as
-    many, so the merged k values are the lowest of every sector.
-    ``residual_bound`` is the largest residual of any sector.
+    The X2 > 0 half-space is solved for its lowest (k + 1) // 2 values, each
+    counted twice for its X2 < 0 mirror image.  Every sector of SECTORS is
+    solved with SECTOR_KRYLOV_DIM Lanczos vectors (more if asked for many
+    values); a sector that returns fewer than needed, all below the merged
+    last one, is asked again for twice as many.  ``residual_bound`` is the
+    largest residual of any sector.  Raises ValueError when g1^2 exceeds
+    MAX_G1_SQUARED.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if params.g1_squared > MAX_G1_SQUARED:
+        raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
     layout = AxisLayout.for_resolution(n_per_axis, extent)
+    k_half = (k + 1) // 2
     # two values per sector to start measured fastest at k = 6
-    wanted = dict.fromkeys(SECTORS, min(k, 2))
+    wanted = dict.fromkeys(SECTORS, min(k_half, 2))
     solved: dict = {}
     while True:
         for sector in SECTORS:
@@ -263,13 +264,12 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                 max_restarts=SECTOR_MAX_RESTARTS, tol=tol)
         vals = np.concatenate([solved[s][0] for s in SECTORS])
         # near-degenerate pairs may come back equal to rounding; order ties stably
-        order = np.argsort(vals, kind="stable")[:k]
-        kth = vals[order[-1]] if len(order) == k else np.inf
+        order = np.argsort(vals, kind="stable")[:k_half]
+        kth = vals[order[-1]] if len(order) == k_half else np.inf
         short = [s for s in SECTORS
-                 if len(solved[s][0]) < k and solved[s][0][-1] < kth]
+                 if len(solved[s][0]) < k_half and solved[s][0][-1] < kth]
         if not short:
             break
-        for sector in short:
-            wanted[sector] = min(k, 2 * wanted[sector])
-    return EigenResult(eigenvalues=vals[order], eigenvectors=None,
+        wanted.update({s: min(k_half, 2 * wanted[s]) for s in short})
+    return EigenResult(eigenvalues=np.repeat(vals[order], 2)[:k], eigenvectors=None,
                        residual_bound=float(max(np.max(solved[s][1]) for s in SECTORS)))

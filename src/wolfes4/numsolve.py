@@ -199,29 +199,35 @@ def _power_step(j: np.ndarray, b: float) -> np.ndarray:
     return out
 
 
+def inverse_square_diag(j: np.ndarray, coupling: float, kinetic_prefactor: float,
+                        h: float) -> np.ndarray:
+    """Exact-local-power diagonal of coupling/x^2 at the nodes x = j*h.
+
+    Raises ValueError when the coupling is so strong that the diagonal
+    overflows.
+    """
+    b = 0.5 + math.sqrt(0.25 + coupling / kinetic_prefactor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = kinetic_prefactor / h**2 * _power_step(j, b)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError(
+            f"inverse-square coupling {coupling:g} overflows the "
+            "exact-local-power diagonal; it is too strong for this solver")
+    return diag
+
+
 def _singular_tridiag(grid: Grid1D, smooth: Callable[[np.ndarray], np.ndarray],
                       c_left: float, c_right: float,
                       kinetic_prefactor: float) -> TridiagonalMatrix:
-    """Stencil for -kappa u'' + smooth(x) + c_left/x_rel^2 (+ c_right at the far end).
-
-    Raises ValueError when a coupling is so strong that the exact-local-power
-    diagonal overflows.
-    """
+    """Stencil for -kappa u'' + smooth(x) + c_left/x_rel^2 (+ c_right at the far end)."""
     T = discretize(smooth, grid, kinetic_prefactor)
     diag = T.diag.copy()
     j = np.arange(1, grid.n_points + 1)
     h = grid.spacing
-    with np.errstate(over="ignore", invalid="ignore"):
-        if c_left != 0.0:
-            b = 0.5 + math.sqrt(0.25 + c_left / kinetic_prefactor)
-            diag += kinetic_prefactor / h**2 * _power_step(j, b)
-        if c_right != 0.0:
-            b = 0.5 + math.sqrt(0.25 + c_right / kinetic_prefactor)
-            diag += kinetic_prefactor / h**2 * _power_step(grid.n_points + 1 - j, b)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError(
-            f"inverse-square coupling {max(c_left, c_right):g} overflows the "
-            "exact-local-power diagonal; it is too strong for this solver")
+    if c_left != 0.0:
+        diag += inverse_square_diag(j, c_left, kinetic_prefactor, h)
+    if c_right != 0.0:
+        diag += inverse_square_diag(grid.n_points + 1 - j, c_right, kinetic_prefactor, h)
     return TridiagonalMatrix(diag=diag, offdiag=T.offdiag)
 
 

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from wolfes4 import VerificationReport, cli
+from wolfes4 import ConvergenceError, VerificationReport, cli
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -239,6 +239,39 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE and out == "" and ran == []
         assert "--grid-points must be in [16, 121] for the 3D grid" in err
+
+    @pytest.mark.parametrize("argv", [("3d", "--g1sq", "1e5", "--grid-points", "16"),
+                                      ("3d", "--g1sq", "1e300", "--grid-points", "16"),
+                                      ("all", "--g1sq", "2000", "--max-quanta", "1")])
+    def test_3d_coupling_checked_before_any_leg(self, workdir, capsys, monkeypatch, argv):
+        # the barrier at the first X2 node, g1^2 / (6 h^2), outgrows what the
+        # Lanczos sectors resolve; near 1e300 its products overflow
+        ran = []
+        for name in ("verify_jacobi_route", "verify_spherical_route"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw:
+                                ran.append(name) or VerificationReport())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and out == "" and ran == []
+        assert err.count("\n") == 1
+        assert "--g1sq must be at most 1000 for the 3D grid" in err
+
+    def test_3d_strong_barrier_passes(self, workdir, capsys):
+        # b = 10.5, where the barrier is sampled: the exact-local-power
+        # diagonal would put the raw ground level 0.15 off and stall Lanczos
+        code, out, _ = run_cli(capsys, "verify", "3d", "--g1sq", "300")
+        assert code == EXIT_PASS
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    def test_unconverged_3d_solve_is_one_error_line(self, workdir, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ConvergenceError("Lanczos did not converge within 40 restarts")
+
+        monkeypatch.setattr(cli, "verify_3d", stalled)
+        code, out, err = run_cli(capsys, "verify", "3d")
+        assert code == EXIT_FAIL and out == ""
+        assert err == "error: Lanczos did not converge within 40 restarts\n"
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE

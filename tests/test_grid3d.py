@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from wolfes4 import (
@@ -12,36 +14,45 @@ from wolfes4 import (
     solve_hd_3d,
 )
 from wolfes4 import grid3d
-from wolfes4.grid3d import SECTORS, _build_operator
+from wolfes4.grid3d import MAX_G1_SQUARED, POWER_STEP_MAX_G1SQ, SECTORS, _build_operator
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
 
 def tensor_sum_oracle(params, layout, k):
     """The discrete operator is an exact Kronecker sum of 1D stencils, so its
-    spectrum is the set of sums of 1D eigenvalues.  Assembled here from raw
+    spectrum is the set of sums of 1D eigenvalues; the X2 axis is the
+    half-line j*h, j >= 1, with the barrier as the exact-local-power diagonal
+    that annihilates x^b up to g1^2 = 18 (b = 3) and sampled above, and each
+    sum counts twice (X2 < 0 mirrors X2 > 0).  Assembled here from raw
     arrays; shares nothing with the Lanczos path."""
+    h = layout.h_sym
+    half = (layout.n_sym - 1) // 2
+    j = np.arange(1, half + 1, dtype=float)
+    b = 0.5 + np.sqrt(0.25 + params.g1_squared / 3.0)
+    if params.g1_squared <= 18.0:
+        barrier = 0.5 / h**2 * ((j + 1.0) ** b - 2.0 * j**b + (j - 1.0) ** b) / j**b
+    else:
+        barrier = params.g1_squared / (6.0 * (h * j) ** 2)
 
-    def axis_eigs(x, h, barrier):
-        diag = 1.0 / h**2 + 0.5 * params.omega**2 * x**2
-        if barrier:
-            diag = diag + params.g1_squared / (6.0 * x**2)
+    def axis_eigs(x, extra):
+        diag = 1.0 / h**2 + 0.5 * params.omega**2 * x**2 + extra
         off = np.full(len(x) - 1, -0.5 / h**2)
         return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                 select_range=(0, min(k, len(x) - 1)))
 
-    e_sym = axis_eigs(layout.nodes_sym(), layout.h_sym, False)
-    e_off = axis_eigs(layout.nodes_offset(), layout.h_offset, True)
-    sums = (e_sym[:, None, None] + e_off[None, :, None] + e_sym[None, None, :])
-    return np.sort(sums.ravel())[:k]
+    e_sym = axis_eigs(h * np.arange(-half, half + 1), 0.0)
+    e_half = axis_eigs(h * j, barrier)
+    sums = (e_sym[:, None, None] + e_half[None, :, None] + e_sym[None, None, :])
+    return np.sort(np.repeat(sums.ravel(), 2))[:k]
 
 
 class TestAxisLayout:
     def test_counts_and_parity(self):
         lay = AxisLayout.for_resolution(61, 7.0)
-        assert lay.n_sym == 61 and lay.n_offset == 60
+        assert lay.n_sym == 61 and lay.h_sym == pytest.approx(14.0 / 62)
         lay = AxisLayout.for_resolution(60, 7.0)
-        assert lay.n_sym == 61 and lay.n_offset == 60
+        assert lay.n_sym == 61 and lay.h_sym == pytest.approx(14.0 / 62)
 
     def test_sym_axis_contains_origin(self):
         lay = AxisLayout.for_resolution(21, 5.0)
@@ -49,11 +60,22 @@ class TestAxisLayout:
         assert np.min(np.abs(x)) == pytest.approx(0.0, abs=1e-14)
         assert np.allclose(x, -x[::-1])
 
-    def test_offset_axis_avoids_singular_plane(self):
+    def test_x2_axis_is_the_positive_half_space(self):
+        # X2 keeps the nodes j*h, j >= 1, behind a Dirichlet plane at X2 = 0:
+        # at g1^2 = 0 the operator's diagonal along X2 at X1 = 0, X3 = h
+        # (sector X1 even, X3 odd) reads 3/h^2 + (x2^2 + h^2)/2
         lay = AxisLayout.for_resolution(21, 5.0)
-        x = lay.nodes_offset()
-        assert np.min(np.abs(x)) == pytest.approx(lay.h_offset / 2)
-        assert np.allclose(x, -x[::-1])
+        h = lay.h_sym
+        matvec, n = _build_operator(ModelParams(1.0, 0.0), lay, (1, -1, 0))
+        shape = (11, 10, 10)
+        assert n == np.prod(shape)
+        diag = []
+        for jj in range(shape[1]):
+            e = np.zeros(n)
+            e[np.ravel_multi_index((0, jj, 0), shape)] = 1.0
+            diag.append(matvec(e) @ e)
+        x2 = np.sqrt(2.0 * (np.array(diag) - 3.0 / h**2) - h**2)
+        assert x2 == pytest.approx(h * np.arange(1, 11), abs=1e-12)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -72,13 +94,17 @@ class TestSolver:
     def test_mirror_pair_structure(self):
         res = solve_hd_3d(P, 24, 5.0, k=4, tol=1e-8)
         e = res.eigenvalues
-        # even/odd splitting across the barrier is tiny against the level gap
+        # each level comes twice, once per mirror half-space
         assert e[1] - e[0] < 0.05 * (e[2] - e[0])
 
-    def test_second_order_convergence(self):
-        exact = 2.0 + np.sqrt(0.25 + P.g1_squared / 3.0)
-        coarse = solve_hd_3d(P, 21, 5.0, k=1, tol=1e-9).eigenvalues[0]
-        fine = solve_hd_3d(P, 43, 5.0, k=1, tol=1e-9).eigenvalues[0]
+    # at g1^2 = 0.3 (b = 1.09) naive sampling of the barrier converged at
+    # order 2b - 1 = 1.2 (ratio 2.3)
+    @pytest.mark.parametrize("g1_squared", [0.3, 3.0])
+    def test_second_order_convergence(self, g1_squared):
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        exact = 2.0 + np.sqrt(0.25 + g1_squared / 3.0)
+        coarse = solve_hd_3d(params, 21, 5.0, k=1, tol=1e-9).eigenvalues[0]
+        fine = solve_hd_3d(params, 43, 5.0, k=1, tol=1e-9).eigenvalues[0]
         ratio = (coarse - exact) / (fine - exact)
         assert 3.3 <= ratio <= 4.7
 
@@ -99,7 +125,7 @@ class TestSolver:
                          tol=1e-10).eigenvalues
         assert e2 == pytest.approx(2.0 * e1, rel=1e-7)
 
-    @pytest.mark.parametrize("g1_squared", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("g1_squared", [0.3, 1.0, 3.0, 300.0])
     def test_degenerate_partners_not_missed(self, g1_squared):
         # levels 2-5 are two exactly degenerate X1 <-> X3 image pairs
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
@@ -122,17 +148,38 @@ class TestSolver:
         assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
         assert len(asked) > len(SECTORS)  # some sector was asked for more
 
+    @settings(max_examples=10, deadline=None)
+    @given(g1_squared=st.floats(0.0, 40.0), n_per_axis=st.integers(16, 22))
+    def test_matches_tensor_sum_oracle_anywhere(self, g1_squared, n_per_axis):
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, n_per_axis, 5.0, k=6)
+        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(n_per_axis, 5.0), 6)
+        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+
     def test_bad_k(self):
         with pytest.raises(ValueError):
             solve_hd_3d(P, 16, 5.0, k=0)
+
+    def test_coupling_beyond_the_grid_rejected(self):
+        solve_hd_3d(ModelParams(1.0, MAX_G1_SQUARED), 16, 5.0, k=1)
+        with pytest.raises(ValueError, match="g1\\^2 must be at most"):
+            solve_hd_3d(ModelParams(1.0, 1e300), 16, 5.0, k=1)
 
 
 class TestSectors:
     def test_sectors_partition_the_grid(self):
         lay = AxisLayout.for_resolution(21, 5.0)
         sizes = [_build_operator(P, lay, sector)[1] for sector in SECTORS]
-        assert sum(sizes) == lay.n_sym * lay.n_offset * lay.n_sym
-        assert max(sizes) < 0.15 * sum(sizes)
+        assert sum(sizes) == lay.n_sym * (lay.n_sym - 1) // 2 * lay.n_sym
+        assert max(sizes) < 0.26 * sum(sizes)
+
+    def test_barrier_continuous_where_sampling_takes_over(self):
+        # at b = 3 the exact-local-power diagonal equals the sampled barrier
+        lay = AxisLayout.for_resolution(16, 5.0)
+        u = np.random.default_rng(5).standard_normal(_build_operator(P, lay)[1])
+        below, above = (_build_operator(ModelParams(1.0, g), lay)[0](u)
+                        for g in (POWER_STEP_MAX_G1SQ, POWER_STEP_MAX_G1SQ * (1 + 1e-12)))
+        assert np.max(np.abs(above - below)) <= 1e-9 * np.max(np.abs(below))
 
     def test_sector_operators_are_symmetric(self):
         lay = AxisLayout.for_resolution(16, 5.0)

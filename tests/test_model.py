@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from wolfes4 import (
@@ -261,6 +263,16 @@ class TestEnumerateSpectrum:
         for lv in table.levels:
             n_total = lv.members[0].total_quanta
             assert lv.degeneracy == brute_force_degeneracy(n_total)
+
+    @settings(max_examples=25, deadline=None)
+    @given(g1_squared=st.floats(0.0, 10.0), cutoff=st.integers(0, 14),
+           multiplicity=st.sampled_from([1, 2]), offset=st.sampled_from([0.5, 1.0]))
+    def test_class_degeneracies_match_brute_force(self, g1_squared, cutoff,
+                                                  multiplicity, offset):
+        table = enumerate_spectrum(ModelParams(1.0, g1_squared), cutoff, offset,
+                                   multiplicity)
+        assert [lv.degeneracy for lv in table.levels] == \
+            [multiplicity * brute_force_degeneracy(n) for n in range(cutoff + 1)]
 
     def test_degeneracy_identity_large(self):
         # degeneracy of class N must equal sum over n2 of (N - 2*n2 + 1)

@@ -209,6 +209,17 @@ class TestVerify3D:
         pair = next(c for c in report.checks if c.name == "grid3d-mirror-pair")
         assert pair.passed
 
+    @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 1.0])
+    def test_weak_barrier_passes_on_benchmark_grid(self, g1_squared):
+        # every level and the mirror pair, at the default tol 5e-3; g1^2 = 0
+        # is the impenetrable limit (ground 2.5, not the free oscillator's 1.5)
+        report = verify_3d(ModelParams(1.0, g1_squared), k=6, offset=1.0,
+                           n_per_axis=41, extent=5.5)
+        assert report.checks[0].reference == pytest.approx(
+            2.0 + math.sqrt(0.25 + g1_squared / 3.0), rel=1e-12)
+        assert len(report.checks) == 7
+        assert report.passed
+
     def test_closed_reference_doubles_by_sector(self):
         report = verify_3d(P3, k=2, tol=5e-3, offset=1.0, n_per_axis=41, extent=5.0)
         refs = [c.reference for c in report.checks if c.name.startswith("grid3d-level")]
