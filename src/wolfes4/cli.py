@@ -44,6 +44,9 @@ STATE_FILE_NAME = "resolved_constants.txt"
 #: Largest --max-quanta.  The triples grow as the cube of it: 60 gives ~20k
 #: and a 1.2 MB spectrum report.
 MAX_QUANTA = 60
+#: Largest --g1sq.  The 1D routes pass to 3e4; from 5e4 the ground state's
+#: peak nears the half-line box edge.  The 3D grid takes less.
+MAX_G1SQ = 1e4
 
 
 @dataclass
@@ -69,6 +72,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.params = ModelParams(omega=self.omega, g1_squared=self.g1_squared)
+        if self.g1_squared > MAX_G1SQ:
+            raise ValueError(f"--g1sq must be at most {MAX_G1SQ:g}, the admissible "
+                             f"coupling range, got {self.g1_squared:g}")
         if not 0 <= self.max_quanta <= MAX_QUANTA:
             raise ValueError(f"max-quanta must lie in [0, {MAX_QUANTA}], "
                              f"got {self.max_quanta}")

@@ -9,8 +9,9 @@ is discretized with the 7-point stencil.  The barrier makes the particles
 impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
 images, so the grid holds X2 > 0 only, the positive nodes j * h of the X1/X3
 axis behind a Dirichlet plane at X2 = 0, and every level counts twice.  The
-barrier diagonal (see POWER_STEP_MAX_G1SQ) keeps the grid second order at
-every g1^2; g1^2 = 0 is the impenetrable limit.
+barrier diagonal is that of the 1D channels (numsolve.inverse_square_diag),
+which keeps the grid second order at every g1^2; g1^2 = 0 is the
+impenetrable limit.
 
 The reflections X1 -> -X1, X3 -> -X3 and the mirror X1 <-> X3 commute with
 the stencil and the potential, so the half-space splits into sectors, each
@@ -80,14 +81,10 @@ SECTOR_KRYLOV_DIM = 24
 #: Thick restarts a sector solve may take before it raises ConvergenceError.
 SECTOR_MAX_RESTARTS = 40
 
-#: Largest g1^2 whose X2 barrier is the exact-local-power diagonal; it equals
-#: the sampled barrier that takes over above, as b = 3.  Sampling is order
-#: 2b - 1 for b < 3/2; past b = 3 the power step's excess, b(b-1)(b-2)(b-3)
-#: / (12 j^4), grows as b^4: at g1^2 = 100 it quadruples the X2-axis error.
-POWER_STEP_MAX_G1SQ = 18.0
-#: Largest g1^2 the grid takes.  The barrier g1^2 / (6 h^2) at the first X2
-#: node widens the spectrum: the 61-point default passes to g1^2 = 800 and
-#: stops converging near 1000, finer grids sooner; near 1e300 it overflows.
+#: Largest g1^2 the grid takes, below the CLI's range until the X2 window
+#: follows the barrier: g1^2 / (6 h^2) at the first X2 node widens the
+#: spectrum; the 61-point default passes to g1^2 = 800 and stops converging
+#: near 1000, finer grids sooner.
 MAX_G1_SQUARED = 1000.0
 
 _SQRT2 = math.sqrt(2.0)
@@ -123,9 +120,8 @@ def _build_operator(params: ModelParams, layout: AxisLayout,
     x1, k1 = _sector_axis(nodes, h, p1)
     x2, k2 = _sector_axis(nodes, h, -1)
     x3, k3 = _sector_axis(nodes, h, p3)
-    g = params.g1_squared
-    barrier = (inverse_square_diag(np.arange(1, len(x2) + 1), g / 6.0, 0.5, h)
-               if g <= POWER_STEP_MAX_G1SQ else g / (6.0 * x2**2))
+    barrier = inverse_square_diag(np.arange(1, len(x2) + 1), params.g1_squared / 6.0,
+                                  0.5, h)
     pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
                                     + x3[None, None, :] ** 2)
            + barrier[None, :, None])

@@ -33,8 +33,9 @@ class ModelParams:
     g1_squared: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.omega < math.inf):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
+            raise ValueError(
+                f"omega must be positive with a finite square, got {self.omega}")
         if not (0 <= self.g1_squared < math.inf):
             raise ValueError(
                 f"g1_squared must be nonnegative and finite, got {self.g1_squared}")

@@ -2,13 +2,13 @@
 
 Every channel is a Dirichlet problem on a uniform grid with the standard
 3-point stencil.  Inverse-square terms (the barrier, the centrifugal term,
-the 1/sin^2 angular terms) are not sampled naively near their poles:
-sampling selects the wrong boundary behavior at the critical coupling and
-degrades the convergence order for weak couplings, so the diagonal instead
-uses exact-local-power coefficients that annihilate the known endpoint
-behavior x^b of the eigenfunctions and agree with plain sampling to O(h^2)
-away from the ends.  This keeps all channels uniformly second order, which
-is what makes Richardson extrapolation valid everywhere.
+the 1/sin^2 angular terms) all go through ``inverse_square_diag``.  Naive
+sampling near a pole selects the wrong boundary behavior at the critical
+coupling and degrades the convergence order for weak couplings, so up to
+the endpoint behavior x^3 of the eigenfunctions the diagonal uses
+exact-local-power coefficients that annihilate x^b; stronger couplings are
+sampled.  This keeps all channels uniformly second order, which is what
+makes Richardson extrapolation valid everywhere.
 
 Eigenvalues come from Sturm-sequence bisection and eigenvectors from inverse
 iteration (LAPACK stebz/stein via scipy); both are deterministic for a fixed
@@ -201,19 +201,16 @@ def _power_step(j: np.ndarray, b: float) -> np.ndarray:
 
 def inverse_square_diag(j: np.ndarray, coupling: float, kinetic_prefactor: float,
                         h: float) -> np.ndarray:
-    """Exact-local-power diagonal of coupling/x^2 at the nodes x = j*h.
+    """Diagonal of coupling/x^2 at x = j*h in -kappa u'' + coupling/x^2 u.
 
-    Raises ValueError when the coupling is so strong that the diagonal
-    overflows.
+    With b(b-1) = coupling/kappa: the exact-local-power diagonal up to b = 3,
+    the sampled coupling/x^2 above, where the power step's excess over it,
+    b(b-1)(b-2)(b-3)/(12 j^4), grows as b^4.  At b = 3 the two are equal.
     """
+    if coupling > 6.0 * kinetic_prefactor:
+        return coupling / (j * h) ** 2
     b = 0.5 + math.sqrt(0.25 + coupling / kinetic_prefactor)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag = kinetic_prefactor / h**2 * _power_step(j, b)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError(
-            f"inverse-square coupling {coupling:g} overflows the "
-            "exact-local-power diagonal; it is too strong for this solver")
-    return diag
+    return kinetic_prefactor / h**2 * _power_step(j, b)
 
 
 def _singular_tridiag(grid: Grid1D, smooth: Callable[[np.ndarray], np.ndarray],

@@ -86,7 +86,7 @@ class TestConfigFiles:
         assert "omega" in err
 
     @pytest.mark.parametrize("flags", [("--g1sq", "inf"), ("--omega", "inf"),
-                                       ("--omega", "nan"),
+                                       ("--omega", "nan"), ("--omega", "1e200"),
                                        ("--max-quanta", str(cli.MAX_QUANTA + 1))])
     def test_unbounded_value_is_usage_error(self, workdir, capsys, flags):
         code, out, err = run_cli(capsys, "spectrum", *flags)
@@ -240,12 +240,12 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE and out == "" and ran == []
         assert "--grid-points must be in [16, 121] for the 3D grid" in err
 
-    @pytest.mark.parametrize("argv", [("3d", "--g1sq", "1e5", "--grid-points", "16"),
-                                      ("3d", "--g1sq", "1e300", "--grid-points", "16"),
+    @pytest.mark.parametrize("argv", [("3d", "--g1sq", "2000", "--grid-points", "16"),
+                                      ("3d", "--g1sq", "5000", "--grid-points", "16"),
                                       ("all", "--g1sq", "2000", "--max-quanta", "1")])
     def test_3d_coupling_checked_before_any_leg(self, workdir, capsys, monkeypatch, argv):
         # the barrier at the first X2 node, g1^2 / (6 h^2), outgrows what the
-        # Lanczos sectors resolve; near 1e300 its products overflow
+        # Lanczos sectors resolve, inside the range the 1D routes take
         ran = []
         for name in ("verify_jacobi_route", "verify_spherical_route"):
             monkeypatch.setattr(cli, name, lambda *a, name=name, **kw:
@@ -275,6 +275,34 @@ class TestVerifyCommand:
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE
+
+
+class TestCouplingRange:
+    """One admissible --g1sq range, checked once for every command."""
+
+    @pytest.mark.parametrize("argv", [("verify", "jacobi"), ("verify", "spherical"),
+                                      ("hf-check",), ("audit",)])
+    def test_1d_routes_pass_at_the_largest_coupling(self, workdir, capsys, argv):
+        # b = 58, where the exact-local-power diagonal would put the jacobi
+        # ground level at -269443 and end audit in an internal error
+        code, out, _ = run_cli(capsys, *argv, "--g1sq", "1e4")
+        assert code == EXIT_PASS
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("argv", [("spectrum",), ("resolve",), ("verify", "jacobi"),
+                                      ("verify", "3d"), ("hf-check",), ("audit",)])
+    def test_coupling_above_the_range_is_usage_error(self, workdir, capsys, monkeypatch,
+                                                     argv):
+        ran = []
+        for name in ("enumerate_spectrum", "resolve_formula_offsets", "verify_jacobi_route",
+                     "verify_3d", "hellmann_feynman_check", "bk_audit"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: ran.append(name))
+        cfg = workdir / "strong.cfg"
+        cfg.write_text("g1sq = 1e300\n")
+        for flags in (("--g1sq", "1.5e4"), ("--config", str(cfg))):
+            code, out, err = run_cli(capsys, *argv, *flags)
+            assert code == EXIT_USAGE and out == "" and ran == []
+            assert err.count("\n") == 1 and "--g1sq must be at most 10000" in err
 
 
 class TestHfCheckCommand:

@@ -23,6 +23,7 @@ from wolfes4 import (
     solve_channel,
     solve_channel_extrapolated,
 )
+from wolfes4.numsolve import inverse_square_diag
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -262,6 +263,32 @@ class TestExpectation:
             expectation(v, lambda x: np.where(x > 1, np.inf, 1.0), grid)
 
 
+class TestInverseSquareDiag:
+    """One policy for every coupling/x^2 term: the exact-local-power diagonal
+    up to the endpoint power b = 3, where b(b-1) = coupling/kappa, sampled above."""
+
+    J = np.arange(1, 40, dtype=float)
+    H = 0.1
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_continuous_where_sampling_takes_over(self, kappa):
+        at, above = (inverse_square_diag(self.J, c, kappa, self.H)
+                     for c in (6.0 * kappa, 6.0 * kappa * (1 + 1e-12)))
+        assert np.max(np.abs(above - at) / at) <= 1e-9
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_switch_sits_at_b_3(self, kappa):
+        def diag(b):
+            return inverse_square_diag(self.J, b * (b - 1.0) * kappa, kappa, self.H)
+
+        def sampled(b):
+            return b * (b - 1.0) * kappa / (self.J * self.H) ** 2
+
+        # below b = 3 the power step differs from sampling near the pole
+        assert abs(diag(2.5)[0] / sampled(2.5)[0] - 1.0) > 0.02
+        assert np.array_equal(diag(3.5), sampled(3.5))
+
+
 class TestConvergenceOrder:
     """Error must shrink by ~4x per spacing halving on every channel."""
 
@@ -271,6 +298,9 @@ class TestConvergenceOrder:
         (ChannelSpec(ChannelKind.RADIAL, 2.0), 1, 4.5),    # omega*(2n+l+3/2), l=1
         (ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0), 1, None),
         (ChannelSpec(ChannelKind.ANGULAR_THETA, 2.0), 1, None),
+        # b > 3, where the barrier is sampled
+        (ChannelSpec(ChannelKind.RADIAL, 12.0), 1, 6.5),   # l = 3
+        (ChannelSpec(ChannelKind.ANGULAR_THETA, 12.25), 1, None),
     ]
 
     @pytest.mark.parametrize("spec,level,exact", CASES)
@@ -284,9 +314,20 @@ class TestConvergenceOrder:
             else:
                 f = math.sqrt(spec.coefficient)
                 exact = (f + level) * (f + level + 1)
-        g0 = recommended_grid(spec.kind, P, 800)
+        self.assert_second_order(spec, P, level, exact)
+
+    def test_second_order_past_the_power_step(self):
+        # b = 32.1, where the power step would give ratios 12.1 and 0.14.
+        # A row of CASES cannot carry it: they all solve at P.
+        strong = ModelParams(omega=1.0, g1_squared=3000.0)
+        self.assert_second_order(ChannelSpec(ChannelKind.SHO), strong, 1,
+                                 sho_energy_resolved(1, strong, 1.0))
+
+    @staticmethod
+    def assert_second_order(spec, params, level, exact):
+        g0 = recommended_grid(spec.kind, params, 800)
         g1, g2 = g0.refined(), g0.refined().refined()
-        e0, e1, e2 = (solve_channel(spec, P, g, level + 1).eigenvalues[level]
+        e0, e1, e2 = (solve_channel(spec, params, g, level + 1).eigenvalues[level]
                       for g in (g0, g1, g2))
         ratio1 = (e0 - exact) / (e1 - exact)
         ratio2 = (e1 - exact) / (e2 - exact)
