@@ -2,9 +2,9 @@
 
 Commands: ``spectrum``, ``verify {jacobi|spherical|3d|all}``, ``hf-check``,
 ``resolve``, ``audit``.  Exit codes: 0 = pass, 1 = verification failure
-(or a 3D eigensolve that did not converge), 2 = usage or configuration error.  Output is JSON (default) or CSV with a
-fixed float format, so identical configurations produce byte-identical
-reports.
+(or an eigensolve that did not converge, or a LAPACK failure), 2 = usage or
+configuration error.  Output is JSON (default) or CSV with a fixed float
+format, so identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+
+from numpy.linalg import LinAlgError
 
 from .grid3d import MAX_G1_SQUARED, MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
 from .model import (
@@ -351,7 +353,7 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
     levels = [
         {"N": lv.members[0].total_quanta, "energy": lv.value,
          "degeneracy": lv.degeneracy,
-         "members": sorted({(t.n1, t.n2, t.n3) for t in lv.members})}
+         "members": [(t.n1, t.n2, t.n3) for t in lv.members]}
         for lv in table.levels
     ]
     if config.format == "json":
@@ -470,12 +472,13 @@ def main(argv: list[str] | None = None) -> int:
                                explicit_g1sq=args.g1sq is not None or bool(from_file))
         if args.command == "audit":
             return cmd_audit(config, args.config)
+    # LinAlgError subclasses ValueError but is a solver failure, not a usage error
+    except (ConvergenceError, LinAlgError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_FAIL
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
     return EXIT_USAGE
 
 

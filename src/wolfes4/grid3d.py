@@ -13,18 +13,16 @@ barrier diagonal is that of the 1D channels (numsolve.inverse_square_diag),
 which keeps the grid second order at every g1^2; g1^2 = 0 is the
 impenetrable limit.
 
-The reflections X1 -> -X1, X3 -> -X3 and the mirror X1 <-> X3 commute with
-the stencil and the potential, so the half-space splits into sectors, each
-solved by a matrix-free thick-restart Lanczos iteration with full
+X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
+commutes with the operator, so the half-space splits into sectors (SECTORS),
+each solved by a matrix-free thick-restart Lanczos iteration with full
 reorthogonalization.  The split is needed for correctness as well as speed:
 a single-vector Krylov space holds one vector of each eigenspace, so exactly
-degenerate partners such as an X1 <-> X3 image pair are found only because
-they fall in different sectors.
+degenerate partners are found only in different sectors or by multiplicity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -68,12 +66,10 @@ class AxisLayout:
         return -self.extent + self.h_sym * np.arange(1, self.n_sym + 1)
 
 
-#: Reflection sectors in the order they are solved: the parities (+1 even,
-#: -1 odd) under X1 -> -X1 and X3 -> -X3, then the parity under X1 <-> X3
-#: where the X1 and X3 parities agree (0 where they differ).
-SECTORS = tuple((p1, p3, swap)
-                for p1, p3 in itertools.product((1, -1), repeat=2)
-                for swap in ((1, -1) if p1 == p3 else (0,)))
+#: Sectors in solve order: parities (+1 even, -1 odd) under X1 -> -X1, X3 -> -X3
+#: and X1 <-> X3 (0 where the first two differ), each mapped to the states one
+#: level stands for: 2 (X2 mirror), 4 for (1, -1, 0) and its image (-1, 1, 0).
+SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, -1): 2}
 
 #: Lanczos basis size of a sector solve.  16-30 measured alike at 41 points
 #: per axis; 16 came near the restart cap at 81.
@@ -108,8 +104,7 @@ def _sector_axis(nodes: np.ndarray, h: float, parity: int):
     return x, kinetic
 
 
-def _build_operator(params: ModelParams, layout: AxisLayout,
-                    sector: tuple = SECTORS[0]):
+def _build_operator(params: ModelParams, layout: AxisLayout, sector: tuple):
     """Matrix-free symmetric operator of one sector of SECTORS, and its size.
 
     The 7-point stencil is applied axis by axis, each axis's tridiagonal
@@ -225,28 +220,26 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
 
 def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                 tol: float = 1e-8) -> EigenResult:
-    """Lowest k eigenvalues of the relative-motion operator on the 3D grid.
+    """Lowest levels of the relative-motion operator on the 3D grid, each once.
 
     ``n_per_axis`` is rounded up to an odd count on X1 and X3; X2 holds
     their positive half (see AxisLayout).  Eigenvalues converge at O(h^2),
     so a run paired with one at half resolution can be extrapolated.
 
-    The X2 > 0 half-space is solved for its lowest (k + 1) // 2 values, each
-    counted twice for its X2 < 0 mirror image.  Every sector of SECTORS is
-    solved with SECTOR_KRYLOV_DIM Lanczos vectors (more if asked for many
-    values); a sector that returns fewer than needed, all below the merged
-    last one, is asked again for twice as many.  ``residual_bound`` is the
-    largest residual of any sector.  Raises ValueError when g1^2 exceeds
-    MAX_G1_SQUARED.
+    Returns the fewest levels whose ``multiplicities`` (from SECTORS) cover
+    the lowest k states.  A sector whose levels, all below the k-th state,
+    cover fewer than k states alone is asked again for twice as many.
+    ``residual_bound`` is the largest residual of any sector.  Raises
+    ValueError when g1^2 exceeds MAX_G1_SQUARED.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if params.g1_squared > MAX_G1_SQUARED:
         raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
     layout = AxisLayout.for_resolution(n_per_axis, extent)
-    k_half = (k + 1) // 2
+    most = {s: -(-k // m) for s, m in SECTORS.items()}
     # two values per sector to start measured fastest at k = 6
-    wanted = dict.fromkeys(SECTORS, min(k_half, 2))
+    wanted = {s: min(most[s], 2) for s in SECTORS}
     solved: dict = {}
     while True:
         for sector in SECTORS:
@@ -259,13 +252,16 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                 krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted[sector] + 10),
                 max_restarts=SECTOR_MAX_RESTARTS, tol=tol)
         vals = np.concatenate([solved[s][0] for s in SECTORS])
+        mults = np.concatenate([np.full(len(solved[s][0]), m) for s, m in SECTORS.items()])
         # near-degenerate pairs may come back equal to rounding; order ties stably
-        order = np.argsort(vals, kind="stable")[:k_half]
-        kth = vals[order[-1]] if len(order) == k_half else np.inf
+        order = np.argsort(vals, kind="stable")
+        order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
+        kth = vals[order[-1]] if mults[order].sum() >= k else np.inf
         short = [s for s in SECTORS
-                 if len(solved[s][0]) < k_half and solved[s][0][-1] < kth]
+                 if len(solved[s][0]) < most[s] and solved[s][0][-1] < kth]
         if not short:
             break
-        wanted.update({s: min(k_half, 2 * wanted[s]) for s in short})
-    return EigenResult(eigenvalues=np.repeat(vals[order], 2)[:k], eigenvectors=None,
-                       residual_bound=float(max(np.max(solved[s][1]) for s in SECTORS)))
+        wanted.update({s: min(most[s], 2 * wanted[s]) for s in short})
+    return EigenResult(eigenvalues=vals[order], eigenvectors=None,
+                       residual_bound=float(max(np.max(solved[s][1]) for s in SECTORS)),
+                       multiplicities=mults[order])

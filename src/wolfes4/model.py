@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 #: Admissible additive constants for the SHO level formula omega*(2n + offset + delta).
@@ -33,9 +34,10 @@ class ModelParams:
     g1_squared: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (self.omega > 0 and math.isfinite(self.omega * self.omega)):
+        # a subnormal square loses the precision of every level
+        if not (self.omega > 0 and sys.float_info.min <= self.omega * self.omega < math.inf):
             raise ValueError(
-                f"omega must be positive with a finite square, got {self.omega}")
+                f"omega must be positive with a finite, normal square, got {self.omega}")
         if not (0 <= self.g1_squared < math.inf):
             raise ValueError(
                 f"g1_squared must be nonnegative and finite, got {self.g1_squared}")
@@ -162,10 +164,11 @@ def hf_derivative_closed_form(n2: int, params: ModelParams) -> float:
 
 @dataclass
 class EnergyLevel:
-    """One distinct energy with the triples that produce it.
+    """One distinct energy with the triples that produce it, each listed once.
 
-    With sector doubling each triple labels two mirror states and therefore
-    appears twice in ``members``; ``degeneracy == len(members)`` always.
+    ``degeneracy`` counts states: the sector multiplicity times
+    ``len(members)``, since with sector doubling each triple labels two
+    mirror states.
     """
 
     value: float
@@ -173,8 +176,8 @@ class EnergyLevel:
     members: list[QuantumTriple] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.degeneracy != len(self.members) or self.degeneracy < 1:
-            raise ValueError("degeneracy must equal len(members) and be >= 1")
+        if not self.members or self.degeneracy < 1 or self.degeneracy % len(self.members):
+            raise ValueError("degeneracy must be a positive multiple of len(members)")
 
 
 @dataclass
@@ -209,10 +212,9 @@ def enumerate_spectrum(params: ModelParams, cutoff: int, offset: float,
     for n in range(cutoff + 1):
         triples = [QuantumTriple(n1, n2, n - n1 - 2 * n2)
                    for n1 in range(n + 1) for n2 in range((n - n1) // 2 + 1)]
-        members = [t for t in triples for _ in range(sector_multiplicity)]
         levels.append(EnergyLevel(
             value=min(composite_energy(t, params, offset) for t in triples),
-            degeneracy=len(members), members=members))
+            degeneracy=sector_multiplicity * len(triples), members=triples))
     if not math.isfinite(levels[-1].value):
         raise ValueError(f"the level energies overflow by N = {cutoff}")
     return SpectrumTable(levels=levels, sector_multiplicity=sector_multiplicity)

@@ -5,7 +5,7 @@ formulas (after their printed constants are resolved), the chained
 azimuthal -> polar -> radial eigensolves, and direct 3D diagonalization.
 Every comparison is recorded as a named check entry with the measured value,
 the reference, the tolerance and a provenance note; a report passes only if
-every gating entry passes.
+every gating entry passes.  Energies scale with omega; so do their tolerances.
 """
 
 from __future__ import annotations
@@ -117,8 +117,8 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     SHO channel are compared against omega*(2n + offset + delta) for both
     candidate offsets, and the radial channel (for each k^2 of
     STANDARD_RADIAL_KSQ) against both printed and corrected exponent rules.
-    Exactly one candidate per family must fit within ``tol`` uniformly;
-    anything else raises ResolutionError carrying the residual table.
+    Exactly one candidate per family must fit within ``tol`` uniformly, in
+    units of omega; anything else raises ResolutionError with the residuals.
     """
     if params_list is None:
         params_list = [ModelParams(omega=1.0, g1_squared=g) for g in STANDARD_SWEEP]
@@ -140,7 +140,7 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
         d = delta_constant(p)
         for off in SHO_OFFSET_CANDIDATES:
             closed = p.omega * (2 * ns + off + d)
-            r = float(np.max(np.abs(e_num - closed)))
+            r = float(np.max(np.abs(e_num - closed))) / p.omega
             sho_resid[off] = max(sho_resid[off], r)
             table["sho"][(p.g1_squared, off)] = r
         sho_printed.append(table["sho"][(p.g1_squared, 0.5)])
@@ -159,7 +159,7 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
         p = ModelParams(omega=w, g1_squared=0.0)
         for rule in rules:
             closed = np.array([radial_energy(int(n), k2, p, rule) for n in ns])
-            r = float(np.max(np.abs(e_num - closed)))
+            r = float(np.max(np.abs(e_num - closed))) / w
             radial_resid[rule] = max(radial_resid[rule], r)
             table["radial"][(w, k2, rule)] = r
         radial_printed.append(table["radial"][(w, k2, RADIAL_RULE_PUBLISHED)])
@@ -179,10 +179,10 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     if zero_barrier:
         p0 = zero_barrier[0]
         ground = sho_numeric[list(params_list).index(p0)][0]
-        report.add("sho-anchor[g1sq=0]", ground, 1.5 * p0.omega, ANCHOR_TOL,
+        report.add("sho-anchor[g1sq=0]", ground, 1.5 * p0.omega, ANCHOR_TOL * p0.omega,
                    "half-line Dirichlet oscillator forces omega*(2n + 3/2)")
     e = radial_numeric[radial_cases.index((omegas[0], 2.0))][0]
-    report.add("radial-anchor[k2=2]", e, 2.5 * omegas[0], ANCHOR_TOL,
+    report.add("radial-anchor[k2=2]", e, 2.5 * omegas[0], ANCHOR_TOL * omegas[0],
                "k^2 = 2 is the l = 1 isotropic-oscillator channel, "
                "E = omega*(2n + l + 3/2)")
 
@@ -231,17 +231,13 @@ def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
     closed = enumerate_spectrum(params, cutoff, offset, sector_multiplicity=1)
 
     i = 0
-    for level in closed.levels:
-        devs = []
-        for _ in range(level.degeneracy):
-            e_num, triple = numeric[i]
-            devs.append((abs(e_num - level.value), triple, e_num))
-            i += 1
-        worst = max(devs, key=lambda d: d[0])
-        n_class = level.members[0].total_quanta
-        report.add(f"jacobi-level[N={n_class}]", worst[2], level.value, tol,
+    for n, level in enumerate(closed.levels):
+        states = numeric[i:i + level.degeneracy]
+        i += level.degeneracy
+        e_num, t = max(states, key=lambda s: abs(s[0] - level.value))
+        report.add(f"jacobi-level[N={n}]", e_num, level.value, tol * params.omega,
                    f"worst of {level.degeneracy} states at this level, "
-                   f"triple (n1,n2,n3)=({worst[1].n1},{worst[1].n2},{worst[1].n3})")
+                   f"triple (n1,n2,n3)=({t.n1},{t.n2},{t.n3})")
     report.add("jacobi-state-count", float(len(numeric)),
                float(sum(lv.degeneracy for lv in closed.levels)), 0.0,
                "triple enumeration agrees with the closed-form degeneracy total")
@@ -282,6 +278,7 @@ def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
     energy multisets are paired greedily; the first unpaired level is named.
     """
     m_max, l_max, n_max = ranges
+    tol = tol * params.omega
     report = VerificationReport()
     n_cap = min(l_max, m_max, 2 * n_max + 1)
 
@@ -298,11 +295,10 @@ def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
         report.add("spherical-ground", spherical[0][0], ground, tol,
                    "lowest chained energy vs the resolved closed form")
     for idx, ((e_s, q), (e_j, t)) in enumerate(zip(spherical, jacobi)):
-        ok = abs(e_s - e_j) <= tol
-        report.add(f"route-pair[{idx}]", e_s, e_j, tol,
-                   f"spherical (n,l,m)=({q.n_r},{q.l},{q.m}) vs "
-                   f"jacobi (n1,n2,n3)=({t.n1},{t.n2},{t.n3})", ok=ok)
-        if not ok:
+        pair = report.add(f"route-pair[{idx}]", e_s, e_j, tol,
+                          f"spherical (n,l,m)=({q.n_r},{q.l},{q.m}) vs "
+                          f"jacobi (n1,n2,n3)=({t.n1},{t.n2},{t.n3})")
+        if not pair.passed:
             break
     return report
 
@@ -319,6 +315,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     delta_g2 = 1e-3 * max(1.0, params.g1_squared)
     if params.g1_squared - delta_g2 < 0:
         raise ValueError("need g1_squared - delta_g2 >= 0 for the central difference")
+    tol = tol * params.omega
     report = VerificationReport()
     spec = ChannelSpec(ChannelKind.SHO)
 
@@ -372,7 +369,7 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
     g_here = float(solve_channel_extrapolated(sho, params, n_points, 1)[0])
     g_there = float(solve_channel_extrapolated(sho, other, n_points, 1)[0])
     predicted = params.omega * (delta_constant(params) - delta_constant(other))
-    report.add("audit-spectrum-depends-on-g1", g_here - g_there, predicted, tol,
+    report.add("audit-spectrum-depends-on-g1", g_here - g_there, predicted, tol * params.omega,
                f"numeric ground levels at g1^2 = {params.g1_squared:g} vs "
                f"{other.g1_squared:g}; a g1-independent spectrum would give 0")
 
@@ -396,29 +393,36 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
 def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D_TOL,
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
-    """Compare direct 3D diagonalization with the resolved closed-form spectrum.
+    """Compare direct 3D diagonalization with the resolved closed-form classes.
 
-    The 3D grid counts both mirror half-spaces of the barrier, so the
-    closed-form reference uses sector multiplicity 2; at g1^2 = 0 both sides
-    see the impenetrable limit.  Two resolutions (requested and half) are
-    solved and Richardson-extrapolated before comparison; the raw fine-grid
-    and coarse values are recorded in the provenance of each entry.
+    Grid levels at the requested and half resolution are paired by position
+    and Richardson-extrapolated.  Each class (both mirror half-spaces) takes
+    grid levels until their multiplicities reach its degeneracy; every class
+    within the lowest k states checks its worst level and its degeneracy.
     """
+    if k < 2:
+        raise ValueError("k must be at least 2, the states of the ground class")
     report = VerificationReport()
     extent_eff = extent / math.sqrt(params.omega)
     fine = solve_hd_3d(params, n_per_axis, extent_eff, k)
     coarse = solve_hd_3d(params, max(MIN_POINTS_PER_AXIS, n_per_axis // 2), extent_eff, k)
-    extrap = richardson(coarse.eigenvalues, fine.eigenvalues)
+    m = min(len(fine.eigenvalues), len(coarse.eigenvalues))
+    extrap = richardson(coarse.eigenvalues[:m], fine.eigenvalues[:m])
 
+    i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
-    closed = enumerate_spectrum(params, (k - 1) // 2, offset, 2).flattened()[:k]
-
-    for i in range(k):
-        report.add(f"grid3d-level[{i}]", float(extrap[i]), closed[i], tol,
-                   f"raw fine-grid value {fine.eigenvalues[i]:.6f}, "
-                   f"coarse {coarse.eigenvalues[i]:.6f}, Richardson pair")
-    if k >= 2:
-        report.add("grid3d-mirror-pair", float(extrap[1] - extrap[0]), 0.0, tol,
-                   "sector doubling: the X2 = 0 plane is a Dirichlet node plane, "
-                   "so the two half-spaces decouple and the splitting is exactly 0")
+    for n, level in enumerate(enumerate_spectrum(params, (k - 1) // 2, offset, 2).levels):
+        covered += level.degeneracy
+        if covered > k or i == m:
+            break
+        first, states = i, 0
+        while states < level.degeneracy and i < m:
+            states += int(fine.multiplicities[i])
+            i += 1
+        worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
+        report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
+                   f"worst of {i - first} levels: fine grid {fine.eigenvalues[worst]:.6f}, "
+                   f"coarse {coarse.eigenvalues[worst]:.6f}, Richardson pair")
+        report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
+                   "states the class's grid levels stand for, by sector multiplicity")
     return report

@@ -163,17 +163,19 @@ def test_criterion_07_degeneracies():
 
 
 def test_criterion_08_grid3d_oracle(resolution):
-    """3D solve at 61 per axis, extent 7, matches the closed ground within 5e-3."""
+    """3D solve at 61 per axis, extent 7, matches the closed ground within 5e-3
+    and finds classes N = 0 and 1 with their full degeneracies."""
     offset = resolution[0]
     t0 = time.perf_counter()
-    report = verify_3d(P3, k=3, tol=5e-3, offset=offset, n_per_axis=61, extent=7.0)
+    report = verify_3d(P3, k=6, tol=5e-3, offset=offset, n_per_axis=61, extent=7.0)
     elapsed = time.perf_counter() - t0
-    levels = [c for c in report.checks if c.name.startswith("grid3d-level")]
-    pair = next(c for c in report.checks if c.name == "grid3d-mirror-pair")
-    ground_err = abs(levels[0].measured - levels[0].reference)
-    ok = report.passed and elapsed < 300.0
-    record(8, ok, f"ground err {ground_err:.2e} (tol 5e-3), mirror split "
-                  f"{pair.measured:.2e}, {elapsed:.0f}s")
+    by_name = {c.name: c for c in report.checks}
+    ground = by_name["grid3d-level[N=0]"]
+    ground_err = abs(ground.measured - ground.reference)
+    states = [by_name[f"grid3d-degeneracy[N={n}]"].measured for n in (0, 1)]
+    ok = report.passed and states == [2.0, 4.0] and elapsed < 300.0
+    record(8, ok, f"ground err {ground_err:.2e} (tol 5e-3), states of N = 0, 1: "
+                  f"{states[0]:g}, {states[1]:g}, {elapsed:.0f}s")
 
 
 def test_criterion_09_bk_audit():

@@ -87,6 +87,7 @@ class TestConfigFiles:
 
     @pytest.mark.parametrize("flags", [("--g1sq", "inf"), ("--omega", "inf"),
                                        ("--omega", "nan"), ("--omega", "1e200"),
+                                       ("--omega", "1e-160"),
                                        ("--max-quanta", str(cli.MAX_QUANTA + 1))])
     def test_unbounded_value_is_usage_error(self, workdir, capsys, flags):
         code, out, err = run_cli(capsys, "spectrum", *flags)
@@ -207,7 +208,8 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
-        assert "grid3d-mirror-pair" in names
+        assert names == ["grid3d-level[N=0]", "grid3d-degeneracy[N=0]",
+                         "grid3d-level[N=1]", "grid3d-degeneracy[N=1]"]
 
     def test_3d_settings_reach_every_leg_alike(self, workdir, capsys, monkeypatch):
         seen = []
@@ -272,6 +274,18 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "3d")
         assert code == EXIT_FAIL and out == ""
         assert err == "error: Lanczos did not converge within 40 restarts\n"
+
+    def test_lapack_failure_is_not_a_usage_error(self, workdir, capsys):
+        # numpy's LinAlgError subclasses ValueError
+        code, out, err = run_cli(capsys, "verify", "jacobi", "--omega", "1e150")
+        assert code == EXIT_FAIL and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_tolerance_in_units_of_omega(self, workdir, capsys):
+        # every level is right to ~1e-11 relative, far above the unscaled 1e-4
+        code, out, _ = run_cli(capsys, "verify", "jacobi", "--omega", "1e8")
+        assert code == EXIT_PASS
+        assert {c["tolerance"] for c in json.loads(out)["checks"][:-1]} == {1e4}
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE

@@ -47,6 +47,11 @@ def tensor_sum_oracle(params, layout, k):
     return np.sort(np.repeat(sums.ravel(), 2))[:k]
 
 
+def states(res, k):
+    """The lowest k states of a solve, each level repeated by its multiplicity."""
+    return np.repeat(res.eigenvalues, res.multiplicities)[:k]
+
+
 class TestAxisLayout:
     def test_counts_and_parity(self):
         lay = AxisLayout.for_resolution(61, 7.0)
@@ -89,13 +94,25 @@ class TestSolver:
         lay = AxisLayout.for_resolution(16, 5.0)
         res = solve_hd_3d(P, 16, 5.0, k=5, tol=1e-9)
         oracle = tensor_sum_oracle(P, lay, 5)
-        assert res.eigenvalues == pytest.approx(oracle, abs=1e-8)
+        assert states(res, 5) == pytest.approx(oracle, abs=1e-8)
 
-    def test_mirror_pair_structure(self):
-        res = solve_hd_3d(P, 24, 5.0, k=4, tol=1e-8)
-        e = res.eigenvalues
-        # each level comes twice, once per mirror half-space
-        assert e[1] - e[0] < 0.05 * (e[2] - e[0])
+    def test_each_level_once_with_its_multiplicity(self):
+        # the ground level (2: the X2 mirror) and the N = 1 pair (4: the
+        # mirror and the X1 <-> X3 image), 6 states in two levels
+        res = solve_hd_3d(P, 24, 5.0, k=6)
+        assert res.multiplicities.tolist() == [2, 4]
+        assert res.eigenvalues[1] - res.eigenvalues[0] > 0.9
+
+    def test_each_sector_solved_once(self, monkeypatch):
+        solved = []
+
+        def recording(matvec, n, k, **kwargs):
+            solved.append(n)
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        solve_hd_3d(P, 41, 5.5, k=6)
+        assert len(solved) == len(SECTORS) == 5
 
     # at g1^2 = 0.3 (b = 1.09) naive sampling of the barrier converged at
     # order 2b - 1 = 1.2 (ratio 2.3)
@@ -125,13 +142,13 @@ class TestSolver:
                          tol=1e-10).eigenvalues
         assert e2 == pytest.approx(2.0 * e1, rel=1e-7)
 
-    @pytest.mark.parametrize("g1_squared", [0.3, 1.0, 3.0, 300.0])
+    @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 1.0, 3.0, 7.5, 100.0, 300.0])
     def test_degenerate_partners_not_missed(self, g1_squared):
-        # levels 2-5 are two exactly degenerate X1 <-> X3 image pairs
+        # states 2-5 are two exactly degenerate X1 <-> X3 image pairs
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 41, 5.5, k=6)
         oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(41, 5.5), 6)
-        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+        assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("g1_squared", [0.3, 3.0])
     def test_sectors_topped_up_to_the_lowest_k(self, g1_squared, monkeypatch):
@@ -145,7 +162,7 @@ class TestSolver:
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 20, 5.0, k=12)
         oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(20, 5.0), 12)
-        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+        assert states(res, 12) == pytest.approx(oracle, abs=1e-10)
         assert len(asked) > len(SECTORS)  # some sector was asked for more
 
     @settings(max_examples=10, deadline=None)
@@ -154,7 +171,7 @@ class TestSolver:
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, n_per_axis, 5.0, k=6)
         oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(n_per_axis, 5.0), 6)
-        assert res.eigenvalues == pytest.approx(oracle, abs=1e-10)
+        assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -168,10 +185,13 @@ class TestSolver:
 
 class TestSectors:
     def test_sectors_partition_the_grid(self):
+        # counted by multiplicity over the two mirror half-spaces, the sectors
+        # hold every full-grid unknown once
         lay = AxisLayout.for_resolution(21, 5.0)
         sizes = [_build_operator(P, lay, sector)[1] for sector in SECTORS]
-        assert sum(sizes) == lay.n_sym * (lay.n_sym - 1) // 2 * lay.n_sym
-        assert max(sizes) < 0.26 * sum(sizes)
+        full = lay.n_sym * (lay.n_sym - 1) * lay.n_sym
+        assert sum(n * m for n, m in zip(sizes, SECTORS.values())) == full
+        assert max(sizes) < 0.26 * full / 2
 
     def test_sector_operators_are_symmetric(self):
         lay = AxisLayout.for_resolution(16, 5.0)
@@ -183,7 +203,7 @@ class TestSectors:
 
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
-        matvec, n = _build_operator(P, AxisLayout.for_resolution(20, 5.0))
+        matvec, n = _build_operator(P, AxisLayout.for_resolution(20, 5.0), (1, 1, 1))
         history: list = []
         lanczos_lowest(matvec, n, k=1, krylov_dim=12, max_restarts=200,
                        tol=1e-10, history=history)
@@ -191,7 +211,7 @@ class TestLanczos:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_nonconvergence_reports_residuals(self):
-        matvec, n = _build_operator(P, AxisLayout.for_resolution(24, 5.0))
+        matvec, n = _build_operator(P, AxisLayout.for_resolution(24, 5.0), (1, 1, 1))
         with pytest.raises(ConvergenceError) as err:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None

@@ -255,8 +255,8 @@ class TestEnumerateSpectrum:
     def test_sector_doubling(self):
         table = enumerate_spectrum(P1, 4, 1.0, sector_multiplicity=2)
         assert [lv.degeneracy for lv in table.levels] == [2, 4, 8, 12, 18]
-        # each triple is listed once per mirror sector
-        assert table.levels[0].members == [QuantumTriple(0, 0, 0)] * 2
+        # each triple is listed once and stands for one state per mirror sector
+        assert table.levels[0].members == [QuantumTriple(0, 0, 0)]
 
     def test_against_brute_force(self):
         table = enumerate_spectrum(P1, 8, 1.0)
@@ -309,5 +309,9 @@ class TestEnumerateSpectrum:
             enumerate_spectrum(ModelParams(omega=1e308), 2, 1.0)
 
     def test_energy_level_invariant(self):
-        with pytest.raises(ValueError):
-            EnergyLevel(value=1.0, degeneracy=2, members=[QuantumTriple(0, 0, 0)])
+        # degeneracy is a positive multiple of len(members)
+        pair = [QuantumTriple(0, 0, 1), QuantumTriple(1, 0, 0)]
+        assert EnergyLevel(value=1.0, degeneracy=4, members=pair).degeneracy == 4
+        for degeneracy, members in ((3, pair), (0, pair), (1, [])):
+            with pytest.raises(ValueError):
+                EnergyLevel(value=1.0, degeneracy=degeneracy, members=members)

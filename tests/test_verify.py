@@ -21,6 +21,7 @@ from wolfes4 import (
     verify_jacobi_route,
     verify_spherical_route,
 )
+from wolfes4 import grid3d
 
 P3 = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -201,29 +202,47 @@ class TestAudit:
 
 class TestVerify3D:
     def test_small_grid_pass(self):
+        # the lowest 4 states hold all of class N = 0 (2 states) and only
+        # part of N = 1 (4), so only N = 0 is checked
         report = verify_3d(P3, k=4, tol=5e-3, offset=1.0, n_per_axis=41, extent=5.0)
         assert report.passed
-        levels = [c for c in report.checks if c.name.startswith("grid3d-level")]
-        assert len(levels) == 4
-        assert levels[0].reference == pytest.approx(2 + math.sqrt(5) / 2, rel=1e-12)
-        pair = next(c for c in report.checks if c.name == "grid3d-mirror-pair")
-        assert pair.passed
+        assert [c.name for c in report.checks] == ["grid3d-level[N=0]",
+                                                   "grid3d-degeneracy[N=0]"]
+        assert report.checks[0].reference == pytest.approx(2 + math.sqrt(5) / 2, rel=1e-12)
+        assert (report.checks[1].measured, report.checks[1].tolerance) == (2.0, 0.0)
 
     @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 1.0])
     def test_weak_barrier_passes_on_benchmark_grid(self, g1_squared):
-        # every level and the mirror pair, at the default tol 5e-3; g1^2 = 0
+        # each class's level and degeneracy, at the default tol 5e-3; g1^2 = 0
         # is the impenetrable limit (ground 2.5, not the free oscillator's 1.5)
         report = verify_3d(ModelParams(1.0, g1_squared), k=6, offset=1.0,
                            n_per_axis=41, extent=5.5)
         assert report.checks[0].reference == pytest.approx(
             2.0 + math.sqrt(0.25 + g1_squared / 3.0), rel=1e-12)
-        assert len(report.checks) == 7
+        assert [(c.name, c.measured) for c in report.checks[1::2]] == [
+            ("grid3d-degeneracy[N=0]", 2.0), ("grid3d-degeneracy[N=1]", 4.0)]
+        assert len(report.checks) == 4
         assert report.passed
 
-    def test_closed_reference_doubles_by_sector(self):
-        report = verify_3d(P3, k=2, tol=5e-3, offset=1.0, n_per_axis=41, extent=5.0)
-        refs = [c.reference for c in report.checks if c.name.startswith("grid3d-level")]
-        assert refs[0] == refs[1]
+    @pytest.mark.parametrize("sector, count, failing", [
+        ((1, -1, 0), 2, "grid3d-level[N=1]"),       # its X1 <-> X3 partner lost
+        ((1, 1, 1), 4, "grid3d-degeneracy[N=0]"),   # a spurious partner
+    ])
+    def test_wrong_multiplicity_fails(self, monkeypatch, sector, count, failing):
+        monkeypatch.setattr(grid3d, "SECTORS", {**grid3d.SECTORS, sector: count})
+        report = verify_3d(P3, k=6, offset=1.0, n_per_axis=41, extent=5.5)
+        assert [c.name for c in report.checks if not c.passed] == [failing]
+
+    def test_tolerance_in_units_of_omega(self):
+        report = verify_3d(ModelParams(4.0, 3.0), k=2, tol=5e-3, offset=1.0,
+                           n_per_axis=41, extent=5.5)
+        assert report.checks[0].tolerance == 2e-2
+        assert report.checks[0].reference == pytest.approx(4 * (2 + math.sqrt(5) / 2))
+        assert report.passed
+
+    def test_k_must_cover_the_ground_class(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            verify_3d(P3, k=1, offset=1.0, n_per_axis=16, extent=5.0)
 
 
 class TestMonotoneCoupling:
