@@ -5,7 +5,9 @@ symmetries of the grid, so agreement with the closed forms is a genuine
 three-dimensional cross-check.  The barrier splits space into two mirror
 half-spaces, so the grid holds X2 > 0 behind a Dirichlet plane at X2 = 0.
 Each level is solved once and carries its multiplicity: 2 for the mirror
-half-space, 4 for the X1 <-> X3 image pair of the N = 1 class.
+half-space, 4 for the X1 <-> X3 image pair of the N = 1 class.  The two
+grids share the extent, so they are extrapolated at their spacing ratio,
+as `verify 3d` does.
 
 Run:  python demos/grid3d_check.py      (a few seconds)
 """
@@ -18,9 +20,12 @@ def main() -> None:
     exact_ground = 2.0 + delta_constant(params)
     k = 6
 
-    fine = solve_hd_3d(params, 61, 7.0, k=k)
-    coarse = solve_hd_3d(params, 30, 7.0, k=k)
-    extrap = richardson(coarse.eigenvalues, fine.eigenvalues)
+    n_fine, n_coarse, extent = 61, 30, 7.0
+    fine = solve_hd_3d(params, n_fine, extent, k=k)
+    coarse = solve_hd_3d(params, n_coarse, extent, k=k)
+    # a grid's spacing is extent / (n // 2 + 1): the ratio is 31/16, not 2
+    ratio = (n_fine // 2 + 1) / (n_coarse // 2 + 1)
+    extrap = richardson(coarse.eigenvalues, fine.eigenvalues, ratio)
 
     print(f"closed-form ground: {exact_ground:.6f}; "
           f"the lowest {k} states in {len(fine.eigenvalues)} levels\n")

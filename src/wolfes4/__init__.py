@@ -56,7 +56,7 @@ from .numsolve import (
     solve_channel,
     solve_channel_extrapolated,
 )
-from .grid3d import AxisLayout, lanczos_lowest, solve_hd_3d
+from .grid3d import lanczos_lowest, solve_hd_3d
 from .verify import (
     CheckEntry,
     ResolutionError,

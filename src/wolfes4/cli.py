@@ -14,7 +14,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from numpy.linalg import LinAlgError
 
@@ -26,7 +26,9 @@ from .model import (
 )
 from .numsolve import ConvergenceError
 from .verify import (
+    GRID3D_EXTENT_RANGE,
     RESOLUTION_LEVELS,
+    STANDARD_SWEEP,
     ResolutionError,
     VerificationReport,
     bk_audit,
@@ -82,10 +84,13 @@ class RunConfig:
                              f"got {self.max_quanta}")
         if self.grid_points is not None and self.grid_points < 3:
             raise ValueError("grid-points must be at least 3")
-        if self.domain_extent is not None and self.domain_extent <= 0:
-            raise ValueError("domain-extent must be positive")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+        low, high = GRID3D_EXTENT_RANGE
+        if self.domain_extent is not None and not low <= self.domain_extent <= high:
+            raise ValueError(f"domain-extent must lie in [{low:g}, {high:g}], "
+                             f"got {self.domain_extent:g}")
+        # in units of omega: at 1 a level would pass for its neighbour class
+        if self.tol is not None and not 0 < self.tol < 1:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
         if self.sector_multiplicity not in (1, 2):
             raise ValueError("sector-mult must be 1 or 2")
         if self.format not in ("json", "csv"):
@@ -428,7 +433,7 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
             "the standard sweep spans g1sq in {0, 1, 3, 7.5}\n")
         params_list = [config.params]
     else:
-        params_list = None
+        params_list = [replace(config.params, g1_squared=g) for g in STANDARD_SWEEP]
     try:
         offset, rule, report = resolve_formula_offsets(
             params_list, **_given(tol=config.tol, n_points=config.grid_points))

@@ -7,15 +7,16 @@ This is the route that never uses separability: the full operator
 
 is discretized with the 7-point stencil.  The barrier makes the particles
 impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
-images, so the grid holds X2 > 0 only, the positive nodes j * h of the X1/X3
-axis behind a Dirichlet plane at X2 = 0, and every level counts twice.  The
+images, so the grid holds X2 > 0 only: one spacing h on every axis, the
+nodes j * h with |j| <= n_half on X1 and X3 and 1 <= j <= n_half on X2,
+behind a Dirichlet plane at X2 = 0, and every level counts twice.  The
 barrier diagonal is that of the 1D channels (numsolve.inverse_square_diag),
 which keeps the grid second order at every g1^2; g1^2 = 0 is the
 impenetrable limit.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
-each solved by a matrix-free thick-restart Lanczos iteration with full
+each solved once by a matrix-free thick-restart Lanczos iteration with full
 reorthogonalization.  The split is needed for correctness as well as speed:
 a single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
@@ -24,7 +25,6 @@ degenerate partners are found only in different sectors or by multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,37 +33,11 @@ from scipy.linalg import eigh
 from .model import ModelParams
 from .numsolve import ConvergenceError, EigenResult, inverse_square_diag
 
-#: Smallest and largest requested points per axis.  At the largest, the
-#: biggest sector has ~220k unknowns and its Lanczos basis takes ~45 MB
-#: (`verify 3d` peaks near 150 MB); it admits a halving of the 61-point default.
+#: Points per axis that verify_3d accepts; solve_hd_3d takes any count up to
+#: the largest, where the biggest sector has ~220k unknowns and its Lanczos
+#: basis takes ~45 MB (`verify 3d` peaks near 150 MB).
 MIN_POINTS_PER_AXIS = 16
 MAX_POINTS_PER_AXIS = 121
-
-
-@dataclass(frozen=True)
-class AxisLayout:
-    """Node count and spacing for a requested resolution.
-
-    X1 and X3 carry n_sym (odd) node-centered nodes including 0; X2 carries
-    their (n_sym - 1) / 2 positive nodes.  One spacing serves every axis.
-    """
-
-    n_sym: int
-    h_sym: float
-    extent: float
-
-    @classmethod
-    def for_resolution(cls, n_per_axis: int, extent: float) -> "AxisLayout":
-        if not MIN_POINTS_PER_AXIS <= n_per_axis <= MAX_POINTS_PER_AXIS:
-            raise ValueError(f"n_per_axis must lie in [{MIN_POINTS_PER_AXIS}, "
-                             f"{MAX_POINTS_PER_AXIS}], got {n_per_axis}")
-        if not (extent > 0):
-            raise ValueError("extent must be positive")
-        n_sym = n_per_axis if n_per_axis % 2 == 1 else n_per_axis + 1
-        return cls(n_sym=n_sym, h_sym=2.0 * extent / (n_sym + 1), extent=extent)
-
-    def nodes_sym(self) -> np.ndarray:
-        return -self.extent + self.h_sym * np.arange(1, self.n_sym + 1)
 
 
 #: Sectors in solve order: parities (+1 even, -1 odd) under X1 -> -X1, X3 -> -X3
@@ -71,11 +45,9 @@ class AxisLayout:
 #: level stands for: 2 (X2 mirror), 4 for (1, -1, 0) and its image (-1, 1, 0).
 SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, -1): 2}
 
-#: Lanczos basis size of a sector solve.  16-30 measured alike at 41 points
-#: per axis; 16 came near the restart cap at 81.
+#: Lanczos basis size of a sector solve, unless its levels need more room.
+#: 16-30 measured alike at 41 points per axis; 16 came near the restart cap at 81.
 SECTOR_KRYLOV_DIM = 24
-#: Thick restarts a sector solve may take before it raises ConvergenceError.
-SECTOR_MAX_RESTARTS = 40
 
 #: Largest g1^2 the grid takes, below the CLI's range until the X2 window
 #: follows the barrier: g1^2 / (6 h^2) at the first X2 node widens the
@@ -86,17 +58,16 @@ MAX_G1_SQUARED = 1000.0
 _SQRT2 = math.sqrt(2.0)
 
 
-def _sector_axis(nodes: np.ndarray, h: float, parity: int):
+def _sector_axis(n_half: int, h: float, parity: int):
     """One axis of a reflection sector: kept nodes and the axis kinetic matrix.
 
-    The kept nodes are x >= 0 in the orthonormal basis (delta_x +/- delta_-x)
-    / sqrt(2), with delta_0 alone for an even function.  The x = 0 node
-    couples to x = h by sqrt(2) times the stencil weight (even), or is
-    dropped, which leaves a Dirichlet boundary (odd).
+    The kept nodes are j * h, j <= n_half, in the orthonormal basis
+    (delta_x +/- delta_-x) / sqrt(2), with delta_0 alone for an even
+    function.  The x = 0 node couples to x = h by sqrt(2) times the stencil
+    weight (even), or is dropped, which leaves a Dirichlet boundary (odd).
     """
     c = -0.5 / h**2
-    half = len(nodes) // 2
-    x = nodes[half + 1:] if parity < 0 else nodes[half:]
+    x = h * np.arange(0 if parity > 0 else 1, n_half + 1)
     links = np.full(len(x) - 1, c)
     kinetic = np.diag(np.full(len(x), 1.0 / h**2)) + np.diag(links, 1) + np.diag(links, -1)
     if parity > 0:
@@ -104,18 +75,17 @@ def _sector_axis(nodes: np.ndarray, h: float, parity: int):
     return x, kinetic
 
 
-def _build_operator(params: ModelParams, layout: AxisLayout, sector: tuple):
+def _build_operator(params: ModelParams, n_half: int, h: float, sector: tuple):
     """Matrix-free symmetric operator of one sector of SECTORS, and its size.
 
     The 7-point stencil is applied axis by axis, each axis's tridiagonal
     kinetic matrix along its own axis; X2 is kept as an odd axis is.
     """
     p1, p3, swap = sector
-    nodes, h = layout.nodes_sym(), layout.h_sym
-    x1, k1 = _sector_axis(nodes, h, p1)
-    x2, k2 = _sector_axis(nodes, h, -1)
-    x3, k3 = _sector_axis(nodes, h, p3)
-    barrier = inverse_square_diag(np.arange(1, len(x2) + 1), params.g1_squared / 6.0,
+    x1, k1 = _sector_axis(n_half, h, p1)
+    x2, k2 = _sector_axis(n_half, h, -1)
+    x3, k3 = _sector_axis(n_half, h, p3)
+    barrier = inverse_square_diag(np.arange(1, n_half + 1), params.g1_squared / 6.0,
                                   0.5, h)
     pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
                                     + x3[None, None, :] ** 2)
@@ -156,7 +126,7 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
-                   krylov_dim: int = 90, max_restarts: int = 40,
+                   krylov_dim: int = SECTOR_KRYLOV_DIM, max_restarts: int = 40,
                    tol: float = 1e-8, history: list | None = None):
     """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
@@ -222,46 +192,39 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                 tol: float = 1e-8) -> EigenResult:
     """Lowest levels of the relative-motion operator on the 3D grid, each once.
 
-    ``n_per_axis`` is rounded up to an odd count on X1 and X3; X2 holds
-    their positive half (see AxisLayout).  Eigenvalues converge at O(h^2),
-    so a run paired with one at half resolution can be extrapolated.
+    The grid has spacing h = extent / (n_half + 1), n_half = n_per_axis // 2:
+    X1 and X3 carry the 2 n_half + 1 nodes j * h, |j| <= n_half, X2 the
+    n_half with j >= 1.  Eigenvalues converge at O(h^2), so a run paired
+    with one on a coarser grid over the same extent can be extrapolated.
 
-    Returns the fewest levels whose ``multiplicities`` (from SECTORS) cover
-    the lowest k states.  A sector whose levels, all below the k-th state,
-    cover fewer than k states alone is asked again for twice as many.
-    ``residual_bound`` is the largest residual of any sector.  Raises
-    ValueError when g1^2 exceeds MAX_G1_SQUARED.
+    Each sector of SECTORS is solved once for ceil(k / m) levels, m its
+    multiplicity, which is enough for it to hold its part of the lowest k
+    states; the fewest merged levels whose ``multiplicities`` cover them are
+    returned.  ``residual_bound`` is the largest residual of any sector.
+    Raises ValueError when n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2
+    exceeds MAX_G1_SQUARED.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if n_per_axis > MAX_POINTS_PER_AXIS:
+        raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
+                         f"got {n_per_axis}")
     if params.g1_squared > MAX_G1_SQUARED:
         raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
-    layout = AxisLayout.for_resolution(n_per_axis, extent)
-    most = {s: -(-k // m) for s, m in SECTORS.items()}
-    # two values per sector to start measured fastest at k = 6
-    wanted = {s: min(most[s], 2) for s in SECTORS}
-    solved: dict = {}
-    while True:
-        for sector in SECTORS:
-            if sector in solved and len(solved[sector][0]) >= wanted[sector]:
-                continue
-            matvec, n = _build_operator(params, layout, sector)
-            # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
-            solved[sector] = lanczos_lowest(
-                matvec, n, wanted[sector],
-                krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted[sector] + 10),
-                max_restarts=SECTOR_MAX_RESTARTS, tol=tol)
-        vals = np.concatenate([solved[s][0] for s in SECTORS])
-        mults = np.concatenate([np.full(len(solved[s][0]), m) for s, m in SECTORS.items()])
-        # near-degenerate pairs may come back equal to rounding; order ties stably
-        order = np.argsort(vals, kind="stable")
-        order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-        kth = vals[order[-1]] if mults[order].sum() >= k else np.inf
-        short = [s for s in SECTORS
-                 if len(solved[s][0]) < most[s] and solved[s][0][-1] < kth]
-        if not short:
-            break
-        wanted.update({s: min(most[s], 2 * wanted[s]) for s in short})
+    n_half = n_per_axis // 2
+    h = extent / (n_half + 1)
+    solved = []
+    for sector, m in SECTORS.items():
+        matvec, n = _build_operator(params, n_half, h, sector)
+        wanted = -(-k // m)
+        # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
+        solved.append(lanczos_lowest(matvec, n, wanted, tol=tol,
+                                     krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10)))
+    vals = np.concatenate([v for v, _ in solved])
+    mults = np.concatenate([np.full(len(v), m) for (v, _), m in zip(solved, SECTORS.values())])
+    # near-degenerate pairs may come back equal to rounding; order ties stably
+    order = np.argsort(vals, kind="stable")
+    order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
     return EigenResult(eigenvalues=vals[order], eigenvectors=None,
-                       residual_bound=float(max(np.max(solved[s][1]) for s in SECTORS)),
+                       residual_bound=float(max(np.max(r) for _, r in solved)),
                        multiplicities=mults[order])

@@ -331,9 +331,10 @@ def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int) -> G
     return Grid1D(0.0, math.pi, n_points)
 
 
-def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray):
-    """Cancel the leading O(h^2) error from values at spacings h and h/2."""
-    return (4.0 * e_half - e_h) / 3.0
+def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray, ratio: float = 2.0):
+    """Cancel the leading O(h^2) error from values at spacings h and h / ratio."""
+    r2 = ratio * ratio
+    return (r2 * e_half - e_h) / (r2 - 1.0)
 
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid3d import MIN_POINTS_PER_AXIS, solve_hd_3d
+from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS, solve_hd_3d
 from .model import (
     ModelParams,
     QuantumTriple,
@@ -53,6 +53,10 @@ STANDARD_RADIAL_KSQ = (2.0, 6.0)
 RESOLUTION_LEVELS = 6
 #: Bound on the Richardson-extrapolated 3D grid levels against the closed forms.
 GRID3D_TOL = 5e-3
+#: Admissible 3D box half-widths, in oscillator lengths 1/sqrt(omega): a box
+#: below 1 cuts into the ground state's Gaussian, and 100 is past any box
+#: the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
+GRID3D_EXTENT_RANGE = (1.0, 100.0)
 
 
 class ResolutionError(RuntimeError):
@@ -395,19 +399,29 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
-    Grid levels at the requested and half resolution are paired by position
-    and Richardson-extrapolated.  Each class (both mirror half-spaces) takes
-    grid levels until their multiplicities reach its degeneracy; every class
-    within the lowest k states checks its worst level and its degeneracy.
+    Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` points over the
+    same extent (in oscillator lengths) are paired by position and
+    Richardson-extrapolated at the pair's spacing ratio.  Each class (both
+    mirror half-spaces) takes grid levels until their multiplicities reach
+    its degeneracy; every class within the lowest k states checks its worst
+    level and its degeneracy.
     """
     if k < 2:
         raise ValueError("k must be at least 2, the states of the ground class")
+    if not MIN_POINTS_PER_AXIS <= n_per_axis <= MAX_POINTS_PER_AXIS:
+        raise ValueError(f"n_per_axis must lie in [{MIN_POINTS_PER_AXIS}, "
+                         f"{MAX_POINTS_PER_AXIS}], got {n_per_axis}")
+    low, high = GRID3D_EXTENT_RANGE
+    if not low <= extent <= high:
+        raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
     extent_eff = extent / math.sqrt(params.omega)
     fine = solve_hd_3d(params, n_per_axis, extent_eff, k)
-    coarse = solve_hd_3d(params, max(MIN_POINTS_PER_AXIS, n_per_axis // 2), extent_eff, k)
+    coarse = solve_hd_3d(params, n_per_axis // 2, extent_eff, k)
+    # spacings extent / (n_half + 1), n_half the half count of each grid
+    ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
     m = min(len(fine.eigenvalues), len(coarse.eigenvalues))
-    extrap = richardson(coarse.eigenvalues[:m], fine.eigenvalues[:m])
+    extrap = richardson(coarse.eigenvalues[:m], fine.eigenvalues[:m], ratio)
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
@@ -422,7 +436,8 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
         worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
         report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
                    f"worst of {i - first} levels: fine grid {fine.eigenvalues[worst]:.6f}, "
-                   f"coarse {coarse.eigenvalues[worst]:.6f}, Richardson pair")
+                   f"coarse {coarse.eigenvalues[worst]:.6f}, Richardson pair at "
+                   f"spacing ratio {ratio:.6g}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")
     return report

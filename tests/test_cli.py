@@ -174,6 +174,14 @@ class TestResolveCommand:
         assert "ambiguous or matched nothing" in err and "residuals" in err
         assert not (workdir / "resolved_constants.txt").exists()
 
+    def test_resolve_sweeps_at_the_configured_omega(self, workdir, capsys):
+        code, out, _ = run_cli(capsys, "resolve", "--omega", "2")
+        assert code == EXIT_PASS
+        anchor = next(c for c in json.loads(out)["checks"]
+                      if c["name"] == "sho-anchor[g1sq=0]")
+        assert anchor["reference"] == 3.0
+        assert anchor["measured"] == pytest.approx(3.0, abs=1e-4)
+
     def test_emits_discrepancy_table(self, workdir, capsys):
         _, out, _ = run_cli(capsys, "resolve")
         names = [c["name"] for c in json.loads(out)["checks"]]
@@ -210,6 +218,27 @@ class TestVerifyCommand:
         names = [c["name"] for c in payload["checks"]]
         assert names == ["grid3d-level[N=0]", "grid3d-degeneracy[N=0]",
                          "grid3d-level[N=1]", "grid3d-degeneracy[N=1]"]
+
+    def test_3d_coarsest_grid_completes(self, workdir, capsys):
+        # its Richardson partner has 8 points per axis, below the 16 a user may ask for
+        code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16")
+        assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
+        assert len(json.loads(out)["checks"]) == 4
+
+    @pytest.mark.parametrize("argv", [("jacobi", "--tol", "nan"), ("3d", "--tol", "inf"),
+                                      ("3d", "--domain-extent", "nan"),
+                                      ("3d", "--domain-extent", "1e-200"),
+                                      ("3d", "--domain-extent", "1e300")])
+    def test_unusable_setting_rejected_before_any_solve(self, workdir, capsys,
+                                                        monkeypatch, argv):
+        ran = []
+        for name in ("resolve_formula_offsets", "verify_jacobi_route", "verify_3d"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: ran.append(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy overflow warning fails the test
+            code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_USAGE and out == "" and ran == []
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_3d_settings_reach_every_leg_alike(self, workdir, capsys, monkeypatch):
         seen = []

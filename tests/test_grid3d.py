@@ -7,28 +7,34 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from wolfes4 import (
-    AxisLayout,
     ConvergenceError,
     ModelParams,
     lanczos_lowest,
+    richardson,
     solve_hd_3d,
+    verify_3d,
 )
 from wolfes4 import grid3d
-from wolfes4.grid3d import MAX_G1_SQUARED, SECTORS, _build_operator
+from wolfes4.grid3d import MAX_G1_SQUARED, SECTORS, _build_operator, _sector_axis
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
 
-def tensor_sum_oracle(params, layout, k):
+def spacing(n_per_axis, extent):
+    """The documented grid: n_half = n_per_axis // 2 nodes j * h per half-axis,
+    h = extent / (n_half + 1)."""
+    n_half = n_per_axis // 2
+    return n_half, extent / (n_half + 1)
+
+
+def tensor_sum_oracle(params, n_half, h, k):
     """The discrete operator is an exact Kronecker sum of 1D stencils, so its
     spectrum is the set of sums of 1D eigenvalues; the X2 axis is the
     half-line j*h, j >= 1, with the barrier as the exact-local-power diagonal
     that annihilates x^b up to g1^2 = 18 (b = 3) and sampled above, and each
     sum counts twice (X2 < 0 mirrors X2 > 0).  Assembled here from raw
     arrays; shares nothing with the Lanczos path."""
-    h = layout.h_sym
-    half = (layout.n_sym - 1) // 2
-    j = np.arange(1, half + 1, dtype=float)
+    j = np.arange(1, n_half + 1, dtype=float)
     b = 0.5 + np.sqrt(0.25 + params.g1_squared / 3.0)
     if params.g1_squared <= 18.0:
         barrier = 0.5 / h**2 * ((j + 1.0) ** b - 2.0 * j**b + (j - 1.0) ** b) / j**b
@@ -41,7 +47,7 @@ def tensor_sum_oracle(params, layout, k):
         return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                 select_range=(0, min(k, len(x) - 1)))
 
-    e_sym = axis_eigs(h * np.arange(-half, half + 1), 0.0)
+    e_sym = axis_eigs(h * np.arange(-n_half, n_half + 1), 0.0)
     e_half = axis_eigs(h * j, barrier)
     sums = (e_sym[:, None, None] + e_half[None, :, None] + e_sym[None, None, :])
     return np.sort(np.repeat(sums.ravel(), 2))[:k]
@@ -54,24 +60,29 @@ def states(res, k):
 
 class TestAxisLayout:
     def test_counts_and_parity(self):
-        lay = AxisLayout.for_resolution(61, 7.0)
-        assert lay.n_sym == 61 and lay.h_sym == pytest.approx(14.0 / 62)
-        lay = AxisLayout.for_resolution(60, 7.0)
-        assert lay.n_sym == 61 and lay.h_sym == pytest.approx(14.0 / 62)
+        # an even count makes the grid of the next odd one
+        assert np.array_equal(solve_hd_3d(P, 20, 5.0, k=2).eigenvalues,
+                              solve_hd_3d(P, 21, 5.0, k=2).eigenvalues)
+        n_half, h = spacing(61, 7.0)
+        assert (n_half, h) == (30, 7.0 / 31)
+        even, _ = _sector_axis(n_half, h, 1)
+        odd, kinetic = _sector_axis(n_half, h, -1)
+        assert len(even) == n_half + 1 and len(odd) == kinetic.shape[0] == n_half
+        assert odd[0] == h and odd[-1] + h == pytest.approx(7.0)  # walls at 0 and the extent
 
     def test_sym_axis_contains_origin(self):
-        lay = AxisLayout.for_resolution(21, 5.0)
-        x = lay.nodes_sym()
-        assert np.min(np.abs(x)) == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(x, -x[::-1])
+        # an even axis keeps x = 0, coupled to x = h by sqrt(2) times the stencil
+        n_half, h = spacing(21, 5.0)
+        x, kinetic = _sector_axis(n_half, h, 1)
+        assert x[0] == 0.0 and x[1] == h
+        assert kinetic[0, 1] == kinetic[1, 0] == pytest.approx(-np.sqrt(2.0) * 0.5 / h**2)
 
     def test_x2_axis_is_the_positive_half_space(self):
         # X2 keeps the nodes j*h, j >= 1, behind a Dirichlet plane at X2 = 0:
         # at g1^2 = 0 the operator's diagonal along X2 at X1 = 0, X3 = h
         # (sector X1 even, X3 odd) reads 3/h^2 + (x2^2 + h^2)/2
-        lay = AxisLayout.for_resolution(21, 5.0)
-        h = lay.h_sym
-        matvec, n = _build_operator(ModelParams(1.0, 0.0), lay, (1, -1, 0))
+        n_half, h = spacing(21, 5.0)
+        matvec, n = _build_operator(ModelParams(1.0, 0.0), n_half, h, (1, -1, 0))
         shape = (11, 10, 10)
         assert n == np.prod(shape)
         diag = []
@@ -83,17 +94,18 @@ class TestAxisLayout:
         assert x2 == pytest.approx(h * np.arange(1, 11), abs=1e-12)
 
     def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            AxisLayout.for_resolution(15, 5.0)
-        with pytest.raises(ValueError):
-            AxisLayout.for_resolution(30, -1.0)
+        # verify_3d bounds the points and the box; solve_hd_3d bounds its work
+        for n_per_axis, extent in ((15, 5.0), (122, 5.0), (30, -1.0), (30, float("nan"))):
+            with pytest.raises(ValueError, match="must lie in"):
+                verify_3d(P, k=2, offset=1.0, n_per_axis=n_per_axis, extent=extent)
+        with pytest.raises(ValueError, match="at most 121"):
+            solve_hd_3d(P, 122, 5.0, k=1)
 
 
 class TestSolver:
     def test_matches_tensor_sum_oracle(self):
-        lay = AxisLayout.for_resolution(16, 5.0)
         res = solve_hd_3d(P, 16, 5.0, k=5, tol=1e-9)
-        oracle = tensor_sum_oracle(P, lay, 5)
+        oracle = tensor_sum_oracle(P, *spacing(16, 5.0), 5)
         assert states(res, 5) == pytest.approx(oracle, abs=1e-8)
 
     def test_each_level_once_with_its_multiplicity(self):
@@ -147,7 +159,7 @@ class TestSolver:
         # states 2-5 are two exactly degenerate X1 <-> X3 image pairs
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 41, 5.5, k=6)
-        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(41, 5.5), 6)
+        oracle = tensor_sum_oracle(params, *spacing(41, 5.5), 6)
         assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("g1_squared", [0.3, 3.0])
@@ -161,16 +173,17 @@ class TestSolver:
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 20, 5.0, k=12)
-        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(20, 5.0), 12)
+        oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 12)
         assert states(res, 12) == pytest.approx(oracle, abs=1e-10)
-        assert len(asked) > len(SECTORS)  # some sector was asked for more
+        # one solve per sector, each for its share of the 12 states
+        assert asked == [-(-12 // m) for m in SECTORS.values()]
 
     @settings(max_examples=10, deadline=None)
     @given(g1_squared=st.floats(0.0, 40.0), n_per_axis=st.integers(16, 22))
     def test_matches_tensor_sum_oracle_anywhere(self, g1_squared, n_per_axis):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, n_per_axis, 5.0, k=6)
-        oracle = tensor_sum_oracle(params, AxisLayout.for_resolution(n_per_axis, 5.0), 6)
+        oracle = tensor_sum_oracle(params, *spacing(n_per_axis, 5.0), 6)
         assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_k(self):
@@ -183,27 +196,46 @@ class TestSolver:
             solve_hd_3d(ModelParams(1.0, 1e300), 16, 5.0, k=1)
 
 
+class TestRichardsonPair:
+    @pytest.mark.parametrize("n_per_axis", [16, 24, 41])
+    def test_levels_extrapolate_the_oracle_pair(self, n_per_axis):
+        # verify_3d pairs the grid with n_per_axis // 2 points on the same
+        # extent; its level entries must be the extrapolation of the two
+        # oracle spectra at their spacing ratio (1.8, 1.44 and 1.909 here)
+        extent = 5.0
+        n_fine, h_fine = spacing(n_per_axis, extent)
+        n_coarse, h_coarse = spacing(n_per_axis // 2, extent)
+        fine = tensor_sum_oracle(P, n_fine, h_fine, 6)
+        coarse = tensor_sum_oracle(P, n_coarse, h_coarse, 6)
+        expected = richardson(coarse, fine, h_coarse / h_fine)
+        report = verify_3d(P, k=6, offset=1.0, n_per_axis=n_per_axis, extent=extent)
+        levels = [c.measured for c in report.checks if c.name.startswith("grid3d-level")]
+        # the ground class is state 0, the N = 1 class the image quartet 2-5
+        assert levels == pytest.approx(expected[[0, 2]], abs=1e-8)
+        assert expected[2:6] == pytest.approx(expected[2], abs=1e-8)
+
+
 class TestSectors:
     def test_sectors_partition_the_grid(self):
         # counted by multiplicity over the two mirror half-spaces, the sectors
         # hold every full-grid unknown once
-        lay = AxisLayout.for_resolution(21, 5.0)
-        sizes = [_build_operator(P, lay, sector)[1] for sector in SECTORS]
-        full = lay.n_sym * (lay.n_sym - 1) * lay.n_sym
+        n_half, h = spacing(21, 5.0)
+        sizes = [_build_operator(P, n_half, h, sector)[1] for sector in SECTORS]
+        n_sym = 2 * n_half + 1
+        full = n_sym * (n_sym - 1) * n_sym
         assert sum(n * m for n, m in zip(sizes, SECTORS.values())) == full
         assert max(sizes) < 0.26 * full / 2
 
     def test_sector_operators_are_symmetric(self):
-        lay = AxisLayout.for_resolution(16, 5.0)
         for sector in SECTORS:
-            matvec, n = _build_operator(P, lay, sector)
+            matvec, n = _build_operator(P, *spacing(16, 5.0), sector)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
             assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
-        matvec, n = _build_operator(P, AxisLayout.for_resolution(20, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P, *spacing(20, 5.0), (1, 1, 1))
         history: list = []
         lanczos_lowest(matvec, n, k=1, krylov_dim=12, max_restarts=200,
                        tol=1e-10, history=history)
@@ -211,7 +243,7 @@ class TestLanczos:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_nonconvergence_reports_residuals(self):
-        matvec, n = _build_operator(P, AxisLayout.for_resolution(24, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P, *spacing(24, 5.0), (1, 1, 1))
         with pytest.raises(ConvergenceError) as err:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None

@@ -215,6 +215,10 @@ class TestChannels:
 class TestRichardson:
     def test_arithmetic(self):
         assert richardson(0.51, 0.5025) == pytest.approx(0.5)
+        # any spacing ratio r: values at h and h / r; r = 2 is the old formula exactly
+        r = 1.9375
+        assert richardson(0.5 + 0.01 * r**2, 0.51, r) == pytest.approx(0.5, abs=1e-15)
+        assert richardson(0.51, 0.5025, 2.0) == (4.0 * 0.5025 - 0.51) / 3.0
 
     def test_fixed_point(self):
         assert richardson(1.234, 1.234) == pytest.approx(1.234)
