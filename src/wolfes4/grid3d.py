@@ -20,6 +20,9 @@ each solved once by a matrix-free thick-restart Lanczos iteration with full
 reorthogonalization.  The split is needed for correctness as well as speed:
 a single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
+Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
+sparse plane kinetic matrix beside the tridiagonal X2 axis.  The grid is
+solved in units of omega, where the operator's scale does not depend on it.
 """
 
 from __future__ import annotations
@@ -75,46 +78,66 @@ def _sector_axis(n_half: int, h: float, parity: int):
     return x, kinetic
 
 
-def _build_operator(params: ModelParams, n_half: int, h: float, sector: tuple):
-    """Matrix-free symmetric operator of one sector of SECTORS, and its size.
+def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple):
+    """Matrix-free symmetric operator of one sector of SECTORS at omega = 1, and its size.
 
-    The 7-point stencil is applied axis by axis, each axis's tridiagonal
-    kinetic matrix along its own axis; X2 is kept as an odd axis is.
+    The unknowns are the sector's (X1, X3) plane states by the X2 nodes,
+    U = u.reshape(n_plane, n2), and the operator is pot * U + plane @ U + U @ k2.
+    A plane state is a box node (i, j) alone or, in a mirror sector, the pair
+    i >= j (i > j when odd) of (i, j) and (j, i); P maps box nodes to plane
+    states (1 on the diagonal, 1/sqrt(2) below it, swap/sqrt(2) above it), and
+    ``plane`` = P^T (k1 (+) k3) P is the 5-point stencil in that basis, sparse.
+    Entries of nodes outside the sector (the diagonal, when odd) have weight 0
+    and are dropped.  ``pot`` is the 3D potential at each state's node (i, j);
+    X2 is kept as an odd axis is.
     """
+    # imported here: only the 3D route needs scipy.sparse (~19 ms, ~2 MB at import)
+    from scipy.sparse import csr_matrix
+
     p1, p3, swap = sector
     x1, k1 = _sector_axis(n_half, h, p1)
     x2, k2 = _sector_axis(n_half, h, -1)
     x3, k3 = _sector_axis(n_half, h, p3)
-    barrier = inverse_square_diag(np.arange(1, n_half + 1), params.g1_squared / 6.0,
-                                  0.5, h)
-    pot = (0.5 * params.omega**2 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2
-                                    + x3[None, None, :] ** 2)
+    n1, n3 = len(x1), len(x3)
+    barrier = inverse_square_diag(np.arange(1, n_half + 1), g1_squared / 6.0, 0.5, h)
+    pot = (0.5 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2 + x3[None, None, :] ** 2)
            + barrier[None, :, None])
+
+    # k1 (+) k3 on the box nodes (i, j), index i * n3 + j, as COO entries
+    r1, c1 = np.nonzero(k1)
+    r3, c3 = np.nonzero(k3)
+    rows = np.concatenate([np.add.outer(r1 * n3, np.arange(n3)).ravel(),
+                           np.add.outer(np.arange(n1) * n3, r3).ravel()])
+    cols = np.concatenate([np.add.outer(c1 * n3, np.arange(n3)).ravel(),
+                           np.add.outer(np.arange(n1) * n3, c3).ravel()])
+    vals = np.concatenate([np.repeat(k1[r1, c1], n3), np.tile(k3[r3, c3], n1)])
+    # P: each box node's plane state and weight, 0 off the sector
+    state = np.zeros((n1, n3), dtype=np.intp)
+    if swap:
+        i, j = np.tril_indices(n1, 0 if swap > 0 else -1)
+        state[i, j] = state[j, i] = np.arange(i.size)
+        below = np.tri(n1, k=-1) / _SQRT2
+        weight = below + swap * below.T + (swap > 0) * np.eye(n1)
+    else:
+        i, j = np.indices((n1, n3)).reshape(2, -1)
+        state[i, j] = np.arange(i.size)
+        weight = np.ones((n1, n3))
+    state, weight = state.ravel(), weight.ravel()
+    vals = weight[rows] * weight[cols] * vals
+    keep = vals != 0.0
+    plane = csr_matrix((vals[keep], (state[rows[keep]], state[cols[keep]])),
+                       shape=(i.size, i.size))
+    pot = pot[i, :, j]
     shape = pot.shape
 
-    def stencil(u: np.ndarray) -> np.ndarray:
-        u = u.reshape(shape)
-        y = pot * u
-        y += (k1 @ u.reshape(shape[0], -1)).reshape(shape)
-        y += k2 @ u
-        y += u @ k3
-        return y
-
-    if not swap:
-        return (lambda u: stencil(u).ravel()), pot.size
-
-    # X1 <-> X3 mirror basis: index pairs i >= j (i > j when odd) and their norms
-    i, j = np.tril_indices(shape[0], 0 if swap > 0 else -1)
-    norm = np.where(i == j, 1.0, _SQRT2)[:, None]
-
     def matvec(u: np.ndarray) -> np.ndarray:
-        c = u.reshape(i.size, shape[1]) / norm
-        full = np.zeros(shape)
-        full[i, :, j] = c
-        full[j, :, i] = swap * c
-        return (stencil(full)[i, :, j] * norm).ravel()
+        U = u.reshape(shape)
+        y = plane @ U
+        y += pot * U
+        y += U @ k2
+        return y.ravel()
 
-    return matvec, i.size * shape[1]
+    return matvec, pot.size
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -130,11 +153,15 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    tol: float = 1e-8, history: list | None = None):
     """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
-    Thick-restart Lanczos with full reorthogonalization, deterministic, with
-    at most krylov_dim * max_restarts matrix applications; raises
-    ConvergenceError with the residuals beyond them.  A ``history`` list gets
-    the lowest Ritz value of each restart cycle, non-increasing by the
-    variational principle.
+    Thick-restart Lanczos, deterministic, with at most krylov_dim *
+    max_restarts matrix applications; raises ConvergenceError with the
+    residuals beyond them.  Each step subtracts the three-term part (the
+    previous vector, or the locked Ritz vectors on the first step after a
+    restart, and the current one) and then makes one full reorthogonalization
+    pass against the basis.  A step that closes an invariant subspace goes on
+    from a deterministic refill vector, with no link to it in T.  A
+    ``history`` list gets the lowest Ritz value of each restart cycle,
+    non-increasing by the variational principle.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
@@ -155,16 +182,22 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
         beta = 0.0
         for j in range(n_locked, m):
             w = matvec(V[j])
-            T[j, j] = float(w @ V[j])
-            for _pass in range(2):  # full reorthogonalization, two passes
-                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+            alpha = T[j, j] = float(w @ V[j])
+            if j == n_locked:
+                w -= locked_links @ V[:n_locked]
+            else:
+                w -= beta * V[j - 1]
+            w -= alpha * V[j]
+            w -= V[: j + 1].T @ (V[: j + 1] @ w)
             beta = float(np.linalg.norm(w))
             if beta < 1e-12:
                 # Krylov space exhausted an invariant subspace; deterministic refill
                 w = np.cos(0.7 * np.arange(n, dtype=float) + j)
                 w -= V[: j + 1].T @ (V[: j + 1] @ w)
-                beta = float(np.linalg.norm(w))
-            V[j + 1] = w / beta
+                V[j + 1] = w / np.linalg.norm(w)
+                beta = 0.0
+            else:
+                V[j + 1] = w / beta
             if j + 1 < m:
                 T[j, j + 1] = T[j + 1, j] = beta
         theta, S = eigh(T)
@@ -201,6 +234,8 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     multiplicity, which is enough for it to hold its part of the lowest k
     states; the fewest merged levels whose ``multiplicities`` cover them are
     returned.  ``residual_bound`` is the largest residual of any sector.
+    The sectors are solved in units of omega, where the absolute breakdown
+    and convergence thresholds of lanczos_lowest mean the same at every omega.
     Raises ValueError when n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2
     exceeds MAX_G1_SQUARED.
     """
@@ -212,10 +247,11 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     if params.g1_squared > MAX_G1_SQUARED:
         raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
     n_half = n_per_axis // 2
-    h = extent / (n_half + 1)
+    # on the grid H(omega; h) = omega H(1; h sqrt(omega)): solve in units of omega
+    h = extent / (n_half + 1) * math.sqrt(params.omega)
     solved = []
     for sector, m in SECTORS.items():
-        matvec, n = _build_operator(params, n_half, h, sector)
+        matvec, n = _build_operator(params.g1_squared, n_half, h, sector)
         wanted = -(-k // m)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
         solved.append(lanczos_lowest(matvec, n, wanted, tol=tol,
@@ -225,6 +261,6 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     # near-degenerate pairs may come back equal to rounding; order ties stably
     order = np.argsort(vals, kind="stable")
     order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-    return EigenResult(eigenvalues=vals[order], eigenvectors=None,
-                       residual_bound=float(max(np.max(r) for _, r in solved)),
+    return EigenResult(eigenvalues=params.omega * vals[order], eigenvectors=None,
+                       residual_bound=params.omega * float(max(np.max(r) for _, r in solved)),
                        multiplicities=mults[order])

@@ -408,6 +408,22 @@ class TestExitCodes:
         # the least value runs: too coarse to pass, but no usage error
         assert main([*argv, "--grid-points", str(least)]) != EXIT_USAGE
 
+    def test_cli_import_leaves_scipy_sparse_out(self):
+        # only the 3D grid needs scipy.sparse; resolve, spectrum and the 1D
+        # routes must not pay for its import
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wolfes4.cli; assert 'scipy.sparse' not in sys.modules"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+
     def test_module_entry_point(self, workdir):
         import subprocess
         import sys

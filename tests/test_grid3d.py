@@ -78,19 +78,22 @@ class TestAxisLayout:
         assert kinetic[0, 1] == kinetic[1, 0] == pytest.approx(-np.sqrt(2.0) * 0.5 / h**2)
 
     def test_x2_axis_is_the_positive_half_space(self):
-        # X2 keeps the nodes j*h, j >= 1, behind a Dirichlet plane at X2 = 0:
-        # at g1^2 = 0 the operator's diagonal along X2 at X1 = 0, X3 = h
-        # (sector X1 even, X3 odd) reads 3/h^2 + (x2^2 + h^2)/2
+        # X2 keeps the nodes j*h, j >= 1, behind a Dirichlet plane at X2 = 0,
+        # and runs fastest: u.reshape(n_plane, n2).  In sector (1, -1, 0) the
+        # plane state (i, j) is X1 = i*h, X3 = (j + 1)*h at index i * n3 + j;
+        # at g1^2 = 0 the diagonal along X2 at X1 = h, X3 = 2h reads
+        # 3/h^2 + (x2^2 + 5 h^2)/2, which no walk along X1 or X3 gives
         n_half, h = spacing(21, 5.0)
-        matvec, n = _build_operator(ModelParams(1.0, 0.0), n_half, h, (1, -1, 0))
-        shape = (11, 10, 10)
-        assert n == np.prod(shape)
+        matvec, n = _build_operator(0.0, n_half, h, (1, -1, 0))
+        n1, n2, n3 = 11, 10, 10
+        assert n == n1 * n3 * n2
+        row = (1 * n3 + 1) * n2
         diag = []
-        for jj in range(shape[1]):
+        for jj in range(n2):
             e = np.zeros(n)
-            e[np.ravel_multi_index((0, jj, 0), shape)] = 1.0
+            e[row + jj] = 1.0
             diag.append(matvec(e) @ e)
-        x2 = np.sqrt(2.0 * (np.array(diag) - 3.0 / h**2) - h**2)
+        x2 = np.sqrt(2.0 * (np.array(diag) - 3.0 / h**2) - 5.0 * h**2)
         assert x2 == pytest.approx(h * np.arange(1, 11), abs=1e-12)
 
     def test_too_small_rejected(self):
@@ -220,22 +223,82 @@ class TestSectors:
         # counted by multiplicity over the two mirror half-spaces, the sectors
         # hold every full-grid unknown once
         n_half, h = spacing(21, 5.0)
-        sizes = [_build_operator(P, n_half, h, sector)[1] for sector in SECTORS]
+        sizes = [_build_operator(P.g1_squared, n_half, h, sector)[1] for sector in SECTORS]
         n_sym = 2 * n_half + 1
         full = n_sym * (n_sym - 1) * n_sym
         assert sum(n * m for n, m in zip(sizes, SECTORS.values())) == full
         assert max(sizes) < 0.26 * full / 2
 
+    @pytest.mark.parametrize("g1_squared", [3.0, 100.0])
+    def test_sector_operators_match_the_projected_stencil(self, g1_squared):
+        # each sector's operator is B^T S B: S the 7-point stencil of the whole
+        # half-space box, assembled densely here from raw arrays, B the
+        # sector's orthonormal D4 basis in its unknown order (plane states in
+        # row-major order, i >= j for a mirror pair, then the X2 nodes)
+        n_half, h = spacing(16, 5.0)
+        n_sym, n2 = 2 * n_half + 1, n_half
+        x = h * np.arange(-n_half, n_half + 1)
+        x2 = h * np.arange(1, n_half + 1)
+
+        def kinetic(m):
+            return (np.diag(np.full(m, 1.0 / h**2)) + np.diag(np.full(m - 1, -0.5 / h**2), 1)
+                    + np.diag(np.full(m - 1, -0.5 / h**2), -1))
+
+        j = np.arange(1, n_half + 1, dtype=float)
+        b = 0.5 + np.sqrt(0.25 + g1_squared / 3.0)
+        if g1_squared <= 18.0:
+            barrier = 0.5 / h**2 * ((j + 1.0) ** b - 2.0 * j**b + (j - 1.0) ** b) / j**b
+        else:
+            barrier = g1_squared / (6.0 * x2**2)
+        pot = (0.5 * (x[:, None, None] ** 2 + x2[None, :, None] ** 2 + x[None, None, :] ** 2)
+               + barrier[None, :, None])
+        S = np.diag(pot.ravel())
+        S += np.kron(kinetic(n_sym), np.eye(n2 * n_sym))
+        S += np.kron(np.kron(np.eye(n_sym), kinetic(n2)), np.eye(n_sym))
+        S += np.kron(np.eye(n_sym * n2), kinetic(n_sym))
+
+        def axis_basis(parity):
+            # columns (delta_a + parity delta_-a)/sqrt(2), delta_0 alone if even
+            cols = []
+            for a in range(0 if parity > 0 else 1, n_half + 1):
+                f = np.zeros(n_sym)
+                f[n_half + a] += 1.0
+                f[n_half - a] += parity
+                cols.append(f / np.linalg.norm(f))
+            return cols
+
+        for sector in SECTORS:
+            p1, p3, swap = sector
+            f1, f3 = axis_basis(p1), axis_basis(p3)
+            if swap:
+                plane = [np.outer(f1[a], f1[a]) if a == c else
+                         (np.outer(f1[a], f1[c]) + swap * np.outer(f1[c], f1[a])) / np.sqrt(2.0)
+                         for a in range(len(f1)) for c in range(a + (swap > 0))]
+            else:
+                plane = [np.outer(f1[a], f3[c]) for a in range(len(f1)) for c in range(len(f3))]
+            B = np.column_stack([
+                (state[:, None, :] * (np.arange(n2) == t)[None, :, None]).ravel()
+                for state in plane for t in range(n2)])
+            assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-12
+            # B^T S B from the (at most 8) nonzero rows of each column of B
+            rows = np.argsort(B == 0.0, axis=0, kind="stable")[:np.max(np.sum(B != 0.0, axis=0))]
+            weights = np.take_along_axis(B, rows, axis=0)
+            projected = sum(np.outer(wa, wb) * S[np.ix_(ra, rb)]
+                            for ra, wa in zip(rows, weights) for rb, wb in zip(rows, weights))
+            matvec, n = _build_operator(g1_squared, n_half, h, sector)
+            A = np.column_stack([matvec(e) for e in np.eye(n)])
+            assert np.max(np.abs(A - projected)) <= 1e-12
+
     def test_sector_operators_are_symmetric(self):
         for sector in SECTORS:
-            matvec, n = _build_operator(P, *spacing(16, 5.0), sector)
+            matvec, n = _build_operator(P.g1_squared, *spacing(16, 5.0), sector)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
             assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
-        matvec, n = _build_operator(P, *spacing(20, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P.g1_squared, *spacing(20, 5.0), (1, 1, 1))
         history: list = []
         lanczos_lowest(matvec, n, k=1, krylov_dim=12, max_restarts=200,
                        tol=1e-10, history=history)
@@ -243,7 +306,7 @@ class TestLanczos:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_nonconvergence_reports_residuals(self):
-        matvec, n = _build_operator(P, *spacing(24, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P.g1_squared, *spacing(24, 5.0), (1, 1, 1))
         with pytest.raises(ConvergenceError) as err:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None
@@ -259,3 +322,26 @@ class TestLanczos:
                                    max_restarts=20, tol=1e-10, history=history)
         exact = np.sort(np.linalg.eigvalsh(A))[:3]
         assert vals == pytest.approx(exact, abs=1e-8)
+
+    def test_repeated_eigenvalues_without_ghosts(self):
+        # a random rotation of the spectrum of a 3D Laplacian: 512 levels over
+        # a factor 32, exactly repeated (the second and third levels three
+        # times); a basis that lost orthogonality would return ghost copies of
+        # the converged ground level
+        e1 = 100.0 * (2.0 - 2.0 * np.cos(np.pi * np.arange(1, 9) / 9))
+        triples = np.sort(np.indices((8, 8, 8)).reshape(3, -1), axis=0)
+        levels = e1[triples[0]] + e1[triples[1]] + e1[triples[2]]
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((512, 512)))
+        A = (Q * levels) @ Q.T
+        A = (A + A.T) / 2
+        vals, _ = lanczos_lowest(lambda v: A @ v, 512, k=8, tol=1e-10)
+        assert vals == pytest.approx(np.linalg.eigvalsh(A)[:8], abs=1e-10)
+
+    def test_invariant_subspace_refill(self):
+        # the start vector spans only four eigenvectors of this diagonal
+        # operator; each refill starts a new Krylov block, which T must not
+        # link to the exhausted one
+        d = np.repeat([1.0, 2.0, 3.0, 5.0], 50)
+        vals, res = lanczos_lowest(lambda v: d * v, d.size, k=3, krylov_dim=12)
+        assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-10)
+        assert np.all(res <= 1e-10)

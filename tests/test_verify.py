@@ -244,6 +244,19 @@ class TestVerify3D:
         with pytest.raises(ValueError, match="at least 2"):
             verify_3d(P3, k=1, offset=1.0, n_per_axis=16, extent=5.0)
 
+    def test_levels_scale_with_omega(self):
+        # the grid is the omega = 1 grid in units of 1/sqrt(omega), so every
+        # level is omega times the omega = 1 level, however small or large
+        def levels(omega):
+            report = verify_3d(ModelParams(omega, 3.0), k=6, offset=1.0,
+                               n_per_axis=41, extent=5.5)
+            assert report.passed
+            return np.array([c.measured for c in report.checks[::2]])
+
+        unit = levels(1.0)
+        for omega in (1e-150, 1e-14, 1e-10, 1e100):
+            assert levels(omega) / omega == pytest.approx(unit, rel=1e-9)
+
 
 class TestMonotoneCoupling:
     def test_numeric_levels_increase_with_barrier(self):
