@@ -157,7 +157,11 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
 
     Backed by LAPACK: Sturm-sequence bisection (stebz) for the eigenvalues
     and inverse iteration (stein, capped at 5 sweeps internally) for the
-    eigenvectors; deterministic for fixed input.
+    eigenvectors; deterministic for fixed input.  stebz bisects each
+    eigenvalue to an absolute accuracy of about eps * max|T| (the returned
+    ``residual_bound``), so its last bits depend on k: asking the same matrix
+    for fewer levels moved a polar-channel level at 4003 points by up to
+    9.2e-9 for g1^2 <= 7.5 and 2.2e-8 at g1^2 = 100, each under eps * max|T|.
     """
     n = T.dimension
     if not (1 <= k <= n):

@@ -248,28 +248,30 @@ def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
     return report
 
 
-def _spherical_chain(params: ModelParams, m_max: int, l_max: int, n_max: int,
-                     n_points: int):
-    """Chained channel solves: f^2 per m, then k^2 per (l, m), then E per (n, l, m)."""
+def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
+                     ) -> dict[SphericalQuantum, float]:
+    """Chained energies of exactly the states (n, l, m) with 2n + l + m <= n_cap.
+
+    f^2 for m <= n_cap; then, in row m, k^2 for l <= n_cap - m; then, for each
+    (l, m), E for n <= (n_cap - l - m) // 2.  No channel is asked for a level
+    outside that set.
+    """
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
-        params, n_points, m_max + 1)
+        params, n_points, n_cap + 1)
     k2_rows = _pmap(
-        lambda f2m: solve_channel_extrapolated(
-            ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2m)),
-            params, n_points, l_max + 1),
-        list(f2))
-    cases = [(l, m) for m in range(m_max + 1) for l in range(l_max + 1)]
+        lambda m: solve_channel_extrapolated(
+            ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2[m])),
+            params, n_points, n_cap - m + 1),
+        range(n_cap + 1))
+    cases = [(l, m) for m in range(n_cap + 1) for l in range(n_cap - m + 1)]
     radial_rows = _pmap(
         lambda lm: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=float(k2_rows[lm[1]][lm[0]])),
-            params, n_points, n_max + 1),
+            params, n_points, (n_cap - lm[0] - lm[1]) // 2 + 1),
         cases)
-    energies = {}
-    for (l, m), row in zip(cases, radial_rows):
-        for n in range(n_max + 1):
-            energies[SphericalQuantum(n_r=n, l=l, m=m)] = float(row[n])
-    return f2, k2_rows, energies
+    return {SphericalQuantum(n_r=n, l=l, m=m): float(e)
+            for (l, m), row in zip(cases, radial_rows) for n, e in enumerate(row)}
 
 
 def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
@@ -278,17 +280,17 @@ def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
     """Check the chained spherical solve against the separated route, as multisets.
 
     ``ranges`` is (m_max, l_max, n_max).  Both routes are enumerated completely
-    up to the largest total-quanta class the ranges cover, and the two sorted
-    energy multisets are paired greedily; the first unpaired level is named.
+    up to the largest total-quanta class the ranges cover, n_cap =
+    min(m_max, l_max, 2 n_max + 1): the chain solves exactly the (n, l, m)
+    with 2n + l + m <= n_cap.  The two sorted energy multisets are paired
+    greedily; the first unpaired level is named.
     """
     m_max, l_max, n_max = ranges
     tol = tol * params.omega
     report = VerificationReport()
     n_cap = min(l_max, m_max, 2 * n_max + 1)
 
-    f2, k2_rows, energies = _spherical_chain(params, m_max, l_max, n_max, n_points)
-    spherical = sorted(
-        (e, q) for q, e in energies.items() if 2 * q.n_r + q.l + q.m <= n_cap)
+    spherical = sorted((e, q) for q, e in _spherical_chain(params, n_cap, n_points).items())
     jacobi = _jacobi_numeric_levels(params, n_cap, n_points)
 
     report.add("spherical-state-count", float(len(spherical)), float(len(jacobi)),
@@ -404,7 +406,8 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     Richardson-extrapolated at the pair's spacing ratio.  Each class (both
     mirror half-spaces) takes grid levels until their multiplicities reach
     its degeneracy; every class within the lowest k states checks its worst
-    level and its degeneracy.
+    level and its degeneracy.  The provenance quotes that level's fine and
+    coarse grid values in units of omega.
     """
     if k < 2:
         raise ValueError("k must be at least 2, the states of the ground class")
@@ -435,8 +438,9 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
             i += 1
         worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
         report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
-                   f"worst of {i - first} levels: fine grid {fine.eigenvalues[worst]:.6f}, "
-                   f"coarse {coarse.eigenvalues[worst]:.6f}, Richardson pair at "
+                   f"worst of {i - first} levels: fine grid "
+                   f"{fine.eigenvalues[worst] / params.omega:.6f}, coarse "
+                   f"{coarse.eigenvalues[worst] / params.omega:.6f}, Richardson pair at "
                    f"spacing ratio {ratio:.6g}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")

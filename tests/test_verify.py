@@ -1,6 +1,7 @@
 """Formula resolution, route equivalence, Hellmann-Feynman, audit, 3D check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from wolfes4 import (
     hellmann_feynman_check,
     QuantumTriple,
     resolve_formula_offsets,
+    SphericalQuantum,
     solve_channel_extrapolated,
     verify_3d,
     verify_jacobi_route,
     verify_spherical_route,
 )
-from wolfes4 import grid3d
+from wolfes4 import grid3d, verify
 
 P3 = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -148,6 +150,50 @@ class TestSphericalRoute:
             ChannelSpec(ChannelKind.RADIAL, float(k2[0])), p0, 2001, 1)
         assert e[0] == pytest.approx(2.5, abs=1e-5)
 
+    @pytest.mark.parametrize("ranges", [(4, 4, 2), (5, 4, 3)])
+    def test_solves_only_the_checked_states(self, monkeypatch, ranges):
+        # both ranges cap the total quanta at 4: the chain solves the 15
+        # (l, m) with l + m <= 4 and, for each, the n with 2n + l + m <= 4
+        solved = []
+
+        def spy(spec, params, n_points, k):
+            solved.append((spec.kind, k))
+            return solve_channel_extrapolated(spec, params, n_points, k)
+
+        monkeypatch.setattr(verify, "solve_channel_extrapolated", spy)
+        verify_spherical_route(P3, ranges=ranges, offset=1.0, n_points=201)
+
+        def levels(kind):
+            return [k for kind_, k in solved if kind_ is kind]
+
+        assert levels(ChannelKind.ANGULAR_PHI) == [5]
+        assert levels(ChannelKind.ANGULAR_THETA) == [5, 4, 3, 2, 1]
+        radial = levels(ChannelKind.RADIAL)
+        assert (len(radial), sum(radial)) == (15, 22)
+
+    @pytest.mark.parametrize("g1_squared", [0.0, 3.0, 100.0])
+    def test_trimmed_chain_matches_full_box(self, g1_squared):
+        # the full (m, l, n) <= (4, 4, 2) box; stebz places the last bits of
+        # a level by how many levels are asked for
+        p = ModelParams(omega=1.0, g1_squared=g1_squared)
+        n_cap, n_points = 4, 2001
+
+        def solve(kind, coefficient, k):
+            return solve_channel_extrapolated(ChannelSpec(kind, float(coefficient)),
+                                              p, n_points, k)
+
+        f2 = solve(ChannelKind.ANGULAR_PHI, g1_squared / 3.0, n_cap + 1)
+        full = {}
+        for m, f2m in enumerate(f2):
+            for l, k2 in enumerate(solve(ChannelKind.ANGULAR_THETA, f2m, n_cap + 1)):
+                for n, e in enumerate(solve(ChannelKind.RADIAL, k2, n_cap // 2 + 1)):
+                    if 2 * n + l + m <= n_cap:
+                        full[SphericalQuantum(n_r=n, l=l, m=m)] = float(e)
+
+        trimmed = verify._spherical_chain(p, n_cap, n_points)
+        assert trimmed.keys() == full.keys()
+        assert max(abs(trimmed[q] - full[q]) for q in full) <= 2e-9
+
     def test_absurd_tolerance_names_first_mismatch(self):
         report = verify_spherical_route(P3, ranges=(1, 1, 0), tol=1e-13, offset=1.0)
         assert not report.passed
@@ -246,16 +292,23 @@ class TestVerify3D:
 
     def test_levels_scale_with_omega(self):
         # the grid is the omega = 1 grid in units of 1/sqrt(omega), so every
-        # level is omega times the omega = 1 level, however small or large
+        # level is omega times the omega = 1 level, however small or large;
+        # the provenance quotes the grid levels in units of omega
         def levels(omega):
             report = verify_3d(ModelParams(omega, 3.0), k=6, offset=1.0,
                                n_per_axis=41, extent=5.5)
             assert report.passed
-            return np.array([c.measured for c in report.checks[::2]])
+            quoted = [re.search(r"fine grid (\S+), coarse (\S+),", c.provenance).groups()
+                      for c in report.checks[::2]]
+            return (np.array([c.measured for c in report.checks[::2]]),
+                    np.array(quoted, dtype=float))
 
-        unit = levels(1.0)
+        unit, unit_quoted = levels(1.0)
+        assert np.all(unit_quoted > 2.0)
         for omega in (1e-150, 1e-14, 1e-10, 1e100):
-            assert levels(omega) / omega == pytest.approx(unit, rel=1e-9)
+            measured, quoted = levels(omega)
+            assert measured / omega == pytest.approx(unit, rel=1e-9)
+            assert quoted == pytest.approx(unit_quoted, abs=1.1e-6)
 
 
 class TestMonotoneCoupling:
