@@ -26,20 +26,7 @@ from .model import (
     sho_energy_published,
     sho_energy_resolved,
 )
-from .coords import (
-    DegenerateOriginError,
-    JacobiConfig,
-    ParticleConfig,
-    SingularConfigurationError,
-    SphericalConfig,
-    from_jacobi,
-    from_spherical,
-    jacobi_matrix,
-    potential_jacobi,
-    potential_particle,
-    to_jacobi,
-    to_spherical,
-)
+from .coords import jacobi_matrix, potential_particle
 from .numsolve import (
     ChannelKind,
     ChannelSpec,

@@ -413,11 +413,6 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
 
 
 def cmd_hf_check(config: RunConfig, config_path: str | None) -> int:
-    if config.g1_squared == 0:
-        sys.stderr.write(
-            "error: hf-check needs g1sq > 0 so the central difference stays "
-            "inside the admissible coupling range\n")
-        return EXIT_USAGE
     report = hellmann_feynman_check(
         config.params, n2=0, **_given(tol=config.tol, n_points=config.grid_points))
     emit(config, render_checks(config, report, None))

@@ -1,9 +1,9 @@
-"""Particle <-> relative <-> spherical coordinate maps and the potential identities.
+"""The orthogonal Jacobi map of the four particle positions and the particle potential.
 
-The relative coordinates are an orthogonal linear map of the four particle
-positions (three internal coordinates plus the center of mass), which is what
-keeps the kinetic term form-invariant.  Two algebraic identities carried by
-the map are exercised heavily by the tests:
+(X1, X2, X3, Xcm) = J @ (x1, x2, x3, x4), with J orthogonal, which is what
+keeps the kinetic term -1/2 Laplacian in the relative coordinates.  Two
+algebraic identities carried by the map take the potential to the Jacobi
+frame, where the 3D grid solves it:
 
     sum_{i<j} (x_i - x_j)^2 = 4 * (X1^2 + X2^2 + X3^2)
     (x1 + x2 - 2*x3)^2      = 6 * X2^2
@@ -12,71 +12,22 @@ the map are exercised heavily by the tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .model import ModelParams
 
-
-class SingularConfigurationError(ValueError):
-    """Configuration sits on the barrier plane where the potential has a pole."""
-
-
-class DegenerateOriginError(ValueError):
-    """Spherical angles are undefined at the origin of the internal coordinates."""
-
-
-@dataclass(frozen=True)
-class ParticleConfig:
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x1, self.x2, self.x3, self.x4)):
-            raise ValueError("particle positions must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.x4], dtype=float)
-
-
-@dataclass(frozen=True)
-class JacobiConfig:
-    X1: float
-    X2: float
-    X3: float
-    Xcm: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.X1, self.X2, self.X3, self.Xcm)):
-            raise ValueError("coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.X1, self.X2, self.X3, self.Xcm], dtype=float)
-
-
-@dataclass(frozen=True)
-class SphericalConfig:
-    r: float
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+#: The barrier's linear form: the potential has its pole on the plane
+#: BARRIER_FORM @ x = x1 + x2 - 2*x3 = 0.
+BARRIER_FORM = np.array([1.0, 1.0, -2.0, 0.0])
 
 
 def jacobi_matrix() -> np.ndarray:
     """Coefficient matrix J with (X1, X2, X3, Xcm) = J @ (x1, x2, x3, x4).
 
     J is orthogonal (J^T J = I), so the Laplacian keeps its flat form under
-    the change of variables.
+    the change of variables and J^T maps Jacobi coordinates back.
     """
     s2, s6, s12 = math.sqrt(2.0), math.sqrt(6.0), math.sqrt(12.0)
     return np.array([
@@ -87,76 +38,20 @@ def jacobi_matrix() -> np.ndarray:
     ])
 
 
-_J = jacobi_matrix()
-
-
-def to_jacobi(p: ParticleConfig) -> JacobiConfig:
-    X = _J @ p.as_array()
-    return JacobiConfig(X1=float(X[0]), X2=float(X[1]), X3=float(X[2]), Xcm=float(X[3]))
-
-
-def from_jacobi(j: JacobiConfig) -> ParticleConfig:
-    # orthogonality makes the transpose the exact inverse
-    x = _J.T @ j.as_array()
-    return ParticleConfig(x1=float(x[0]), x2=float(x[1]), x3=float(x[2]), x4=float(x[3]))
-
-
-def to_spherical(j: JacobiConfig) -> SphericalConfig:
-    """Map internal coordinates to (r, theta, phi); the center of mass is dropped.
-
-    phi is wrapped into [0, 2*pi) and set to 0 at the poles so round trips are
-    deterministic.
-    """
-    r = math.sqrt(j.X1**2 + j.X2**2 + j.X3**2)
-    if r == 0.0:
-        raise DegenerateOriginError("angles are undefined at X1 = X2 = X3 = 0")
-    theta = math.acos(max(-1.0, min(1.0, j.X3 / r)))
-    if j.X1 == 0.0 and j.X2 == 0.0:
-        phi = 0.0
-    else:
-        phi = math.atan2(j.X2, j.X1)
-        if phi < 0.0:
-            phi += 2.0 * math.pi
-        if phi >= 2.0 * math.pi:
-            phi = 0.0
-    return SphericalConfig(r=r, theta=theta, phi=phi)
-
-
-def from_spherical(s: SphericalConfig) -> JacobiConfig:
-    st = math.sin(s.theta)
-    return JacobiConfig(X1=s.r * st * math.cos(s.phi),
-                        X2=s.r * st * math.sin(s.phi),
-                        X3=s.r * math.cos(s.theta),
-                        Xcm=0.0)
-
-
-def potential_particle(p: ParticleConfig, params: ModelParams) -> float:
+def potential_particle(x: np.ndarray, params: ModelParams) -> np.ndarray:
     """(omega^2/8) * sum_{i<j} (x_i - x_j)^2 + g1^2 / (x1 + x2 - 2*x3)^2.
 
-    The barrier plane x1 + x2 = 2*x3 is a pole only while the barrier is
-    switched on; at g1_squared = 0 the term vanishes identically.
+    ``x`` holds particle positions on its last axis, of length 4; the result
+    has the shape of the other axes.  The barrier plane x1 + x2 = 2*x3 is a
+    pole only while the barrier is switched on: a position on it raises
+    ValueError at g1_squared > 0, and at g1_squared = 0 the term vanishes.
     """
-    denom = p.x1 + p.x2 - 2.0 * p.x3
-    barrier = 0.0
-    if params.g1_squared > 0.0:
-        if denom == 0.0:
-            raise SingularConfigurationError(
-                "configuration lies on the barrier plane x1 + x2 = 2*x3")
-        barrier = params.g1_squared / denom**2
-    x = p.as_array()
-    pair_sum = 0.0
-    for i in range(4):
-        for k in range(i + 1, 4):
-            pair_sum += (x[i] - x[k]) ** 2
-    return params.omega**2 / 8.0 * pair_sum + barrier
-
-
-def potential_jacobi(j: JacobiConfig, params: ModelParams) -> float:
-    """(omega^2/2) * (X1^2 + X2^2 + X3^2) + g1^2 / (6 * X2^2)."""
-    barrier = 0.0
-    if params.g1_squared > 0.0:
-        if j.X2 == 0.0:
-            raise SingularConfigurationError("X2 = 0 lies on the barrier plane")
-        barrier = params.g1_squared / (6.0 * j.X2**2)
-    r2 = j.X1**2 + j.X2**2 + j.X3**2
-    return params.omega**2 / 2.0 * r2 + barrier
+    x = np.asarray(x, dtype=float)
+    pair_sum = sum((x[..., i] - x[..., k]) ** 2 for i, k in combinations(range(4), 2))
+    smooth = params.omega**2 / 8.0 * pair_sum
+    if params.g1_squared == 0.0:
+        return smooth
+    denom = x @ BARRIER_FORM
+    if np.any(denom == 0.0):
+        raise ValueError("a configuration lies on the barrier plane x1 + x2 = 2*x3")
+    return smooth + params.g1_squared / denom**2

@@ -1,11 +1,14 @@
 """Direct 3D diagonalization of the relative-motion operator on a cubic grid.
 
-This is the route that never uses separability: the full operator
-
-    -(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2)
-    + (omega^2/2) (X1^2 + X2^2 + X3^2) + g1^2/(6 X2^2)
-
-is discretized with the 7-point stencil.  The barrier makes the particles
+This is the route that never uses separability.  It starts from the
+four-particle Hamiltonian: every grid node (X1, X2, X3) is taken at Xcm = 0
+to the particle positions x = J^T (X1, X2, X3, 0), J = coords.jacobi_matrix(),
+where the particle potential (omega^2/8) sum_{i<j} (x_i - x_j)^2 is
+evaluated.  J is orthogonal, so the kinetic term stays
+-(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2), and c = J @ coords.BARRIER_FORM lies
+along X2, so the barrier g1^2 / (x1 + x2 - 2 x3)^2 is g1^2 / (c2 X2)^2;
+solve_hd_3d checks both.  The operator is discretized with the 7-point
+stencil.  The barrier makes the particles
 impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
 images, so the grid holds X2 > 0 only: one spacing h on every axis, the
 nodes j * h with |j| <= n_half on X1 and X3 and 1 <= j <= n_half on X2,
@@ -33,6 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigh
 
+from .coords import BARRIER_FORM, jacobi_matrix, potential_particle
 from .model import ModelParams
 from .numsolve import ConvergenceError, EigenResult, inverse_square_diag
 
@@ -53,7 +57,7 @@ SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, 
 SECTOR_KRYLOV_DIM = 24
 
 #: Largest g1^2 the grid takes, below the CLI's range until the X2 window
-#: follows the barrier: g1^2 / (6 h^2) at the first X2 node widens the
+#: follows the barrier: its diagonal at the first X2 node widens the
 #: spectrum; the 61-point default passes to g1^2 = 800 and stops converging
 #: near 1000, finer grids sooner.
 MAX_G1_SQUARED = 1000.0
@@ -78,7 +82,8 @@ def _sector_axis(n_half: int, h: float, parity: int):
     return x, kinetic
 
 
-def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple):
+def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple,
+                    jacobi: np.ndarray):
     """Matrix-free symmetric operator of one sector of SECTORS at omega = 1, and its size.
 
     The unknowns are the sector's (X1, X3) plane states by the X2 nodes,
@@ -88,7 +93,9 @@ def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple):
     states (1 on the diagonal, 1/sqrt(2) below it, swap/sqrt(2) above it), and
     ``plane`` = P^T (k1 (+) k3) P is the 5-point stencil in that basis, sparse.
     Entries of nodes outside the sector (the diagonal, when odd) have weight 0
-    and are dropped.  ``pot`` is the 3D potential at each state's node (i, j);
+    and are dropped.  ``pot`` is the particle potential at each state's nodes,
+    the positions jacobi^T (X1, X2, X3, 0), at g1^2 = 0, plus the barrier
+    diagonal along X2 with the coupling g1^2 / c2^2, c = jacobi @ BARRIER_FORM;
     X2 is kept as an odd axis is.
     """
     # imported here: only the 3D route needs scipy.sparse (~19 ms, ~2 MB at import)
@@ -99,9 +106,6 @@ def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple):
     x2, k2 = _sector_axis(n_half, h, -1)
     x3, k3 = _sector_axis(n_half, h, p3)
     n1, n3 = len(x1), len(x3)
-    barrier = inverse_square_diag(np.arange(1, n_half + 1), g1_squared / 6.0, 0.5, h)
-    pot = (0.5 * (x1[:, None, None] ** 2 + x2[None, :, None] ** 2 + x3[None, None, :] ** 2)
-           + barrier[None, :, None])
 
     # k1 (+) k3 on the box nodes (i, j), index i * n3 + j, as COO entries
     r1, c1 = np.nonzero(k1)
@@ -127,7 +131,12 @@ def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple):
     keep = vals != 0.0
     plane = csr_matrix((vals[keep], (state[rows[keep]], state[cols[keep]])),
                        shape=(i.size, i.size))
-    pot = pot[i, :, j]
+    # the states' nodes as particle positions jacobi^T (X1, X2, X3, 0): Xcm = 0 drops
+    # its last row, and adding the X2 term last makes only one sum full size
+    x = x1[i, None, None] * jacobi[0] + x3[j, None, None] * jacobi[2] + x2[:, None] * jacobi[1]
+    barrier = inverse_square_diag(np.arange(1, n_half + 1),
+                                  g1_squared / (jacobi @ BARRIER_FORM)[1] ** 2, 0.5, h)
+    pot = potential_particle(x, ModelParams(omega=1.0, g1_squared=0.0)) + barrier
     shape = pot.shape
 
     def matvec(u: np.ndarray) -> np.ndarray:
@@ -237,7 +246,10 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     The sectors are solved in units of omega, where the absolute breakdown
     and convergence thresholds of lanczos_lowest mean the same at every omega.
     Raises ValueError when n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2
-    exceeds MAX_G1_SQUARED.
+    exceeds MAX_G1_SQUARED, and when J = coords.jacobi_matrix() is not
+    orthogonal to 1e-14 (the kinetic term would not be -1/2 Laplacian) or
+    c = J @ coords.BARRIER_FORM has an X1, X3 or Xcm component above 1e-14
+    of its X2 one (the barrier would not depend on X2 alone).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -246,12 +258,20 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
                          f"got {n_per_axis}")
     if params.g1_squared > MAX_G1_SQUARED:
         raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
+    J = jacobi_matrix()
+    if np.max(np.abs(J.T @ J - np.eye(4))) > 1e-14:
+        raise ValueError("the Jacobi map J is not orthogonal: J^T J differs from I "
+                         "by more than 1e-14")
+    c = J @ BARRIER_FORM
+    if np.max(np.abs(c[[0, 2, 3]])) > 1e-14 * abs(c[1]):
+        raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
+                         f"J @ BARRIER_FORM = {c}")
     n_half = n_per_axis // 2
     # on the grid H(omega; h) = omega H(1; h sqrt(omega)): solve in units of omega
     h = extent / (n_half + 1) * math.sqrt(params.omega)
     solved = []
     for sector, m in SECTORS.items():
-        matvec, n = _build_operator(params.g1_squared, n_half, h, sector)
+        matvec, n = _build_operator(params.g1_squared, n_half, h, sector, J)
         wanted = -(-k // m)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
         solved.append(lanczos_lowest(matvec, n, wanted, tol=tol,

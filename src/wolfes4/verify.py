@@ -316,11 +316,14 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     Compares the central finite difference of the numeric eigenvalue (step
     1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), and the
     closed form omega/(6 delta); all three must agree pairwise within ``tol``
-    and be strictly positive.
+    and be strictly positive.  Raises ValueError below g1^2 = 1e-3, where
+    g1^2 - step would leave the coupling range.
     """
     delta_g2 = 1e-3 * max(1.0, params.g1_squared)
     if params.g1_squared - delta_g2 < 0:
-        raise ValueError("need g1_squared - delta_g2 >= 0 for the central difference")
+        raise ValueError(f"hf-check needs g1sq >= 1e-3, so that the central difference "
+                         f"of step 1e-3 stays in the admissible coupling range, "
+                         f"got {params.g1_squared:g}")
     tol = tol * params.omega
     report = VerificationReport()
     spec = ChannelSpec(ChannelKind.SHO)

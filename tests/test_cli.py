@@ -357,9 +357,11 @@ class TestHfCheckCommand:
         assert fd["measured"] == pytest.approx(0.1491, abs=1e-4)
 
     def test_zero_coupling_is_usage_error(self, workdir, capsys):
-        code, _, err = run_cli(capsys, "hf-check", "--g1sq", "0")
-        assert code == EXIT_USAGE
-        assert "g1sq" in err
+        # below 1e-3 the central difference would step below g1^2 = 0
+        for g1sq in ("0", "5e-4", "1e-300"):
+            code, out, err = run_cli(capsys, "hf-check", "--g1sq", g1sq)
+            assert code == EXIT_USAGE and out == ""
+            assert err.count("\n") == 1 and "g1sq >= 1e-3" in err
 
     def test_overflowing_coupling_is_one_usage_error(self, workdir, capsys):
         with warnings.catch_warnings():

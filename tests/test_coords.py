@@ -1,25 +1,11 @@
-"""Coordinate maps, orthogonality, and the potential identities."""
+"""The Jacobi map, its orthogonality, and the potential identities."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wolfes4 import (
-    DegenerateOriginError,
-    JacobiConfig,
-    ModelParams,
-    ParticleConfig,
-    SingularConfigurationError,
-    SphericalConfig,
-    from_jacobi,
-    from_spherical,
-    jacobi_matrix,
-    potential_jacobi,
-    potential_particle,
-    to_jacobi,
-    to_spherical,
-)
+from wolfes4 import ModelParams, jacobi_matrix, potential_particle
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -40,101 +26,55 @@ class TestJacobiMatrix:
 
 class TestToJacobi:
     def test_translation_invariance(self):
-        j = to_jacobi(ParticleConfig(1, 1, 1, 1))
-        assert (j.X1, j.X2, j.X3, j.Xcm) == pytest.approx((0, 0, 0, 2), abs=1e-15)
+        X = jacobi_matrix() @ np.array([1.0, 1.0, 1.0, 1.0])
+        assert X == pytest.approx((0, 0, 0, 2), abs=1e-15)
 
     def test_antisymmetric_pair(self):
-        j = to_jacobi(ParticleConfig(1, -1, 0, 0))
-        assert (j.X1, j.X2, j.X3, j.Xcm) == pytest.approx(
-            (math.sqrt(2), 0, 0, 0), abs=1e-15)
+        X = jacobi_matrix() @ np.array([1.0, -1.0, 0.0, 0.0])
+        assert X == pytest.approx((math.sqrt(2), 0, 0, 0), abs=1e-15)
 
     def test_direct_arithmetic(self):
-        j = to_jacobi(ParticleConfig(1, 1, -1, 0))
-        assert (j.X1, j.X2, j.X3, j.Xcm) == pytest.approx(
-            (0, 4 / math.sqrt(6), 1 / math.sqrt(12), 0.5), abs=1e-15)
+        X = jacobi_matrix() @ np.array([1.0, 1.0, -1.0, 0.0])
+        assert X == pytest.approx((0, 4 / math.sqrt(6), 1 / math.sqrt(12), 0.5), abs=1e-15)
 
     def test_round_trips(self):
-        for x in [(0, 0, 0, 2), (math.sqrt(2), 0, 0, 0),
-                  (0, 4 / math.sqrt(6), 1 / math.sqrt(12), 0.5)]:
-            p = from_jacobi(JacobiConfig(*x))
-            back = to_jacobi(p)
-            assert back.as_array() == pytest.approx(np.array(x), abs=1e-14)
-
-
-class TestSpherical:
-    def test_north_pole(self):
-        s = to_spherical(JacobiConfig(0, 0, 1, 0.3))
-        assert (s.r, s.theta, s.phi) == pytest.approx((1, 0, 0), abs=1e-15)
-
-    def test_equator_x(self):
-        s = to_spherical(JacobiConfig(1, 0, 0, 0))
-        assert (s.r, s.theta, s.phi) == pytest.approx((1, math.pi / 2, 0), abs=1e-15)
-
-    def test_equator_y(self):
-        s = to_spherical(JacobiConfig(0, 1, 0, 0))
-        assert (s.r, s.theta, s.phi) == pytest.approx(
-            (1, math.pi / 2, math.pi / 2), abs=1e-15)
-
-    def test_degenerate_origin(self):
-        with pytest.raises(DegenerateOriginError):
-            to_spherical(JacobiConfig(0, 0, 0, 1.0))
-
-    def test_phi_wraps_into_range(self):
-        s = to_spherical(JacobiConfig(1.0, -1e-9, 0.0, 0.0))
-        assert 0.0 <= s.phi < 2 * math.pi
-        assert s.phi == pytest.approx(2 * math.pi - 1e-9, rel=1e-6)
-
-    def test_from_spherical_examples(self):
-        j = from_spherical(SphericalConfig(1, math.pi / 2, math.pi / 2))
-        assert j.as_array()[:3] == pytest.approx([0, 1, 0], abs=1e-15)
-        j = from_spherical(SphericalConfig(2, 0, 1.234))
-        assert j.as_array()[:3] == pytest.approx([0, 0, 2], abs=1e-15)
-        j = from_spherical(SphericalConfig(1, math.pi / 4, math.pi / 4))
-        assert j.as_array()[:3] == pytest.approx(
-            [0.5, 0.5, 1 / math.sqrt(2)], abs=1e-15)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            SphericalConfig(-1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            SphericalConfig(1.0, 4.0, 0.0)
-        with pytest.raises(ValueError):
-            SphericalConfig(1.0, 1.0, 6.5)
-
-    def test_round_trip_away_from_poles(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            r = rng.uniform(0.1, 3.0)
-            theta = rng.uniform(0.05, math.pi - 0.05)
-            phi = rng.uniform(0.0, 2 * math.pi - 1e-6)
-            s = SphericalConfig(r, theta, phi)
-            back = to_spherical(from_spherical(s))
-            assert (back.r, back.theta, back.phi) == pytest.approx(
-                (r, theta, phi), rel=1e-12, abs=1e-12)
+        # J^T maps Jacobi coordinates back to particle positions
+        J = jacobi_matrix()
+        X = np.array([(0, 0, 0, 2), (math.sqrt(2), 0, 0, 0),
+                      (0, 4 / math.sqrt(6), 1 / math.sqrt(12), 0.5)])
+        assert (X @ J) @ J.T == pytest.approx(X, abs=1e-14)
 
 
 class TestPotentials:
     def test_particle_examples(self):
         p0 = ModelParams(omega=1.0, g1_squared=0.0)
-        assert potential_particle(ParticleConfig(1, -1, 0, 0), p0) == 1.0
-        assert potential_particle(ParticleConfig(1, 1, -1, 0), p0) == pytest.approx(11 / 8)
+        assert potential_particle(np.array([1.0, -1.0, 0.0, 0.0]), p0) == 1.0
+        assert potential_particle(np.array([1.0, 1.0, -1.0, 0.0]), p0) == pytest.approx(11 / 8)
         p2 = ModelParams(omega=1.0, g1_squared=2.0)
-        assert potential_particle(ParticleConfig(1, 1, 0, 0), p2) == pytest.approx(1.0)
+        assert potential_particle(np.array([1.0, 1.0, 0.0, 0.0]), p2) == pytest.approx(1.0)
+        # positions on the last axis; the result keeps the leading ones
+        x = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, -1.0, 0.0]] * 3).reshape(3, 2, 4)
+        assert potential_particle(x, p2) == pytest.approx(
+            np.tile([1.0, 11 / 8 + 2 / 16], (3, 1)), abs=1e-15)
 
     def test_jacobi_examples(self):
+        # the Jacobi frame's (omega^2/2) r^2 + g1^2 / (6 X2^2), reached through J^T
+        J = jacobi_matrix()
         p0 = ModelParams(omega=1.0, g1_squared=0.0)
-        assert potential_jacobi(JacobiConfig(1, 0, 0, 0), p0) == pytest.approx(0.5)
+        assert potential_particle(J.T @ [1.0, 0.0, 0.0, 0.0], p0) == pytest.approx(0.5)
         p6 = ModelParams(omega=1.0, g1_squared=6.0)
-        assert potential_jacobi(JacobiConfig(0, 1, 0, 0), p6) == pytest.approx(1.5)
+        assert potential_particle(J.T @ [0.0, 1.0, 0.0, 0.0], p6) == pytest.approx(1.5)
 
     def test_singular_plane(self):
-        with pytest.raises(SingularConfigurationError):
-            potential_particle(ParticleConfig(1, 1, 1, 0), P)
-        with pytest.raises(SingularConfigurationError):
-            potential_jacobi(JacobiConfig(1, 0, 0, 0), P)
+        with pytest.raises(ValueError, match="barrier plane"):
+            potential_particle(np.array([1.0, 1.0, 1.0, 0.0]), P)
+        # X2 = 0 is the barrier plane; one such position fails a whole array
+        on_plane = jacobi_matrix().T @ [1.0, 0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="barrier plane"):
+            potential_particle(np.stack([np.array([1.0, 1.0, 0.0, 0.0]), on_plane]), P)
         # no pole without the barrier
         p0 = ModelParams(omega=1.0, g1_squared=0.0)
-        assert potential_particle(ParticleConfig(1, 1, 1, 0), p0) > 0.0
+        assert potential_particle(np.array([1.0, 1.0, 1.0, 0.0]), p0) > 0.0
 
 
 @pytest.fixture(scope="module")
@@ -150,11 +90,11 @@ class TestIdentities:
     """Sampled identities behind the change of variables; 1e4 draws."""
 
     def test_potential_identity(self, samples):
-        for row in samples:
-            p = ParticleConfig(*row)
-            v1 = potential_particle(p, P)
-            v2 = potential_jacobi(to_jacobi(p), P)
-            assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
+        X = samples @ jacobi_matrix().T
+        v1 = potential_particle(samples, P)
+        v2 = (P.omega**2 / 2 * (X[:, 0] ** 2 + X[:, 1] ** 2 + X[:, 2] ** 2)
+              + P.g1_squared / (6 * X[:, 1] ** 2))
+        assert np.max(np.abs(v1 - v2) / np.maximum(1.0, np.abs(v1))) <= 1e-12
 
     def test_quadratic_form_identity(self, samples):
         J = jacobi_matrix()
@@ -174,7 +114,5 @@ class TestIdentities:
         assert np.max(np.abs(lhs - rhs) / np.maximum(1.0, lhs)) <= 1e-12
 
     def test_round_trip(self, samples):
-        for row in samples[:500]:
-            p = ParticleConfig(*row)
-            back = from_jacobi(to_jacobi(p))
-            assert back.as_array() == pytest.approx(row, abs=1e-13)
+        J = jacobi_matrix()
+        assert (samples @ J.T) @ J == pytest.approx(samples, abs=1e-13)

@@ -1,32 +1,33 @@
-"""Property test of the coordinate chain particle -> Jacobi -> spherical and back."""
+"""Property tests of the Jacobi map and the potential it carries to the Jacobi frame."""
 
-import dataclasses
-import math
-
+import numpy as np
 import pytest
 
-from wolfes4 import from_jacobi, from_spherical, ParticleConfig, to_jacobi, to_spherical
+from wolfes4 import ModelParams, jacobi_matrix, potential_particle
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 position = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+J = jacobi_matrix()
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(position, position, position, position)
-def test_particle_jacobi_spherical_round_trip(x1, x2, x3, x4):
-    p = ParticleConfig(x1, x2, x3, x4)
-    j = to_jacobi(p)
-    r = math.sqrt(j.X1**2 + j.X2**2 + j.X3**2)
-    # away from the origin and the poles, where theta = acos(X3 / r) and with
-    # it every angle stays well conditioned
-    assume(r > 1e-3)
-    assume(math.hypot(j.X1, j.X2) > 1e-3 * r)
+def test_particle_jacobi_round_trip(x1, x2, x3, x4):
+    x = np.array([x1, x2, x3, x4])
+    scale = max(1.0, float(np.max(np.abs(x))))
+    assert J.T @ (J @ x) == pytest.approx(x, abs=1e-14 * scale)
 
-    s = to_spherical(j)
-    assert s.r == pytest.approx(r, rel=1e-14)
-    # the spherical map drops the centre of mass; restore it before going back
-    back = from_jacobi(dataclasses.replace(from_spherical(s), Xcm=j.Xcm))
-    scale = max(abs(v) for v in (x1, x2, x3, x4))
-    assert back.as_array() == pytest.approx(p.as_array(), abs=1e-12 * max(1.0, scale))
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(position, position, position, position, st.floats(min_value=0.0, max_value=1e4))
+def test_potential_identity(x1, x2, x3, x4, g1_squared):
+    x = np.array([x1, x2, x3, x4])
+    X1, X2, X3, _ = J @ x
+    # away from the barrier plane, where the barrier term is well conditioned
+    assume(abs(X2) > 1e-3 * max(1.0, float(np.max(np.abs(x)))))
+    params = ModelParams(omega=1.0, g1_squared=g1_squared)
+    v = potential_particle(x, params)
+    jacobi = 0.5 * (X1**2 + X2**2 + X3**2) + g1_squared / (6.0 * X2**2)
+    assert v == pytest.approx(jacobi, rel=1e-12)

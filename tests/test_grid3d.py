@@ -9,6 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from wolfes4 import (
     ConvergenceError,
     ModelParams,
+    jacobi_matrix,
     lanczos_lowest,
     richardson,
     solve_hd_3d,
@@ -18,6 +19,7 @@ from wolfes4 import grid3d
 from wolfes4.grid3d import MAX_G1_SQUARED, SECTORS, _build_operator, _sector_axis
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
+J = jacobi_matrix()
 
 
 def spacing(n_per_axis, extent):
@@ -84,7 +86,7 @@ class TestAxisLayout:
         # at g1^2 = 0 the diagonal along X2 at X1 = h, X3 = 2h reads
         # 3/h^2 + (x2^2 + 5 h^2)/2, which no walk along X1 or X3 gives
         n_half, h = spacing(21, 5.0)
-        matvec, n = _build_operator(0.0, n_half, h, (1, -1, 0))
+        matvec, n = _build_operator(0.0, n_half, h, (1, -1, 0), J)
         n1, n2, n3 = 11, 10, 10
         assert n == n1 * n3 * n2
         row = (1 * n3 + 1) * n2
@@ -199,6 +201,36 @@ class TestSolver:
             solve_hd_3d(ModelParams(1.0, 1e300), 16, 5.0, k=1)
 
 
+class TestReduction:
+    """The operator comes from the particle Hamiltonian through J, so a wrong J shows."""
+
+    def test_rotated_jacobi_map_fails_the_closed_forms(self, monkeypatch):
+        # rotating the X1 and Xcm rows keeps J orthogonal and J @ (1, 1, -2, 0)
+        # along X2, so only the closed forms can see it: part of X1 becomes
+        # centre of mass, which the particle potential does not bind
+        # (0.1 rad moves the ground level by less than the tolerance)
+        rotated = jacobi_matrix()
+        cos, sin = np.cos(0.3), np.sin(0.3)
+        rotated[[0, 3]] = [cos * rotated[0] - sin * rotated[3], sin * rotated[0] + cos * rotated[3]]
+        monkeypatch.setattr(grid3d, "jacobi_matrix", lambda: rotated)
+        report = verify_3d(P, k=6, offset=1.0, n_per_axis=41, extent=5.5)
+        ground = next(c for c in report.checks if c.name == "grid3d-level[N=0]")
+        assert not ground.passed
+
+    def test_non_orthogonal_jacobi_map_rejected(self, monkeypatch):
+        scaled = jacobi_matrix()
+        scaled[1] *= 1.01
+        monkeypatch.setattr(grid3d, "jacobi_matrix", lambda: scaled)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            solve_hd_3d(P, 16, 5.0, k=1)
+
+    def test_barrier_off_the_x2_axis_rejected(self, monkeypatch):
+        swapped = jacobi_matrix()[[1, 0, 2, 3]]
+        monkeypatch.setattr(grid3d, "jacobi_matrix", lambda: swapped)
+        with pytest.raises(ValueError, match="barrier plane"):
+            solve_hd_3d(P, 16, 5.0, k=1)
+
+
 class TestRichardsonPair:
     @pytest.mark.parametrize("n_per_axis", [16, 24, 41])
     def test_levels_extrapolate_the_oracle_pair(self, n_per_axis):
@@ -223,7 +255,7 @@ class TestSectors:
         # counted by multiplicity over the two mirror half-spaces, the sectors
         # hold every full-grid unknown once
         n_half, h = spacing(21, 5.0)
-        sizes = [_build_operator(P.g1_squared, n_half, h, sector)[1] for sector in SECTORS]
+        sizes = [_build_operator(P.g1_squared, n_half, h, sector, J)[1] for sector in SECTORS]
         n_sym = 2 * n_half + 1
         full = n_sym * (n_sym - 1) * n_sym
         assert sum(n * m for n, m in zip(sizes, SECTORS.values())) == full
@@ -285,20 +317,20 @@ class TestSectors:
             weights = np.take_along_axis(B, rows, axis=0)
             projected = sum(np.outer(wa, wb) * S[np.ix_(ra, rb)]
                             for ra, wa in zip(rows, weights) for rb, wb in zip(rows, weights))
-            matvec, n = _build_operator(g1_squared, n_half, h, sector)
+            matvec, n = _build_operator(g1_squared, n_half, h, sector, J)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
             assert np.max(np.abs(A - projected)) <= 1e-12
 
     def test_sector_operators_are_symmetric(self):
         for sector in SECTORS:
-            matvec, n = _build_operator(P.g1_squared, *spacing(16, 5.0), sector)
+            matvec, n = _build_operator(P.g1_squared, *spacing(16, 5.0), sector, J)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
             assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
-        matvec, n = _build_operator(P.g1_squared, *spacing(20, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P.g1_squared, *spacing(20, 5.0), (1, 1, 1), J)
         history: list = []
         lanczos_lowest(matvec, n, k=1, krylov_dim=12, max_restarts=200,
                        tol=1e-10, history=history)
@@ -306,7 +338,7 @@ class TestLanczos:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_nonconvergence_reports_residuals(self):
-        matvec, n = _build_operator(P.g1_squared, *spacing(24, 5.0), (1, 1, 1))
+        matvec, n = _build_operator(P.g1_squared, *spacing(24, 5.0), (1, 1, 1), J)
         with pytest.raises(ConvergenceError) as err:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None
