@@ -15,7 +15,6 @@ from wolfes4 import (
     ChannelSpec,
     ModelParams,
     delta_constant,
-    recommended_grid,
     richardson,
     sho_energy_resolved,
     solve_channel,
@@ -23,9 +22,8 @@ from wolfes4 import (
 
 
 def show(title, spec, params, exact, levels=4):
-    grid = recommended_grid(spec.kind, params, 1500)
-    e_h = solve_channel(spec, params, grid, levels).eigenvalues
-    e_half = solve_channel(spec, params, grid.refined(), levels).eigenvalues
+    e_h = solve_channel(spec, params, 1500, levels).eigenvalues
+    e_half = solve_channel(spec, params, 3001, levels).eigenvalues
     extrap = richardson(e_h, e_half)
     exact = np.asarray(exact, float)
     ratio = (e_h - exact) / (e_half - exact)
@@ -61,10 +59,9 @@ def main() -> None:
          (f + n) * (f + n + 1))
 
     print("polar self-test at f^2 = 0 (Legendre limit l(l+1)):")
-    grid = recommended_grid(ChannelKind.ANGULAR_THETA, params, 1500)
     spec = ChannelSpec(ChannelKind.ANGULAR_THETA, 0.0)
-    e = richardson(solve_channel(spec, params, grid, 5).eigenvalues,
-                   solve_channel(spec, params, grid.refined(), 5).eigenvalues)
+    e = richardson(solve_channel(spec, params, 1500, 5).eigenvalues,
+                   solve_channel(spec, params, 3001, 5).eigenvalues)
     print(f"  {np.array2string(e, precision=8)}  vs  0, 2, 6, 12, 20")
 
 

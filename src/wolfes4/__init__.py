@@ -30,10 +30,8 @@ from .coords import jacobi_matrix, potential_particle
 from .numsolve import (
     ChannelKind,
     ChannelSpec,
-    ConvergenceError,
     EigenResult,
     Grid1D,
-    GridDomainError,
     TridiagonalMatrix,
     discretize,
     eigen_tridiag,
@@ -43,7 +41,7 @@ from .numsolve import (
     solve_channel,
     solve_channel_extrapolated,
 )
-from .grid3d import lanczos_lowest, solve_hd_3d
+from .grid3d import ConvergenceError, lanczos_lowest, solve_hd_3d
 from .verify import (
     CheckEntry,
     ResolutionError,

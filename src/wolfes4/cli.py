@@ -18,13 +18,12 @@ from dataclasses import dataclass, fields, replace
 
 from numpy.linalg import LinAlgError
 
-from .grid3d import MAX_G1_SQUARED, MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
+from .grid3d import ConvergenceError, MAX_G1_SQUARED, MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
 from .model import (
     ModelParams,
     SHO_OFFSET_CANDIDATES,
     enumerate_spectrum,
 )
-from .numsolve import ConvergenceError
 from .verify import (
     GRID3D_EXTENT_RANGE,
     RESOLUTION_LEVELS,
@@ -293,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def make_config(args: argparse.Namespace) -> RunConfig:
+def make_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """Settings from the flags, then the config file; also the names either gave."""
     file_values = load_config_file(args.config) if args.config else {}
     flag_values = {
         "omega": args.omega,
@@ -312,7 +312,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
             merged[f.name] = flag_values[f.name]
         elif f.name in file_values:
             merged[f.name] = file_values[f.name]
-    return RunConfig(**merged)
+    return RunConfig(**merged), set(merged)
 
 
 # -- commands ---------------------------------------------------------------
@@ -455,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config = make_config(args)
+        config, given = make_config(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -467,9 +467,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hf-check":
             return cmd_hf_check(config, args.config)
         if args.command == "resolve":
-            from_file = args.config and "g1_squared" in load_config_file(args.config)
-            return cmd_resolve(config, args.config,
-                               explicit_g1sq=args.g1sq is not None or bool(from_file))
+            return cmd_resolve(config, args.config, explicit_g1sq="g1_squared" in given)
         if args.command == "audit":
             return cmd_audit(config, args.config)
     # LinAlgError subclasses ValueError but is a solver failure, not a usage error

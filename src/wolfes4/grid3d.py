@@ -38,7 +38,16 @@ from scipy.linalg import eigh
 
 from .coords import BARRIER_FORM, jacobi_matrix, potential_particle
 from .model import ModelParams
-from .numsolve import ConvergenceError, EigenResult, inverse_square_diag
+from .numsolve import EigenResult, inverse_square_diag
+
+
+class ConvergenceError(RuntimeError):
+    """Iterative eigensolve did not reach the requested residual."""
+
+    def __init__(self, message: str, residuals=None):
+        super().__init__(message)
+        self.residuals = residuals
+
 
 #: Points per axis that verify_3d accepts; solve_hd_3d takes any count up to
 #: the largest, where the biggest sector has ~220k unknowns and its Lanczos

@@ -1,14 +1,19 @@
 """Finite-difference eigensolvers for the five 1D operator channels.
 
 Every channel is a Dirichlet problem on a uniform grid with the standard
-3-point stencil.  Inverse-square terms (the barrier, the centrifugal term,
-the 1/sin^2 angular terms) all go through ``inverse_square_diag``.  Naive
-sampling near a pole selects the wrong boundary behavior at the critical
-coupling and degrades the convergence order for weak couplings, so up to
-the endpoint behavior x^3 of the eigenfunctions the diagonal uses
-exact-local-power coefficients that annihilate x^b; stronger couplings are
-sampled.  This keeps all channels uniformly second order, which is what
-makes Richardson extrapolation valid everywhere.
+3-point stencil.  A channel's kind fixes its domain (``recommended_grid``:
+(-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for the angular kinds),
+so ``solve_channel`` takes only a point count; ``n_points`` and
+``2 * n_points + 1`` give the same domain at half the spacing.
+
+Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
+angular terms) all go through ``inverse_square_diag``.  Naive sampling near
+a pole selects the wrong boundary behavior at the critical coupling and
+degrades the convergence order for weak couplings, so up to the endpoint
+behavior x^3 of the eigenfunctions the diagonal uses exact-local-power
+coefficients that annihilate x^b; stronger couplings are sampled.  This
+keeps all channels uniformly second order, which is what makes Richardson
+extrapolation valid everywhere.
 
 Eigenvalues come from Sturm-sequence bisection and eigenvectors from inverse
 iteration (LAPACK stebz/stein via scipy); both are deterministic for a fixed
@@ -26,18 +31,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .model import ModelParams
-
-
-class GridDomainError(ValueError):
-    """Grid domain does not match the requirements of the requested channel."""
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative eigensolve did not reach the requested residual."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -60,10 +53,6 @@ class Grid1D:
 
     def nodes(self) -> np.ndarray:
         return self.lower + self.spacing * np.arange(1, self.n_points + 1)
-
-    def refined(self) -> "Grid1D":
-        """Same domain with the spacing exactly halved."""
-        return Grid1D(self.lower, self.upper, 2 * self.n_points + 1)
 
 
 @dataclass(frozen=True)
@@ -219,89 +208,45 @@ def inverse_square_diag(j: np.ndarray, coupling: float, kinetic_prefactor: float
     return kinetic_prefactor / h**2 * _power_step(j, b)
 
 
-def _singular_tridiag(grid: Grid1D, smooth: Callable[[np.ndarray], np.ndarray],
-                      c_left: float, c_right: float,
-                      kinetic_prefactor: float) -> TridiagonalMatrix:
-    """Stencil for -kappa u'' + smooth(x) + c_left/x_rel^2 (+ c_right at the far end)."""
-    T = discretize(smooth, grid, kinetic_prefactor)
-    diag = T.diag.copy()
+def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> TridiagonalMatrix:
+    """Assemble one channel's operator on its ``recommended_grid``.
+
+    Two families: the oscillator -u''/2 + omega^2 x^2/2 + c/x^2 with c = 0
+    (HO), g1^2/6 (SHO) or k^2/2 (RADIAL), and the angular -u'' + c/sin^2(x),
+    singular at both ends, with c = g1^2/3 (ANGULAR_PHI, eigenvalues f^2) or
+    f^2 - 1/4 (ANGULAR_THETA, in the symmetrized form w = sqrt(sin) * Theta
+    of -w'' + (f^2 - 1/4)/sin^2 * w = (k^2 + 1/4) w).
+    """
     j = np.arange(1, grid.n_points + 1)
     h = grid.spacing
-    if c_left != 0.0:
-        diag += inverse_square_diag(j, c_left, kinetic_prefactor, h)
-    if c_right != 0.0:
-        diag += inverse_square_diag(grid.n_points + 1 - j, c_right, kinetic_prefactor, h)
-    return TridiagonalMatrix(diag=diag, offdiag=T.offdiag)
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise GridDomainError(message)
-
-
-_DOMAIN_RTOL = 1e-9
-
-
-def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> TridiagonalMatrix:
-    """Assemble the discrete operator for one channel on the given grid."""
-    span = grid.upper - grid.lower
-    kind = spec.kind
-    if kind is ChannelKind.HO:
-        _require(abs(grid.upper + grid.lower) <= _DOMAIN_RTOL * span,
-                 "HO channel needs a symmetric domain (-L, L)")
-        w2 = params.omega**2
-        return discretize(lambda x: 0.5 * w2 * x**2, grid, 0.5)
-    if kind is ChannelKind.SHO:
-        _require(abs(grid.lower) <= _DOMAIN_RTOL * span and grid.upper > 0,
-                 "SHO channel needs the half-line domain (0, L)")
-        w2 = params.omega**2
-        return _singular_tridiag(grid, lambda x: 0.5 * w2 * x**2,
-                                 c_left=params.g1_squared / 6.0, c_right=0.0,
-                                 kinetic_prefactor=0.5)
-    if kind is ChannelKind.RADIAL:
-        _require(abs(grid.lower) <= _DOMAIN_RTOL * span and grid.upper > 0,
-                 "radial channel needs the half-line domain (0, L)")
-        w2 = params.omega**2
-        return _singular_tridiag(grid, lambda r: 0.5 * w2 * r**2,
-                                 c_left=0.5 * spec.coefficient, c_right=0.0,
-                                 kinetic_prefactor=0.5)
-    if kind is ChannelKind.ANGULAR_PHI:
-        _require(abs(grid.lower) <= _DOMAIN_RTOL * span
-                 and abs(grid.upper - math.pi) <= _DOMAIN_RTOL * span,
-                 "azimuthal channel needs the domain (0, pi)")
+    if spec.kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
         c = spec.coefficient
-        if c == 0.0:
-            return discretize(lambda x: np.zeros_like(x), grid, 1.0)
-        return _singular_tridiag(grid, _sin_sq_remainder(c), c, c, 1.0)
-    if kind is ChannelKind.ANGULAR_THETA:
-        _require(abs(grid.lower) <= _DOMAIN_RTOL * span
-                 and abs(grid.upper - math.pi) <= _DOMAIN_RTOL * span,
-                 "polar channel needs the domain (0, pi)")
-        # symmetrized form w = sqrt(sin(theta)) * Theta:
-        #   -w'' + (f^2 - 1/4)/sin^2 * w = (k^2 + 1/4) w
-        c = spec.coefficient - 0.25
-        return _singular_tridiag(grid, _sin_sq_remainder(c), c, c, 1.0)
-    raise GridDomainError(f"unknown channel kind {kind!r}")
+        if spec.kind is ChannelKind.ANGULAR_THETA:
+            c -= 0.25
+        # c/sin^2(x) with both inverse-square poles removed; smooth on [0, pi]
+        T = discretize(lambda x: c * (1.0 / np.sin(x) ** 2 - 1.0 / x**2
+                                      - 1.0 / (math.pi - x) ** 2), grid, 1.0)
+        return TridiagonalMatrix(T.diag + inverse_square_diag(j, c, 1.0, h)
+                                 + inverse_square_diag(grid.n_points + 1 - j, c, 1.0, h),
+                                 T.offdiag)
+    c = {ChannelKind.HO: 0.0, ChannelKind.SHO: params.g1_squared / 6.0,
+         ChannelKind.RADIAL: 0.5 * spec.coefficient}[spec.kind]
+    w2 = params.omega**2
+    T = discretize(lambda x: 0.5 * w2 * x**2, grid, 0.5)
+    return TridiagonalMatrix(T.diag + inverse_square_diag(j, c, 0.5, h), T.offdiag)
 
 
-def _sin_sq_remainder(c: float) -> Callable[[np.ndarray], np.ndarray]:
-    """c/sin^2(x) with both inverse-square poles removed; smooth on [0, pi]."""
-
-    def smooth(x: np.ndarray) -> np.ndarray:
-        return c * (1.0 / np.sin(x) ** 2 - 1.0 / x**2 - 1.0 / (math.pi - x) ** 2)
-
-    return smooth
-
-
-def solve_channel(spec: ChannelSpec, params: ModelParams, grid: Grid1D, k: int,
+def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
                   want_vectors: bool = False) -> EigenResult:
-    """Lowest k eigenvalues of the requested channel operator.
+    """Lowest k eigenvalues of the channel on its ``recommended_grid`` of n_points nodes.
 
+    The channel's kind fixes the domain, so the point count is all a caller chooses.
     Returned values are the physical ones: energies for HO/SHO/RADIAL, the
     1/sin^2 eigenvalues f^2 for ANGULAR_PHI, and the separation constants
     k^2 (symmetric-operator eigenvalues minus 1/4) for ANGULAR_THETA, whose
     vectors are those of the symmetrized substitution w = sqrt(sin)*Theta.
     """
+    grid = recommended_grid(spec.kind, params, n_points)
     T = channel_tridiag(spec, params, grid)
     res = eigen_tridiag(T, k, want_vectors=want_vectors)
     vals = res.eigenvalues
@@ -343,10 +288,9 @@ def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray, ratio: float
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
                                k: int) -> np.ndarray:
-    """Eigenvalues at the recommended domain, Richardson-extrapolated (h and h/2)."""
-    coarse = recommended_grid(spec.kind, params, n_points)
-    e_h = solve_channel(spec, params, coarse, k).eigenvalues
-    e_half = solve_channel(spec, params, coarse.refined(), k).eigenvalues
+    """Eigenvalues Richardson-extrapolated from n_points and 2 n_points + 1 (h and h/2)."""
+    e_h = solve_channel(spec, params, n_points, k).eigenvalues
+    e_half = solve_channel(spec, params, 2 * n_points + 1, k).eigenvalues
     return richardson(e_h, e_half)
 
 

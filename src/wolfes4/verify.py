@@ -339,11 +339,14 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     d_fd_half = central(delta_g2 / 2.0)
 
     vals = []
-    grid = recommended_grid(ChannelKind.SHO, params, n_points)
-    for g in (grid, grid.refined()):
-        res = solve_channel(spec, params, g, n2 + 1, want_vectors=True)
-        vals.append(expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), g))
-    d_exp = float(richardson(vals[0], vals[1]))
+    for n in (n_points, 2 * n_points + 1):
+        res = solve_channel(spec, params, n, n2 + 1, want_vectors=True)
+        vals.append(expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2),
+                                recommended_grid(ChannelKind.SHO, params, n)))
+    # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
+    # goes as x^(2b - 2) and its trapezoid error as h^(2b - 1) (Navot 1961):
+    # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
+    d_exp = float(richardson(vals[0], vals[1], 2.0 ** min(1.0, delta_constant(params))))
 
     d_closed = hf_derivative_closed_form(n2, params)
 

@@ -13,7 +13,6 @@ import pytest
 from wolfes4 import (
     ChannelKind,
     ChannelSpec,
-    Grid1D,
     ModelParams,
     bk_audit,
     delta_constant,
@@ -48,10 +47,8 @@ def resolution():
 def test_criterion_01_ho_oracle():
     """Lowest 8 HO levels match omega*(n + 1/2) within 1e-6 after Richardson."""
     t0 = time.perf_counter()
-    grid = Grid1D(-12.0, 12.0, 2001)
-    e_h = solve_channel(ChannelSpec(ChannelKind.HO), P3, grid, 8).eigenvalues
-    e_half = solve_channel(ChannelSpec(ChannelKind.HO), P3, grid.refined(),
-                           8).eigenvalues
+    e_h = solve_channel(ChannelSpec(ChannelKind.HO), P3, 2001, 8).eigenvalues
+    e_half = solve_channel(ChannelSpec(ChannelKind.HO), P3, 4003, 8).eigenvalues
     elapsed = time.perf_counter() - t0
     err = float(np.max(np.abs(richardson(e_h, e_half) - (np.arange(8) + 0.5))))
     record(1, err < 1e-6 and elapsed < 5.0,
@@ -203,12 +200,8 @@ def test_criterion_10_convergence_order():
     ]
     ratios = {}
     for spec, level, exact in cases:
-        from wolfes4 import recommended_grid
-
-        g0 = recommended_grid(spec.kind, P3, 800)
-        g1 = g0.refined()
-        e0 = solve_channel(spec, P3, g0, level + 1).eigenvalues[level]
-        e1 = solve_channel(spec, P3, g1, level + 1).eigenvalues[level]
+        e0 = solve_channel(spec, P3, 800, level + 1).eigenvalues[level]
+        e1 = solve_channel(spec, P3, 1601, level + 1).eigenvalues[level]
         ratios[spec.kind.value] = (e0 - exact) / (e1 - exact)
     ok = all(3.5 <= r <= 4.5 for r in ratios.values())
     record(10, ok, "h->h/2 error ratios: "

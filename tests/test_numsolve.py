@@ -9,7 +9,6 @@ from wolfes4 import (
     ChannelKind,
     ChannelSpec,
     Grid1D,
-    GridDomainError,
     ModelParams,
     TridiagonalMatrix,
     delta_constant,
@@ -34,11 +33,13 @@ class TestGrid1D:
         assert g.spacing == pytest.approx(0.2)
         assert g.nodes() == pytest.approx([0.2, 0.4, 0.6, 0.8])
 
-    def test_refined_halves_spacing(self):
-        g = Grid1D(-2.0, 3.0, 100)
-        r = g.refined()
-        assert (r.lower, r.upper) == (g.lower, g.upper)
-        assert r.spacing == pytest.approx(g.spacing / 2)
+    def test_doubled_count_halves_spacing(self):
+        # the pair n, 2n + 1 of every Richardson extrapolation: same box, h / 2
+        for kind in ChannelKind:
+            for n in (100, 2001):
+                g, r = (recommended_grid(kind, P, m) for m in (n, 2 * n + 1))
+                assert (r.lower, r.upper) == (g.lower, g.upper)
+                assert r.spacing == g.spacing / 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -130,8 +131,7 @@ class TestEigenTridiag:
 
 class TestChannels:
     def test_ho_lowest_four(self):
-        grid = recommended_grid(ChannelKind.HO, P, 2000)
-        res = solve_channel(ChannelSpec(ChannelKind.HO), P, grid, 4)
+        res = solve_channel(ChannelSpec(ChannelKind.HO), P, 2000, 4)
         assert res.eigenvalues == pytest.approx([0.5, 1.5, 2.5, 3.5], abs=5e-4)
 
     def test_ho_oracle_after_richardson(self):
@@ -139,9 +139,8 @@ class TestChannels:
         assert e == pytest.approx(np.arange(8) + 0.5, abs=1e-6)
 
     def test_azimuthal_zero_coupling(self):
-        grid = recommended_grid(ChannelKind.ANGULAR_PHI, P, 2000)
         p0 = ModelParams(omega=1.0, g1_squared=0.0)
-        res = solve_channel(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0), p0, grid, 3)
+        res = solve_channel(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0), p0, 2000, 3)
         assert res.eigenvalues == pytest.approx([1.0, 4.0, 9.0], abs=1e-3)
         e = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0),
                                        p0, 2001, 5)
@@ -160,8 +159,7 @@ class TestChannels:
         assert e == pytest.approx(2 * np.arange(3) + l + 1.5, abs=1e-5)
 
     def test_radial_k2_2_lowest_two(self):
-        grid = recommended_grid(ChannelKind.RADIAL, P, 2000)
-        res = solve_channel(ChannelSpec(ChannelKind.RADIAL, 2.0), P, grid, 2)
+        res = solve_channel(ChannelSpec(ChannelKind.RADIAL, 2.0), P, 2000, 2)
         assert res.eigenvalues == pytest.approx([2.5, 4.5], abs=1e-4)
 
     def test_sho_matches_resolved_formula(self):
@@ -183,20 +181,17 @@ class TestChannels:
         e = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), P, 1001, 6)
         assert np.all(np.diff(e) > 0)
 
-    def test_domain_mismatch_raises(self):
-        sym = Grid1D(-5.0, 5.0, 100)
-        half = Grid1D(0.0, 5.0, 100)
-        angular = Grid1D(0.0, math.pi, 100)
-        with pytest.raises(GridDomainError):
-            solve_channel(ChannelSpec(ChannelKind.HO), P, half, 2)
-        with pytest.raises(GridDomainError):
-            solve_channel(ChannelSpec(ChannelKind.SHO), P, sym, 2)
-        with pytest.raises(GridDomainError):
-            solve_channel(ChannelSpec(ChannelKind.RADIAL, 2.0), P, sym, 2)
-        with pytest.raises(GridDomainError):
-            solve_channel(ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0), P, half, 2)
-        with pytest.raises(GridDomainError):
-            solve_channel(ChannelSpec(ChannelKind.ANGULAR_THETA, 1.0), P, sym, 2)
+    def test_kind_fixes_domain(self):
+        # (-L, L) for HO, (0, L) on the half line, (0, pi) for the angles
+        for omega in (1.0, 4.0, 1e-6):
+            p = ModelParams(omega=omega, g1_squared=3.0)
+            grids = {kind: recommended_grid(kind, p, 100) for kind in ChannelKind}
+            ho = grids[ChannelKind.HO]
+            assert ho.lower == -ho.upper and ho.upper > 0
+            for kind in (ChannelKind.SHO, ChannelKind.RADIAL):
+                assert grids[kind].lower == 0.0 and grids[kind].upper > 0
+            for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
+                assert (grids[kind].lower, grids[kind].upper) == (0.0, math.pi)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
@@ -205,10 +200,7 @@ class TestChannels:
     def test_monotone_refinement(self):
         # Dirichlet truncation approaches the limit from below as h shrinks
         spec = ChannelSpec(ChannelKind.SHO)
-        grids = [recommended_grid(ChannelKind.SHO, P, 500)]
-        grids.append(grids[0].refined())
-        grids.append(grids[1].refined())
-        vals = [solve_channel(spec, P, g, 1).eigenvalues[0] for g in grids]
+        vals = [solve_channel(spec, P, n, 1).eigenvalues[0] for n in (500, 1001, 2003)]
         assert vals[0] < vals[1] < vals[2] < sho_energy_resolved(0, P, 1.0)
 
 
@@ -227,10 +219,7 @@ class TestRichardson:
         # extrapolant error drops O(h^2) -> O(h^4): refining the pair once
         # more shrinks the residual by roughly 16
         spec = ChannelSpec(ChannelKind.HO)
-        g0 = recommended_grid(ChannelKind.HO, P, 250)
-        g1, g2 = g0.refined(), g0.refined().refined()
-        e0, e1, e2 = (solve_channel(spec, P, g, 1).eigenvalues[0]
-                      for g in (g0, g1, g2))
+        e0, e1, e2 = (solve_channel(spec, P, n, 1).eigenvalues[0] for n in (250, 501, 1003))
         exact = 0.5
         r01 = richardson(e0, e1) - exact
         r12 = richardson(e1, e2) - exact
@@ -239,10 +228,8 @@ class TestRichardson:
 
 @pytest.fixture(scope="module")
 def sho_ground():
-    grid = recommended_grid(ChannelKind.SHO, P, 2001)
-    res = solve_channel(ChannelSpec(ChannelKind.SHO), P, grid, 1,
-                        want_vectors=True)
-    return res.eigenvectors[0], grid
+    res = solve_channel(ChannelSpec(ChannelKind.SHO), P, 2001, 1, want_vectors=True)
+    return res.eigenvectors[0], recommended_grid(ChannelKind.SHO, P, 2001)
 
 
 class TestExpectation:
@@ -252,8 +239,8 @@ class TestExpectation:
         assert expectation(v, lambda x: np.ones_like(x), grid) == pytest.approx(1.0)
 
     def test_parity_null(self):
+        res = solve_channel(ChannelSpec(ChannelKind.HO), P, 2001, 1, want_vectors=True)
         grid = recommended_grid(ChannelKind.HO, P, 2001)
-        res = solve_channel(ChannelSpec(ChannelKind.HO), P, grid, 1, want_vectors=True)
         assert abs(expectation(res.eigenvectors[0], lambda x: x, grid)) <= 1e-10
 
     def test_barrier_expectation_matches_derivative(self, sho_ground):
@@ -329,10 +316,8 @@ class TestConvergenceOrder:
 
     @staticmethod
     def assert_second_order(spec, params, level, exact):
-        g0 = recommended_grid(spec.kind, params, 800)
-        g1, g2 = g0.refined(), g0.refined().refined()
-        e0, e1, e2 = (solve_channel(spec, params, g, level + 1).eigenvalues[level]
-                      for g in (g0, g1, g2))
+        e0, e1, e2 = (solve_channel(spec, params, n, level + 1).eigenvalues[level]
+                      for n in (800, 1601, 3203))
         ratio1 = (e0 - exact) / (e1 - exact)
         ratio2 = (e1 - exact) / (e2 - exact)
         assert 3.5 <= ratio1 <= 4.5

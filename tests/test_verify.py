@@ -208,6 +208,9 @@ class TestHellmannFeynman:
     @pytest.mark.parametrize("g,expected", [
         (3.0, 1 / (3 * math.sqrt(5))),
         (1.0, 1 / (6 * math.sqrt(7.0 / 12.0))),
+        # below g1^2 = 2.25 the expectation pair converges at order 2 delta < 2
+        (0.2, 1 / (6 * math.sqrt(19.0 / 60.0))),
+        (1e-3, 1 / (6 * math.sqrt(751.0 / 3000.0))),
     ])
     def test_three_way_agreement(self, g, expected):
         report = hellmann_feynman_check(ModelParams(1.0, g), n2=0, tol=1e-4)
