@@ -133,7 +133,9 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{inner}{to_json(v, indent + 1)}" for v in obj]
+        # scalars directly: a report's lists hold thousands of them
+        items = [inner + (to_json(v, indent + 1) if isinstance(v, (dict, list, tuple))
+                          else _json_scalar(v)) for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     return _json_scalar(obj)
 

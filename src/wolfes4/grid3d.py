@@ -19,8 +19,11 @@ impenetrable limit.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
-each solved once by a matrix-free thick-restart Lanczos iteration with full
-reorthogonalization.  The split is needed for correctness as well as speed:
+each solved once by a matrix-free thick-restart Lanczos iteration with
+selective reorthogonalization against its kept Ritz vectors.  By
+Perron-Frobenius the ground level lies in GROUND_SECTOR alone, so the other
+sectors share out only the levels above it.  The split is needed for
+correctness as well as speed:
 a single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
 Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
@@ -60,6 +63,12 @@ MAX_POINTS_PER_AXIS = 121
 #: and X1 <-> X3 (0 where the first two differ), each mapped to the states one
 #: level stands for: 2 (X2 mirror), 4 for (1, -1, 0) and its image (-1, 1, 0).
 SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, -1): 2}
+
+#: The sector of the ground level.  The half-space operator has negative
+#: off-diagonals and a connected stencil, so by Perron-Frobenius its lowest
+#: level is simple, strictly below every other, with a positive eigenvector,
+#: which every symmetry of D4 leaves unchanged.
+GROUND_SECTOR = (1, 1, 1)
 
 #: Lanczos basis size of a sector solve, unless its levels need more room.
 #: 16-30 measured alike at 41 points per axis; 16 came near the restart cap at 81.
@@ -175,9 +184,12 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     max_restarts matrix applications; raises ConvergenceError with the
     residuals beyond them.  Each step subtracts the three-term part (the
     previous vector, or the locked Ritz vectors on the first step after a
-    restart, and the current one) and then makes one full reorthogonalization
-    pass against the basis.  A step that closes an invariant subspace goes on
-    from a deterministic refill vector, with no link to it in T.  A
+    restart, and the current one) and then reorthogonalizes against the
+    locked Ritz vectors only: orthogonality is lost toward converged Ritz
+    vectors (Paige), and a restart keeps them (selective orthogonalization,
+    Parlett and Scott, Math. Comp. 33, 217, 1979).  A step that closes an
+    invariant subspace goes on from a deterministic refill vector,
+    orthogonalized against the whole basis, with no link to it in T.  A
     ``history`` list gets the lowest Ritz value of each restart cycle,
     non-increasing by the variational principle.
     """
@@ -206,7 +218,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
             else:
                 w -= beta * V[j - 1]
             w -= alpha * V[j]
-            w -= V[: j + 1].T @ (V[: j + 1] @ w)
+            w -= V[:n_locked].T @ (V[:n_locked] @ w)
             beta = float(np.linalg.norm(w))
             if beta < 1e-12:
                 # Krylov space exhausted an invariant subspace; deterministic refill
@@ -248,17 +260,23 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     n_half with j >= 1.  Eigenvalues converge at O(h^2), so a run paired
     with one on a coarser grid over the same extent can be extrapolated.
 
-    Each sector of SECTORS is solved once for ceil(k / m) levels, m its
-    multiplicity, which is enough for it to hold its part of the lowest k
-    states; the fewest merged levels whose ``multiplicities`` cover them are
-    returned.  ``residual_bound`` is the largest residual of any sector.
+    The ground level is simple in the half-space (Perron-Frobenius) and lies
+    in GROUND_SECTOR, so that sector is solved for ceil(k / 2) levels and
+    every other sector of SECTORS, m its multiplicity, for ceil((k - 2) / m),
+    its part of the k - 2 states above the ground level; a sector with none
+    (k <= 2) is not solved.  The fewest merged levels whose
+    ``multiplicities`` cover the lowest k states are returned.
+    ``residual_bound`` is the largest residual of any sector.
     The sectors are solved in units of omega, where the absolute breakdown
     and convergence thresholds of lanczos_lowest mean the same at every omega.
-    Raises ValueError when n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2
-    exceeds MAX_G1_SQUARED, and when J = coords.jacobi_matrix() is not
-    orthogonal to 1e-14 (the kinetic term would not be -1/2 Laplacian) or
-    c = J @ coords.BARRIER_FORM has an X1, X3 or Xcm component above 1e-14
-    of its X2 one (the barrier would not depend on X2 alone).
+    Raises ConvergenceError when a sector does not converge, or when one
+    returns a level at or below the ground sector's, which Perron-Frobenius
+    rules out.  Raises ValueError when n_per_axis exceeds
+    MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED, and when
+    J = coords.jacobi_matrix() is not orthogonal to 1e-14 (the kinetic term
+    would not be -1/2 Laplacian) or c = J @ coords.BARRIER_FORM has an X1,
+    X3 or Xcm component above 1e-14 of its X2 one (the barrier would not
+    depend on X2 alone).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -278,18 +296,28 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     n_half = n_per_axis // 2
     # on the grid H(omega; h) = omega H(1; h sqrt(omega)): solve in units of omega
     h = extent / (n_half + 1) * math.sqrt(params.omega)
+    above_ground = k - SECTORS[GROUND_SECTOR]
     solved = []
     for sector, m in SECTORS.items():
+        wanted = -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
+        if wanted < 1:
+            continue
         matvec, n = _build_operator(params.g1_squared, n_half, h, sector, J)
-        wanted = -(-k // m)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
-        solved.append(lanczos_lowest(matvec, n, wanted, tol=tol,
-                                     krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10)))
-    vals = np.concatenate([v for v, _ in solved])
-    mults = np.concatenate([np.full(len(v), m) for (v, _), m in zip(solved, SECTORS.values())])
+        vals, res = lanczos_lowest(matvec, n, wanted, tol=tol,
+                                   krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10))
+        if sector == GROUND_SECTOR:  # first in SECTORS
+            ground = vals[0]
+        elif vals[0] <= ground:
+            raise ConvergenceError(
+                f"sector {sector} has a level {vals[0]!r} at or below the ground "
+                f"level {ground!r}, which Perron-Frobenius rules out", residuals=res)
+        solved.append((vals, res, m))
+    vals = np.concatenate([v for v, _, _ in solved])
+    mults = np.concatenate([np.full(len(v), m) for v, _, m in solved])
     # near-degenerate pairs may come back equal to rounding; order ties stably
     order = np.argsort(vals, kind="stable")
     order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
     return EigenResult(eigenvalues=params.omega * vals[order], eigenvectors=None,
-                       residual_bound=params.omega * float(max(np.max(r) for _, r in solved)),
+                       residual_bound=params.omega * float(max(np.max(r) for _, r, _ in solved)),
                        multiplicities=mults[order])

@@ -59,6 +59,8 @@ class QuantumTriple:
     def __post_init__(self) -> None:
         for name in ("n1", "n2", "n3"):
             v = getattr(self, name)
+            if type(v) is int and v >= 0:
+                continue
             if not isinstance(v, numbers.Integral) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
@@ -79,6 +81,8 @@ class SphericalQuantum:
     def __post_init__(self) -> None:
         for name in ("n_r", "l", "m"):
             v = getattr(self, name)
+            if type(v) is int and v >= 0:
+                continue
             if not isinstance(v, numbers.Integral) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
@@ -208,12 +212,15 @@ def enumerate_spectrum(params: ModelParams, cutoff: int, offset: float,
     if sector_multiplicity not in (1, 2):
         raise ValueError("sector_multiplicity must be 1 or 2")
 
+    # the terms of composite_energy, each computed once and summed in its order
+    ho = [ho_energy(n, params) for n in range(cutoff + 1)]
+    sho = [sho_energy_resolved(n, params, offset) for n in range(cutoff // 2 + 1)]
     levels = []
     for n in range(cutoff + 1):
         triples = [QuantumTriple(n1, n2, n - n1 - 2 * n2)
                    for n1 in range(n + 1) for n2 in range((n - n1) // 2 + 1)]
         levels.append(EnergyLevel(
-            value=min(composite_energy(t, params, offset) for t in triples),
+            value=min(ho[t.n1] + sho[t.n2] + ho[t.n3] for t in triples),
             degeneracy=sector_multiplicity * len(triples), members=triples))
     if not math.isfinite(levels[-1].value):
         raise ValueError(f"the level energies overflow by N = {cutoff}")

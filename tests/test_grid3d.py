@@ -1,5 +1,7 @@
 """3D grid solver: layout, Lanczos behavior, and the tensor-sum oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from wolfes4 import (
     verify_3d,
 )
 from wolfes4 import grid3d
-from wolfes4.grid3d import MAX_G1_SQUARED, SECTORS, _build_operator, _sector_axis
+from wolfes4.grid3d import (
+    GROUND_SECTOR,
+    MAX_G1_SQUARED,
+    SECTORS,
+    _build_operator,
+    _sector_axis,
+)
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 J = jacobi_matrix()
@@ -180,8 +188,60 @@ class TestSolver:
         res = solve_hd_3d(params, 20, 5.0, k=12)
         oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 12)
         assert states(res, 12) == pytest.approx(oracle, abs=1e-10)
-        # one solve per sector, each for its share of the 12 states
-        assert asked == [-(-12 // m) for m in SECTORS.values()]
+        # one solve per sector: the ground sector for its share of the 12
+        # states, every other for its share of the 10 above the ground level
+        assert asked == [-(-12 // m) if sector == GROUND_SECTOR else -(-10 // m)
+                         for sector, m in SECTORS.items()]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_two_states_solve_the_ground_sector_only(self, k, monkeypatch):
+        asked = []
+
+        def recording(matvec, n, k, **kwargs):
+            asked.append(k)
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        res = solve_hd_3d(P, 20, 5.0, k=k)
+        assert asked == [1]
+        assert res.multiplicities.tolist() == [2]
+        assert res.eigenvalues == pytest.approx(tensor_sum_oracle(P, *spacing(20, 5.0), 1),
+                                                abs=1e-10)
+
+    @pytest.mark.parametrize("n_per_axis", [16, 41])
+    @pytest.mark.parametrize("g1_squared", [0.0, 3.0, 100.0])
+    def test_ground_level_lies_in_the_ground_sector_alone(self, g1_squared, n_per_axis):
+        # the Perron-Frobenius premise of the level budget, sector by sector
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        lowest = {}
+        for sector in SECTORS:
+            matvec, n = _build_operator(g1_squared, *spacing(n_per_axis, 5.5), sector, J)
+            lowest[sector] = lanczos_lowest(matvec, n, 1, tol=1e-10)[0][0]
+        ground = lowest.pop(GROUND_SECTOR)
+        assert ground < min(lowest.values())
+        assert ground == pytest.approx(
+            tensor_sum_oracle(params, *spacing(n_per_axis, 5.5), 1)[0], abs=1e-10)
+
+    def test_level_below_the_ground_sector_raises(self, monkeypatch):
+        solved = []
+
+        def lowering(matvec, n, k, **kwargs):
+            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
+            solved.append(n)
+            return (vals - 10.0 if len(solved) == 3 else vals), res
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
+        with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
+            solve_hd_3d(P, 16, 5.0, k=6)
+
+    @pytest.mark.parametrize("g1_squared", [0.3, 3.0, 100.0])
+    def test_twenty_states_without_ghosts(self, g1_squared):
+        # up to 10 levels per sector, orthogonalized against the kept Ritz
+        # block only; a ghost copy of a converged level would shift the list
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, 20, 5.0, k=20)
+        oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 20)
+        assert states(res, 20) == pytest.approx(oracle, abs=1e-10)
 
     @settings(max_examples=10, deadline=None)
     @given(g1_squared=st.floats(0.0, 40.0), n_per_axis=st.integers(16, 22))
@@ -354,6 +414,23 @@ class TestLanczos:
                                    max_restarts=20, tol=1e-10, history=history)
         exact = np.sort(np.linalg.eigvalsh(A))[:3]
         assert vals == pytest.approx(exact, abs=1e-8)
+
+    def test_many_restarts_dense_cross_check(self):
+        # a small basis on a random dense matrix: many restart cycles, each
+        # orthogonalized against the kept Ritz block only
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((300, 300))
+        A = (A + A.T) / 2
+        history: list = []
+        vals, _ = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
+                                 max_restarts=200, tol=1e-10, history=history)
+        assert len(history) >= 11
+        assert vals == pytest.approx(np.linalg.eigvalsh(A)[:4], abs=1e-10)
+
+    def test_signature(self):
+        # the names a caller binds by, keyword or position
+        assert list(inspect.signature(lanczos_lowest).parameters) == [
+            "matvec", "n", "k", "krylov_dim", "max_restarts", "tol", "history"]
 
     def test_repeated_eigenvalues_without_ghosts(self):
         # a random rotation of the spectrum of a 3D Laplacian: 512 levels over
