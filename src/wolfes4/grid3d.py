@@ -7,7 +7,7 @@ where the particle potential (omega^2/8) sum_{i<j} (x_i - x_j)^2 is
 evaluated.  J is orthogonal, so the kinetic term stays
 -(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2), and c = J @ coords.BARRIER_FORM lies
 along X2, so the barrier g1^2 / (x1 + x2 - 2 x3)^2 is g1^2 / (c2 X2)^2;
-solve_hd_3d checks both.  The operator is discretized with the 7-point
+solve_sectors checks both.  The operator is discretized with the 7-point
 stencil.  The barrier makes the particles
 impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
 images, so the grid holds X2 > 0 only: one spacing h on every axis, the
@@ -19,12 +19,12 @@ impenetrable limit.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
-each solved once by a matrix-free thick-restart Lanczos iteration with
-selective reorthogonalization against its kept Ritz vectors.  By
-Perron-Frobenius the ground level lies in GROUND_SECTOR alone, so the other
-sectors share out only the levels above it.  The split is needed for
-correctness as well as speed:
-a single-vector Krylov space holds one vector of each eigenspace, so exactly
+each solved by solve_sectors for the levels asked of it, with a
+matrix-free thick-restart Lanczos iteration and selective
+reorthogonalization against its kept Ritz vectors.  By Perron-Frobenius
+the ground level lies in GROUND_SECTOR alone, so the other sectors share
+out only the levels above it.  The split is needed for correctness as well
+as speed: a single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
 Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
 sparse plane kinetic matrix beside the tridiagonal X2 axis.  The grid is
@@ -34,14 +34,14 @@ solved in units of omega, where the operator's scale does not depend on it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .coords import BARRIER_FORM, jacobi_matrix, potential_particle
 from .model import ModelParams
-from .numsolve import EigenResult, inverse_square_diag
+from .numsolve import inverse_square_diag
 
 
 class ConvergenceError(RuntimeError):
@@ -180,18 +180,21 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    tol: float = 1e-8, history: list | None = None):
     """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
-    Thick-restart Lanczos, deterministic, with at most krylov_dim *
-    max_restarts matrix applications; raises ConvergenceError with the
-    residuals beyond them.  Each step subtracts the three-term part (the
-    previous vector, or the locked Ritz vectors on the first step after a
-    restart, and the current one) and then reorthogonalizes against the
-    locked Ritz vectors only: orthogonality is lost toward converged Ritz
-    vectors (Paige), and a restart keeps them (selective orthogonalization,
-    Parlett and Scott, Math. Comp. 33, 217, 1979).  A step that closes an
-    invariant subspace goes on from a deterministic refill vector,
-    orthogonalized against the whole basis, with no link to it in T.  A
-    ``history`` list gets the lowest Ritz value of each restart cycle,
-    non-increasing by the variational principle.
+    Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602,
+    2000), deterministic, with at most krylov_dim * max_restarts matrix
+    applications; raises ConvergenceError with the residuals beyond them.
+    Each step subtracts the three-term part (the previous vector, or the
+    locked Ritz vectors on the first step after a restart, and the current
+    one) and then reorthogonalizes against the locked Ritz vectors:
+    orthogonality is lost toward converged Ritz vectors (Paige), and a
+    restart keeps them (selective orthogonalization, Parlett and Scott,
+    Math. Comp. 33, 217, 1979).  The first cycle has no Ritz vectors yet, so
+    it reorthogonalizes against its whole basis: on a small operator a Ritz
+    value converges within that cycle.  A step that closes an invariant
+    subspace goes on from a deterministic refill vector, orthogonalized
+    against the whole basis, with no link to it in T.  A ``history`` list
+    gets the lowest Ritz value of each restart cycle, non-increasing by the
+    variational principle.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
@@ -203,7 +206,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     locked_vals = np.zeros(0)
     locked_links = np.zeros(0)
     lam = res = None
-    for _ in range(max_restarts):
+    for cycle in range(max_restarts):
         T = np.zeros((m, m))
         if n_locked:
             T[:n_locked, :n_locked] = np.diag(locked_vals)
@@ -218,68 +221,75 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
             else:
                 w -= beta * V[j - 1]
             w -= alpha * V[j]
-            w -= V[:n_locked].T @ (V[:n_locked] @ w)
-            beta = float(np.linalg.norm(w))
+            L = V[:j + 1] if cycle == 0 else V[:n_locked]
+            w -= (L @ w) @ L
+            beta = math.sqrt(w @ w)
             if beta < 1e-12:
                 # Krylov space exhausted an invariant subspace; deterministic refill
                 w = np.cos(0.7 * np.arange(n, dtype=float) + j)
-                w -= V[: j + 1].T @ (V[: j + 1] @ w)
+                w -= (V[:j + 1] @ w) @ V[:j + 1]
                 V[j + 1] = w / np.linalg.norm(w)
                 beta = 0.0
             else:
-                V[j + 1] = w / beta
+                np.divide(w, beta, out=V[j + 1])
             if j + 1 < m:
                 T[j, j + 1] = T[j + 1, j] = beta
-        theta, S = eigh(T)
-        order = np.argsort(theta)
-        lam = theta[order]
-        res = np.abs(beta * S[m - 1, order])
+        lam, S = np.linalg.eigh(T)  # ascending
+        res = np.abs(beta * S[m - 1])
         if history is not None:
             history.append(float(lam[0]))
         if np.all(res[:k] <= tol * np.maximum(1.0, np.abs(lam[:k]))):
             return lam[:k], res[:k]
         kk = k + keep_extra
-        keep = order[:kk]
-        ritz = (V[:m].T @ S[:, keep]).T
-        V[:kk] = ritz
+        V[:kk] = S[:, :kk].T @ V[:m]
         V[kk] = V[m]
         n_locked = kk
-        locked_vals = theta[keep]
-        locked_links = beta * S[m - 1, keep]
+        locked_vals = lam[:kk]
+        locked_links = beta * S[m - 1, :kk]
     raise ConvergenceError(
         f"Lanczos did not converge within {max_restarts} restarts; "
         f"residuals {res[:k]}", residuals=res[:k])
 
 
-def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
-                tol: float = 1e-8) -> EigenResult:
-    """Lowest levels of the relative-motion operator on the 3D grid, each once.
+@dataclass(frozen=True)
+class GridLevels:
+    """Levels of the 3D grid, ascending, each once, with the sector it lies in.
+
+    ``residual_bound`` is the largest Lanczos residual of any sector solved.
+    """
+
+    eigenvalues: np.ndarray
+    sectors: list[tuple[int, int, int]]
+    residual_bound: float
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """The states each level stands for, its sector's count in SECTORS."""
+        return np.array([SECTORS[s] for s in self.sectors])
+
+
+def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
+                  counts: dict, tol: float = 1e-8) -> dict:
+    """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
     The grid has spacing h = extent / (n_half + 1), n_half = n_per_axis // 2:
     X1 and X3 carry the 2 n_half + 1 nodes j * h, |j| <= n_half, X2 the
     n_half with j >= 1.  Eigenvalues converge at O(h^2), so a run paired
     with one on a coarser grid over the same extent can be extrapolated.
 
-    The ground level is simple in the half-space (Perron-Frobenius) and lies
-    in GROUND_SECTOR, so that sector is solved for ceil(k / 2) levels and
-    every other sector of SECTORS, m its multiplicity, for ceil((k - 2) / m),
-    its part of the k - 2 states above the ground level; a sector with none
-    (k <= 2) is not solved.  The fewest merged levels whose
-    ``multiplicities`` cover the lowest k states are returned.
-    ``residual_bound`` is the largest residual of any sector.
-    The sectors are solved in units of omega, where the absolute breakdown
-    and convergence thresholds of lanczos_lowest mean the same at every omega.
-    Raises ConvergenceError when a sector does not converge, or when one
-    returns a level at or below the ground sector's, which Perron-Frobenius
-    rules out.  Raises ValueError when n_per_axis exceeds
+    Returns {sector: (levels, residuals)} in SECTORS order, both in units of
+    omega, for every sector with a positive count; the others are not
+    solved.  The sectors are solved in units of omega, where the absolute
+    breakdown and convergence thresholds of lanczos_lowest mean the same at
+    every omega.  Raises ConvergenceError when a sector does not converge,
+    or when one returns a level at or below GROUND_SECTOR's, which
+    Perron-Frobenius rules out.  Raises ValueError when n_per_axis exceeds
     MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED, and when
     J = coords.jacobi_matrix() is not orthogonal to 1e-14 (the kinetic term
     would not be -1/2 Laplacian) or c = J @ coords.BARRIER_FORM has an X1,
     X3 or Xcm component above 1e-14 of its X2 one (the barrier would not
     depend on X2 alone).
     """
-    if k < 1:
-        raise ValueError("k must be positive")
     if n_per_axis > MAX_POINTS_PER_AXIS:
         raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
                          f"got {n_per_axis}")
@@ -296,28 +306,51 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     n_half = n_per_axis // 2
     # on the grid H(omega; h) = omega H(1; h sqrt(omega)): solve in units of omega
     h = extent / (n_half + 1) * math.sqrt(params.omega)
-    above_ground = k - SECTORS[GROUND_SECTOR]
-    solved = []
-    for sector, m in SECTORS.items():
-        wanted = -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
+    solved = {}
+    ground = None
+    for sector in SECTORS:  # GROUND_SECTOR first
+        wanted = counts.get(sector, 0)
         if wanted < 1:
             continue
         matvec, n = _build_operator(params.g1_squared, n_half, h, sector, J)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
         vals, res = lanczos_lowest(matvec, n, wanted, tol=tol,
                                    krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10))
-        if sector == GROUND_SECTOR:  # first in SECTORS
+        if sector == GROUND_SECTOR:
             ground = vals[0]
-        elif vals[0] <= ground:
+        elif ground is not None and vals[0] <= ground:
             raise ConvergenceError(
                 f"sector {sector} has a level {vals[0]!r} at or below the ground "
                 f"level {ground!r}, which Perron-Frobenius rules out", residuals=res)
-        solved.append((vals, res, m))
-    vals = np.concatenate([v for v, _, _ in solved])
-    mults = np.concatenate([np.full(len(v), m) for v, _, m in solved])
+        solved[sector] = vals, res
+    return solved
+
+
+def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
+                tol: float = 1e-8) -> GridLevels:
+    """Lowest levels of the relative-motion operator on the 3D grid, each once.
+
+    The grid is that of solve_sectors.  The ground level is simple in the
+    half-space (Perron-Frobenius) and lies in GROUND_SECTOR, so that sector
+    is solved for ceil(k / 2) levels and every other sector of SECTORS, m
+    its multiplicity, for ceil((k - 2) / m), its part of the k - 2 states
+    above the ground level; a sector with none (k <= 2) is not solved.  The
+    fewest merged levels whose multiplicities cover the lowest k states are
+    returned.  Raises as solve_sectors does, and ValueError when k < 1.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    above_ground = k - SECTORS[GROUND_SECTOR]
+    counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
+              for sector, m in SECTORS.items()}
+    solved = solve_sectors(params, n_per_axis, extent, counts, tol)
+    vals = np.concatenate([v for v, _ in solved.values()])
+    sectors = [sector for sector, (v, _) in solved.items() for _ in v]
+    mults = np.array([SECTORS[s] for s in sectors])
     # near-degenerate pairs may come back equal to rounding; order ties stably
     order = np.argsort(vals, kind="stable")
     order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-    return EigenResult(eigenvalues=params.omega * vals[order], eigenvectors=None,
-                       residual_bound=params.omega * float(max(np.max(r) for _, r, _ in solved)),
-                       multiplicities=mults[order])
+    residual = max(float(np.max(r)) for _, r in solved.values())
+    return GridLevels(eigenvalues=params.omega * vals[order],
+                      sectors=[sectors[i] for i in order],
+                      residual_bound=params.omega * residual)

@@ -82,14 +82,12 @@ class EigenResult:
     Vectors from ``solve_channel`` are trapezoid-normalized on its grid
     (sum v_i^2 * spacing = 1); those from ``eigen_tridiag`` carry unit
     Euclidean norm.  ``residual_bound`` bounds ||T v - lambda v|| for every
-    returned pair.  ``multiplicities``, set by the 3D grid only, counts the
-    states each eigenvalue stands for.
+    returned pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual_bound: float
-    multiplicities: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.eigenvalues) < 0):

@@ -11,12 +11,13 @@ every gating entry passes.  Energies scale with omega; so do their tolerances.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS, solve_hd_3d
+from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS, solve_hd_3d, solve_sectors
 from .model import (
     ModelParams,
     QuantumTriple,
@@ -403,13 +404,33 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
     return report
 
 
+def grid3d_richardson_pair(params: ModelParams, n_per_axis: int, extent: float, k: int):
+    """The lowest k states of the 3D grid, each level paired and extrapolated.
+
+    Returns (fine, coarse, ratio, extrapolated): ``fine`` is solve_hd_3d at
+    ``n_per_axis`` points, and ``coarse[i]`` the level of the same rank in
+    the same sector as fine level i on its partner grid of ``n_per_axis //
+    2`` points over the same extent, which solves no other level.  A pair
+    within one sector stays the same state when levels of different
+    sectors cross between the grids.  ``extrapolated`` is the Richardson
+    value of each pair at the grids' spacing ratio ``ratio``.
+    """
+    fine = solve_hd_3d(params, n_per_axis, extent, k)
+    rank = [fine.sectors[:i].count(s) for i, s in enumerate(fine.sectors)]
+    partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors))
+    coarse = params.omega * np.array([partner[s][0][r] for s, r in zip(fine.sectors, rank)])
+    # spacings extent / (n_half + 1), n_half the half count of each grid
+    ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
+    return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio)
+
+
 def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D_TOL,
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
     Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` points over the
-    same extent (in oscillator lengths) are paired by position and
-    Richardson-extrapolated at the pair's spacing ratio.  Each class (both
+    same extent (in oscillator lengths) are paired within their sector and
+    Richardson-extrapolated (grid3d_richardson_pair).  Each class (both
     mirror half-spaces) takes grid levels until their multiplicities reach
     its degeneracy; every class within the lowest k states checks its worst
     level and its degeneracy.  The provenance quotes that level's fine and
@@ -424,13 +445,10 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     if not low <= extent <= high:
         raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
-    extent_eff = extent / math.sqrt(params.omega)
-    fine = solve_hd_3d(params, n_per_axis, extent_eff, k)
-    coarse = solve_hd_3d(params, n_per_axis // 2, extent_eff, k)
-    # spacings extent / (n_half + 1), n_half the half count of each grid
-    ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
-    m = min(len(fine.eigenvalues), len(coarse.eigenvalues))
-    extrap = richardson(coarse.eigenvalues[:m], fine.eigenvalues[:m], ratio)
+    fine, coarse, ratio, extrap = grid3d_richardson_pair(
+        params, n_per_axis, extent / math.sqrt(params.omega), k)
+    mults = fine.multiplicities
+    m = len(mults)
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
@@ -440,13 +458,13 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
             break
         first, states = i, 0
         while states < level.degeneracy and i < m:
-            states += int(fine.multiplicities[i])
+            states += int(mults[i])
             i += 1
         worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
         report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
                    f"worst of {i - first} levels: fine grid "
                    f"{fine.eigenvalues[worst] / params.omega:.6f}, coarse "
-                   f"{coarse.eigenvalues[worst] / params.omega:.6f}, Richardson pair at "
+                   f"{coarse[worst] / params.omega:.6f}, Richardson pair at "
                    f"spacing ratio {ratio:.6g}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")

@@ -225,6 +225,16 @@ class TestVerifyCommand:
         assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
         assert len(json.loads(out)["checks"]) == 4
 
+    def test_3d_coarsest_grid_without_a_barrier_writes_its_report(self, workdir, capsys):
+        # its 8-point partner grid has sectors of 24-80 unknowns, on which a
+        # Lanczos basis kept only selectively orthogonal overflowed at g1^2 = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16",
+                                     "--domain-extent", "7", "--g1sq", "0")
+        assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
+        assert len(json.loads(out)["checks"]) == 4
+
     @pytest.mark.parametrize("argv", [("jacobi", "--tol", "nan"), ("3d", "--tol", "inf"),
                                       ("3d", "--domain-extent", "nan"),
                                       ("3d", "--domain-extent", "1e-200"),

@@ -24,6 +24,7 @@ from wolfes4.grid3d import (
     SECTORS,
     _build_operator,
     _sector_axis,
+    solve_sectors,
 )
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
@@ -125,6 +126,7 @@ class TestSolver:
         # the ground level (2: the X2 mirror) and the N = 1 pair (4: the
         # mirror and the X1 <-> X3 image), 6 states in two levels
         res = solve_hd_3d(P, 24, 5.0, k=6)
+        assert res.sectors == [GROUND_SECTOR, (1, -1, 0)]
         assert res.multiplicities.tolist() == [2, 4]
         assert res.eigenvalues[1] - res.eigenvalues[0] > 0.9
 
@@ -234,6 +236,32 @@ class TestSolver:
         with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
             solve_hd_3d(P, 16, 5.0, k=6)
 
+    def test_sectors_solved_for_the_counts_given(self, monkeypatch):
+        asked = []
+
+        def recording(matvec, n, k, **kwargs):
+            asked.append(k)
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        counts = {GROUND_SECTOR: 2, (1, -1, 0): 1, (-1, -1, 1): 0}
+        solved = solve_sectors(P, 20, 5.0, counts)
+        assert list(solved) == [GROUND_SECTOR, (1, -1, 0)] and asked == [2, 1]
+        assert [len(vals) for vals, _ in solved.values()] == [2, 1]
+        # the lowest level of each, as the full solve at k = 6 finds them
+        full = solve_hd_3d(P, 20, 5.0, k=6)
+        assert [vals[0] for vals, _ in solved.values()] == pytest.approx(
+            full.eigenvalues, abs=1e-10)
+
+    def test_level_below_the_ground_sector_raises_for_any_counts(self, monkeypatch):
+        def lowering(matvec, n, k, **kwargs):
+            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
+            return (vals - 10.0 if k == 1 else vals), res
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
+        with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
+            solve_sectors(P, 16, 5.0, {GROUND_SECTOR: 2, (-1, -1, -1): 1})
+
     @pytest.mark.parametrize("g1_squared", [0.3, 3.0, 100.0])
     def test_twenty_states_without_ghosts(self, g1_squared):
         # up to 10 levels per sector, orthogonalized against the kept Ritz
@@ -242,6 +270,19 @@ class TestSolver:
         res = solve_hd_3d(params, 20, 5.0, k=20)
         oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 20)
         assert states(res, 20) == pytest.approx(oracle, abs=1e-10)
+
+    # 8-9 points per axis make sectors of 24-80 unknowns, where a Ritz value
+    # converges within the first Lanczos cycle, before a restart has kept
+    # any Ritz vector to orthogonalize against
+    @pytest.mark.parametrize("k", [6, 12])
+    @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 100.0])
+    @pytest.mark.parametrize("extent", [2.0, 4.5, 7.0])
+    @pytest.mark.parametrize("n_per_axis", [8, 9])
+    def test_small_sectors_match_the_oracle(self, n_per_axis, extent, g1_squared, k):
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, n_per_axis, extent, k)
+        oracle = tensor_sum_oracle(params, *spacing(n_per_axis, extent), k)
+        assert states(res, k) == pytest.approx(oracle, abs=1e-10)
 
     @settings(max_examples=10, deadline=None)
     @given(g1_squared=st.floats(0.0, 40.0), n_per_axis=st.integers(16, 22))

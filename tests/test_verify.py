@@ -15,10 +15,13 @@ from wolfes4 import (
     composite_energy,
     delta_constant,
     hellmann_feynman_check,
+    lanczos_lowest,
     QuantumTriple,
     resolve_formula_offsets,
+    richardson,
     SphericalQuantum,
     solve_channel_extrapolated,
+    solve_hd_3d,
     verify_3d,
     verify_jacobi_route,
     verify_spherical_route,
@@ -281,6 +284,35 @@ class TestVerify3D:
         monkeypatch.setattr(grid3d, "SECTORS", {**grid3d.SECTORS, sector: count})
         report = verify_3d(P3, k=6, offset=1.0, n_per_axis=41, extent=5.5)
         assert [c.name for c in report.checks if not c.passed] == [failing]
+
+    @pytest.mark.parametrize("n_per_axis, extent", [(41, 5.5), (61, 7.0), (30, 7.0)])
+    @pytest.mark.parametrize("g1_squared", [0.0, 1.0, 3.0, 100.0])
+    def test_partner_levels_pair_as_the_full_solves_do(self, n_per_axis, extent,
+                                                       g1_squared, monkeypatch):
+        # the partner grid solves only the sector levels the fine grid holds;
+        # paired by sector and rank they must give what full solves of both
+        # grids, paired by position, give
+        asked = []
+
+        def recording(matvec, n, k, **kwargs):
+            asked.append(k)
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        params = ModelParams(2.5, g1_squared)
+        report = verify_3d(params, k=6, offset=1.0, n_per_axis=n_per_axis, extent=extent)
+        # five fine sectors at the Perron-Frobenius budget, then the partner's
+        assert len(asked) == 7 and sum(asked[5:]) == 2
+
+        box = extent / math.sqrt(params.omega)
+        fine = solve_hd_3d(params, n_per_axis, box, 6).eigenvalues
+        coarse = solve_hd_3d(params, n_per_axis // 2, box, 6).eigenvalues
+        m = min(len(fine), len(coarse))
+        ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
+        expected = richardson(coarse[:m], fine[:m], ratio)
+        levels = [c.measured for c in report.checks if c.name.startswith("grid3d-level")]
+        assert m == 2
+        assert levels == pytest.approx(expected, abs=1e-12)
 
     def test_tolerance_in_units_of_omega(self):
         report = verify_3d(ModelParams(4.0, 3.0), k=2, tol=5e-3, offset=1.0,
