@@ -33,7 +33,6 @@ from .numsolve import (
     EigenResult,
     Grid1D,
     TridiagonalMatrix,
-    discretize,
     eigen_tridiag,
     expectation,
     recommended_grid,

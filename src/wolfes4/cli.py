@@ -18,14 +18,19 @@ from dataclasses import dataclass, fields, replace
 
 from numpy.linalg import LinAlgError
 
-from .grid3d import ConvergenceError, MAX_G1_SQUARED, MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS
+from .grid3d import (
+    ConvergenceError,
+    GRID3D_EXTENT_RANGE,
+    MAX_G1_SQUARED,
+    MAX_POINTS_PER_AXIS,
+    MIN_POINTS_PER_AXIS,
+)
 from .model import (
     ModelParams,
     SHO_OFFSET_CANDIDATES,
     enumerate_spectrum,
 )
 from .verify import (
-    GRID3D_EXTENT_RANGE,
     RESOLUTION_LEVELS,
     STANDARD_SWEEP,
     ResolutionError,

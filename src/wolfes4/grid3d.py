@@ -27,8 +27,9 @@ out only the levels above it.  The split is needed for correctness as well
 as speed: a single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
 Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
-sparse plane kinetic matrix beside the tridiagonal X2 axis.  The grid is
-solved in units of omega, where the operator's scale does not depend on it.
+sparse plane kinetic matrix beside the tridiagonal X2 axis.  The box is
+given in oscillator lengths 1/sqrt(omega) and solved in units of omega,
+where the operator does not depend on omega.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class ConvergenceError(RuntimeError):
 #: basis takes ~45 MB (`verify 3d` peaks near 150 MB).
 MIN_POINTS_PER_AXIS = 16
 MAX_POINTS_PER_AXIS = 121
+#: Box half-widths that verify_3d accepts, in oscillator lengths 1/sqrt(omega):
+#: a box below 1 cuts into the ground state's Gaussian, and 100 is past any
+#: box the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
+GRID3D_EXTENT_RANGE = (1.0, 100.0)
 
 
 #: Sectors in solve order: parities (+1 even, -1 odd) under X1 -> -X1, X3 -> -X3
@@ -76,8 +81,10 @@ SECTOR_KRYLOV_DIM = 24
 
 #: Largest g1^2 the grid takes, below the CLI's range until the X2 window
 #: follows the barrier: its diagonal at the first X2 node widens the
-#: spectrum; the 61-point default passes to g1^2 = 800 and stops converging
-#: near 1000, finer grids sooner.
+#: spectrum.  The 61-point default converges and passes at 1000; finer grids
+#: stop converging inside the cap (81 points at 1000, 101 at 500, 121 at
+#: 300), and coarser ones fail their level checks sooner (41 points over
+#: 5.5 from g1^2 = 500).
 MAX_G1_SQUARED = 1000.0
 
 _SQRT2 = math.sqrt(2.0)
@@ -268,20 +275,28 @@ class GridLevels:
         return np.array([SECTORS[s] for s in self.sectors])
 
 
+def grid_intervals(n_per_axis: int) -> int:
+    """Spacings from the centre of the box to its edge: h = extent / grid_intervals."""
+    return n_per_axis // 2 + 1
+
+
 def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
                   counts: dict, tol: float = 1e-8) -> dict:
     """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
-    The grid has spacing h = extent / (n_half + 1), n_half = n_per_axis // 2:
-    X1 and X3 carry the 2 n_half + 1 nodes j * h, |j| <= n_half, X2 the
-    n_half with j >= 1.  Eigenvalues converge at O(h^2), so a run paired
-    with one on a coarser grid over the same extent can be extrapolated.
+    ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  The
+    grid has spacing h = extent / grid_intervals(n_per_axis), n_half =
+    n_per_axis // 2: X1 and X3 carry the 2 n_half + 1 nodes j * h, |j| <=
+    n_half, X2 the n_half with j >= 1.  Eigenvalues converge at O(h^2), so a
+    run paired with one on a coarser grid over the same extent can be
+    extrapolated.
 
     Returns {sector: (levels, residuals)} in SECTORS order, both in units of
     omega, for every sector with a positive count; the others are not
-    solved.  The sectors are solved in units of omega, where the absolute
-    breakdown and convergence thresholds of lanczos_lowest mean the same at
-    every omega.  Raises ConvergenceError when a sector does not converge,
+    solved.  In these units the operator is the one at omega = 1,
+    H(omega; h / sqrt(omega)) = omega H(1; h), so the absolute breakdown
+    and convergence thresholds of lanczos_lowest mean the same at every
+    omega.  Raises ConvergenceError when a sector does not converge,
     or when one returns a level at or below GROUND_SECTOR's, which
     Perron-Frobenius rules out.  Raises ValueError when n_per_axis exceeds
     MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED, and when
@@ -304,8 +319,7 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
         raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
                          f"J @ BARRIER_FORM = {c}")
     n_half = n_per_axis // 2
-    # on the grid H(omega; h) = omega H(1; h sqrt(omega)): solve in units of omega
-    h = extent / (n_half + 1) * math.sqrt(params.omega)
+    h = extent / grid_intervals(n_per_axis)
     solved = {}
     ground = None
     for sector in SECTORS:  # GROUND_SECTOR first
@@ -320,8 +334,8 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
             ground = vals[0]
         elif ground is not None and vals[0] <= ground:
             raise ConvergenceError(
-                f"sector {sector} has a level {vals[0]!r} at or below the ground "
-                f"level {ground!r}, which Perron-Frobenius rules out", residuals=res)
+                f"sector {sector} has a level {float(vals[0])} at or below the ground "
+                f"level {float(ground)}, which Perron-Frobenius rules out", residuals=res)
         solved[sector] = vals, res
     return solved
 

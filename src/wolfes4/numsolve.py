@@ -3,8 +3,9 @@
 Every channel is a Dirichlet problem on a uniform grid with the standard
 3-point stencil.  A channel's kind fixes its domain (``recommended_grid``:
 (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for the angular kinds),
-so ``solve_channel`` takes only a point count; ``n_points`` and
-``2 * n_points + 1`` give the same domain at half the spacing.
+so ``solve_channel`` takes only a point count and returns the grid with its
+result; ``n_points`` and ``2 * n_points + 1`` give the same domain at half
+the spacing.
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -79,15 +80,16 @@ class TridiagonalMatrix:
 class EigenResult:
     """Ascending eigenvalues plus optional eigenvectors (rows).
 
-    Vectors from ``solve_channel`` are trapezoid-normalized on its grid
-    (sum v_i^2 * spacing = 1); those from ``eigen_tridiag`` carry unit
-    Euclidean norm.  ``residual_bound`` bounds ||T v - lambda v|| for every
-    returned pair.
+    Vectors from ``solve_channel`` are trapezoid-normalized on ``grid``, the
+    grid it solved on (sum v_i^2 * spacing = 1); those from ``eigen_tridiag``,
+    which has no grid, carry unit Euclidean norm.  ``residual_bound`` bounds
+    ||T v - lambda v|| for every returned pair.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
     residual_bound: float
+    grid: Grid1D | None = None
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.eigenvalues) < 0):
@@ -119,28 +121,8 @@ class ChannelSpec:
             raise ValueError("coefficient must be nonnegative")
 
 
-def discretize(potential: Callable[[np.ndarray], np.ndarray], grid: Grid1D,
-               kinetic_prefactor: float = 0.5) -> TridiagonalMatrix:
-    """3-point stencil for -kinetic_prefactor * d^2/dx^2 + V(x) with Dirichlet ends.
-
-    With the default prefactor 1/2 the stencil is diag = 1/h^2 + V(x_i),
-    offdiag = -1/(2h^2).
-    """
-    h = grid.spacing
-    x = grid.nodes()
-    v = np.asarray(potential(x), dtype=float)
-    if v.shape != x.shape:
-        v = np.broadcast_to(v, x.shape).astype(float)
-    if not np.all(np.isfinite(v)):
-        bad = x[~np.isfinite(v)][0]
-        raise ValueError(f"potential is not finite at grid node x = {bad}")
-    diag = 2.0 * kinetic_prefactor / h**2 + v
-    offdiag = np.full(grid.n_points - 1, -kinetic_prefactor / h**2)
-    return TridiagonalMatrix(diag=diag, offdiag=offdiag)
-
-
 def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> EigenResult:
-    """k smallest eigenpairs of a symmetric tridiagonal matrix.
+    """k smallest eigenpairs of a symmetric tridiagonal matrix, ascending.
 
     Backed by LAPACK: Sturm-sequence bisection (stebz) for the eigenvalues
     and inverse iteration (stein, capped at 5 sweeps internally) for the
@@ -154,19 +136,15 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     scale = float(np.max(np.abs(T.diag)) + 2.0 * (np.max(np.abs(T.offdiag)) if n > 1 else 0.0))
-    if want_vectors:
-        vals, vecs = eigh_tridiagonal(T.diag, T.offdiag, select="i",
-                                      select_range=(0, k - 1))
-        order = np.argsort(vals)
-        vals = vals[order]
-        vecs = vecs[:, order].T
-        resid = max(float(np.linalg.norm(T.matvec(v) - lam * v))
-                    for lam, v in zip(vals, vecs))
-        return EigenResult(eigenvalues=vals, eigenvectors=vecs, residual_bound=resid)
-    vals = eigh_tridiagonal(T.diag, T.offdiag, eigvals_only=True, select="i",
-                            select_range=(0, k - 1), lapack_driver="stebz")
-    return EigenResult(eigenvalues=np.sort(vals), eigenvectors=None,
-                       residual_bound=np.finfo(float).eps * scale)
+    out = eigh_tridiagonal(T.diag, T.offdiag, eigvals_only=not want_vectors, select="i",
+                           select_range=(0, k - 1), lapack_driver="stebz")
+    if not want_vectors:
+        return EigenResult(eigenvalues=out, eigenvectors=None,
+                           residual_bound=np.finfo(float).eps * scale)
+    vals, vecs = out
+    vecs = vecs.T  # one eigenvector per row
+    resid = max(float(np.linalg.norm(T.matvec(v) - lam * v)) for lam, v in zip(vals, vecs))
+    return EigenResult(eigenvalues=vals, eigenvectors=vecs, residual_bound=resid)
 
 
 def _power_step(j: np.ndarray, b: float) -> np.ndarray:
@@ -207,38 +185,40 @@ def inverse_square_diag(j: np.ndarray, coupling: float, kinetic_prefactor: float
 
 
 def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> TridiagonalMatrix:
-    """Assemble one channel's operator on its ``recommended_grid``.
+    """Assemble one channel's 3-point stencil on its ``recommended_grid``.
 
     Two families: the oscillator -u''/2 + omega^2 x^2/2 + c/x^2 with c = 0
     (HO), g1^2/6 (SHO) or k^2/2 (RADIAL), and the angular -u'' + c/sin^2(x),
     singular at both ends, with c = g1^2/3 (ANGULAR_PHI, eigenvalues f^2) or
     f^2 - 1/4 (ANGULAR_THETA, in the symmetrized form w = sqrt(sin) * Theta
-    of -w'' + (f^2 - 1/4)/sin^2 * w = (k^2 + 1/4) w).
+    of -w'' + (f^2 - 1/4)/sin^2 * w = (k^2 + 1/4) w).  The stencil of
+    -kappa u'' is diag 2 kappa / h^2, offdiag -kappa / h^2, with Dirichlet ends.
     """
-    j = np.arange(1, grid.n_points + 1)
+    n = grid.n_points
+    j = np.arange(1, n + 1)
     h = grid.spacing
+    x = grid.nodes()
     if spec.kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
         c = spec.coefficient
         if spec.kind is ChannelKind.ANGULAR_THETA:
             c -= 0.25
         # c/sin^2(x) with both inverse-square poles removed; smooth on [0, pi]
-        T = discretize(lambda x: c * (1.0 / np.sin(x) ** 2 - 1.0 / x**2
-                                      - 1.0 / (math.pi - x) ** 2), grid, 1.0)
-        return TridiagonalMatrix(T.diag + inverse_square_diag(j, c, 1.0, h)
-                                 + inverse_square_diag(grid.n_points + 1 - j, c, 1.0, h),
-                                 T.offdiag)
+        smooth = c * (1.0 / np.sin(x) ** 2 - 1.0 / x**2 - 1.0 / (math.pi - x) ** 2)
+        diag = (2.0 / h**2 + smooth + inverse_square_diag(j, c, 1.0, h)
+                + inverse_square_diag(n + 1 - j, c, 1.0, h))
+        return TridiagonalMatrix(diag, np.full(n - 1, -1.0 / h**2))
     c = {ChannelKind.HO: 0.0, ChannelKind.SHO: params.g1_squared / 6.0,
          ChannelKind.RADIAL: 0.5 * spec.coefficient}[spec.kind]
-    w2 = params.omega**2
-    T = discretize(lambda x: 0.5 * w2 * x**2, grid, 0.5)
-    return TridiagonalMatrix(T.diag + inverse_square_diag(j, c, 0.5, h), T.offdiag)
+    diag = 1.0 / h**2 + 0.5 * params.omega**2 * x**2 + inverse_square_diag(j, c, 0.5, h)
+    return TridiagonalMatrix(diag, np.full(n - 1, -0.5 / h**2))
 
 
 def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
                   want_vectors: bool = False) -> EigenResult:
     """Lowest k eigenvalues of the channel on its ``recommended_grid`` of n_points nodes.
 
-    The channel's kind fixes the domain, so the point count is all a caller chooses.
+    The channel's kind fixes the domain, so the point count is all a caller
+    chooses; the result carries the grid for integrals over its vectors.
     Returned values are the physical ones: energies for HO/SHO/RADIAL, the
     1/sin^2 eigenvalues f^2 for ANGULAR_PHI, and the separation constants
     k^2 (symmetric-operator eigenvalues minus 1/4) for ANGULAR_THETA, whose
@@ -254,7 +234,7 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
     if vecs is not None:
         vecs = vecs / math.sqrt(grid.spacing)  # trapezoid normalization
     return EigenResult(eigenvalues=vals, eigenvectors=vecs,
-                       residual_bound=res.residual_bound)
+                       residual_bound=res.residual_bound, grid=grid)
 
 
 #: Half-width of the HO box in units of 1/sqrt(omega); truncation error < 1e-12.

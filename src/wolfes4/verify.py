@@ -17,7 +17,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid3d import MAX_POINTS_PER_AXIS, MIN_POINTS_PER_AXIS, solve_hd_3d, solve_sectors
+from .grid3d import (
+    GRID3D_EXTENT_RANGE,
+    MAX_POINTS_PER_AXIS,
+    MIN_POINTS_PER_AXIS,
+    grid_intervals,
+    solve_hd_3d,
+    solve_sectors,
+)
 from .model import (
     ModelParams,
     QuantumTriple,
@@ -34,7 +41,6 @@ from .model import (
 from .numsolve import (
     ChannelKind,
     ChannelSpec,
-    recommended_grid,
     richardson,
     solve_channel,
     solve_channel_extrapolated,
@@ -54,10 +60,6 @@ STANDARD_RADIAL_KSQ = (2.0, 6.0)
 RESOLUTION_LEVELS = 6
 #: Bound on the Richardson-extrapolated 3D grid levels against the closed forms.
 GRID3D_TOL = 5e-3
-#: Admissible 3D box half-widths, in oscillator lengths 1/sqrt(omega): a box
-#: below 1 cuts into the ground state's Gaussian, and 100 is past any box
-#: the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
-GRID3D_EXTENT_RANGE = (1.0, 100.0)
 
 
 class ResolutionError(RuntimeError):
@@ -342,8 +344,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     vals = []
     for n in (n_points, 2 * n_points + 1):
         res = solve_channel(spec, params, n, n2 + 1, want_vectors=True)
-        vals.append(expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2),
-                                recommended_grid(ChannelKind.SHO, params, n)))
+        vals.append(expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), res.grid))
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
     # goes as x^(2b - 2) and its trapezoid error as h^(2b - 1) (Navot 1961):
     # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
@@ -419,8 +420,7 @@ def grid3d_richardson_pair(params: ModelParams, n_per_axis: int, extent: float, 
     rank = [fine.sectors[:i].count(s) for i, s in enumerate(fine.sectors)]
     partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors))
     coarse = params.omega * np.array([partner[s][0][r] for s, r in zip(fine.sectors, rank)])
-    # spacings extent / (n_half + 1), n_half the half count of each grid
-    ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
+    ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
     return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio)
 
 
@@ -445,8 +445,7 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     if not low <= extent <= high:
         raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
-    fine, coarse, ratio, extrap = grid3d_richardson_pair(
-        params, n_per_axis, extent / math.sqrt(params.omega), k)
+    fine, coarse, ratio, extrap = grid3d_richardson_pair(params, n_per_axis, extent, k)
     mults = fine.multiplicities
     m = len(mults)
 

@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute.  Tolerances are fixed here, not configurable.
 """
 
-import math
 import time
 
 import numpy as np
@@ -136,7 +135,7 @@ def test_criterion_06_scaling_law(resolution):
         e2 = solve_channel_extrapolated(spec, p2, 1001, 4)
         numeric_dev = max(numeric_dev, float(np.max(np.abs(e2 - 2 * e1))))
     g1 = solve_hd_3d(p1, 33, 7.0, k=2, tol=1e-9).eigenvalues
-    g2 = solve_hd_3d(p2, 33, 7.0 / math.sqrt(2.0), k=2, tol=1e-9).eigenvalues
+    g2 = solve_hd_3d(p2, 33, 7.0, k=2, tol=1e-9).eigenvalues
     grid_dev = float(np.max(np.abs(g2 - 2 * g1)))
 
     ok = closed_dev <= 1e-12 and numeric_dev <= 2e-4 and grid_dev <= 1e-6

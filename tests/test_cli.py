@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from wolfes4 import ConvergenceError, VerificationReport, cli
+from wolfes4 import ConvergenceError, VerificationReport, cli, grid3d
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -313,6 +313,22 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "3d")
         assert code == EXIT_FAIL and out == ""
         assert err == "error: Lanczos did not converge within 40 restarts\n"
+
+    def test_perron_frobenius_violation_is_one_plain_error_line(self, workdir, capsys,
+                                                                monkeypatch):
+        # every sector but the ground one (3 levels at k = 6) comes back 10 lower
+        real = grid3d.lanczos_lowest
+
+        def lowering(matvec, n, k, **kwargs):
+            vals, res = real(matvec, n, k, **kwargs)
+            return (vals if k == 3 else vals - 10.0), res
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
+        code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16",
+                                 "--domain-extent", "5")
+        assert code == EXIT_FAIL and out == ""
+        assert err.startswith("error: sector ") and err.count("\n") == 1
+        assert "Perron-Frobenius" in err and "np.float64" not in err
 
     def test_lapack_failure_is_not_a_usage_error(self, workdir, capsys):
         # numpy's LinAlgError subclasses ValueError

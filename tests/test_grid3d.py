@@ -1,6 +1,7 @@
 """3D grid solver: layout, Lanczos behavior, and the tensor-sum oracle."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -162,11 +163,10 @@ class TestSolver:
         assert 0.0 <= res.residual_bound <= 1e-8
 
     def test_omega_scaling_exact_on_grid(self):
-        # scaling the box with 1/sqrt(omega) makes the operator an exact
-        # multiple, so the spectra double to rounding
+        # the box is in oscillator lengths 1/sqrt(omega), which makes the
+        # operator an exact multiple, so the spectra double to rounding
         e1 = solve_hd_3d(ModelParams(1.0, 3.0), 18, 5.0, k=3, tol=1e-10).eigenvalues
-        e2 = solve_hd_3d(ModelParams(2.0, 3.0), 18, 5.0 / np.sqrt(2.0), k=3,
-                         tol=1e-10).eigenvalues
+        e2 = solve_hd_3d(ModelParams(2.0, 3.0), 18, 5.0, k=3, tol=1e-10).eigenvalues
         assert e2 == pytest.approx(2.0 * e1, rel=1e-7)
 
     @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 1.0, 3.0, 7.5, 100.0, 300.0])
@@ -233,8 +233,14 @@ class TestSolver:
             return (vals - 10.0 if len(solved) == 3 else vals), res
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
-        with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
+        with pytest.raises(ConvergenceError, match="Perron-Frobenius") as info:
             solve_hd_3d(P, 16, 5.0, k=6)
+        # the levels print as plain numbers, in one line
+        message = str(info.value)
+        assert "np.float64" not in message and "\n" not in message
+        level, ground = re.search(r"has a level (\S+) at or below the ground level (\S+),",
+                                  message).groups()
+        assert float(level) < float(ground)
 
     def test_sectors_solved_for_the_counts_given(self, monkeypatch):
         asked = []

@@ -12,7 +12,6 @@ from wolfes4 import (
     ModelParams,
     TridiagonalMatrix,
     delta_constant,
-    discretize,
     eigen_tridiag,
     expectation,
     hf_derivative_closed_form,
@@ -22,7 +21,7 @@ from wolfes4 import (
     solve_channel,
     solve_channel_extrapolated,
 )
-from wolfes4.numsolve import inverse_square_diag
+from wolfes4.numsolve import channel_tridiag, inverse_square_diag
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -48,35 +47,48 @@ class TestGrid1D:
             Grid1D(0.0, 1.0, 2)
 
 
-class TestDiscretize:
-    def test_free_stencil(self):
-        g = Grid1D(0.0, 1.0, 3)
-        h = g.spacing
-        T = discretize(lambda x: np.zeros_like(x), g)
-        assert T.diag == pytest.approx([1 / h**2] * 3)
-        assert T.offdiag == pytest.approx([-1 / (2 * h**2)] * 2)
+def power_step(j, b):
+    return ((j + 1.0) ** b - 2.0 * j**b + (j - 1.0) ** b) / j**b
 
-    def test_unit_kinetic_prefactor(self):
-        g = Grid1D(0.0, 1.0, 3)
-        h = g.spacing
-        T = discretize(lambda x: np.zeros_like(x), g, kinetic_prefactor=1.0)
-        assert T.diag == pytest.approx([2 / h**2] * 3)
-        assert T.offdiag == pytest.approx([-1 / h**2] * 2)
+
+class TestChannelTridiag:
+    """The 3-point stencil of each family, against arrays built by hand at n = 5."""
+
+    def test_oscillator_stencil(self):
+        # -u''/2 + omega^2 x^2 / 2 + g1^2 / (6 x^2) on (0, 14 / sqrt(omega)); at
+        # g1^2 = 3 the endpoint power b(b - 1) = 1 keeps the exact-local-power diagonal
+        p = ModelParams(omega=2.5, g1_squared=3.0)
+        grid = recommended_grid(ChannelKind.SHO, p, 5)
+        T = channel_tridiag(ChannelSpec(ChannelKind.SHO), p, grid)
+        h = 14.0 / math.sqrt(2.5) / 6
+        j = np.arange(1.0, 6.0)
+        b = 0.5 + math.sqrt(1.25)
+        expected = 1 / h**2 + 0.5 * 2.5**2 * (j * h) ** 2 + 0.5 / h**2 * power_step(j, b)
+        assert T.diag == pytest.approx(expected, rel=1e-12)
+        assert T.offdiag == pytest.approx([-0.5 / h**2] * 4, rel=1e-15)
+
+    def test_angular_stencil(self):
+        # -u'' + c / sin^2(x) on (0, pi): the smooth remainder sampled, both
+        # poles by the exact-local-power diagonal, b(b - 1) = c = 1
+        grid = recommended_grid(ChannelKind.ANGULAR_PHI, P, 5)
+        T = channel_tridiag(ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0), P, grid)
+        h = math.pi / 6
+        j = np.arange(1.0, 6.0)
+        x = j * h
+        b = 0.5 + math.sqrt(1.25)
+        expected = (2 / h**2 + 1 / np.sin(x) ** 2 - 1 / x**2 - 1 / (math.pi - x) ** 2
+                    + (power_step(j, b) + power_step(6.0 - j, b)) / h**2)
+        assert T.diag == pytest.approx(expected, rel=1e-12)
+        assert T.offdiag == pytest.approx([-1 / h**2] * 4, rel=1e-15)
+        # the polar channel takes f^2 and solves with c = f^2 - 1/4
+        theta = channel_tridiag(ChannelSpec(ChannelKind.ANGULAR_THETA, 1.25), P, grid)
+        assert np.array_equal(theta.diag, T.diag)
+        assert np.array_equal(theta.offdiag, T.offdiag)
 
     def test_symmetric_potential_gives_symmetric_diagonal(self):
-        g = Grid1D(-1.0, 1.0, 11)
-        T = discretize(lambda x: 0.5 * x**2, g)
+        grid = recommended_grid(ChannelKind.HO, P, 11)
+        T = channel_tridiag(ChannelSpec(ChannelKind.HO), P, grid)
         assert T.diag == pytest.approx(T.diag[::-1])
-
-    def test_pole_at_node_rejected(self):
-        g = Grid1D(0.0, 1.0, 3)
-
-        def bad(x):
-            with np.errstate(divide="ignore"):
-                return 1.0 / (x - g.nodes()[1])
-
-        with pytest.raises(ValueError, match="not finite"):
-            discretize(bad, g)
 
     def test_offdiag_length_invariant(self):
         with pytest.raises(ValueError):
@@ -197,6 +209,21 @@ class TestChannels:
         with pytest.raises(ValueError):
             ChannelSpec(ChannelKind.RADIAL, -1.0)
 
+    @pytest.mark.parametrize("spec", [ChannelSpec(ChannelKind.SHO),
+                                      ChannelSpec(ChannelKind.ANGULAR_THETA, 1.25)],
+                             ids=lambda spec: spec.kind.value)
+    def test_vectors_leave_the_eigenvalues_unchanged(self, spec):
+        # hf-check takes its levels from value-only solves and its expectation
+        # from a vector solve; both must be the same eigenvalues
+        values = solve_channel(spec, P, 2001, 4).eigenvalues
+        with_vectors = solve_channel(spec, P, 2001, 4, want_vectors=True).eigenvalues
+        assert np.array_equal(values, with_vectors)
+
+    def test_result_carries_its_grid(self):
+        for kind in ChannelKind:
+            spec = ChannelSpec(kind, 1.0)
+            assert solve_channel(spec, P, 101, 1).grid == recommended_grid(kind, P, 101)
+
     def test_monotone_refinement(self):
         # Dirichlet truncation approaches the limit from below as h shrinks
         spec = ChannelSpec(ChannelKind.SHO)
@@ -229,7 +256,7 @@ class TestRichardson:
 @pytest.fixture(scope="module")
 def sho_ground():
     res = solve_channel(ChannelSpec(ChannelKind.SHO), P, 2001, 1, want_vectors=True)
-    return res.eigenvectors[0], recommended_grid(ChannelKind.SHO, P, 2001)
+    return res.eigenvectors[0], res.grid
 
 
 class TestExpectation:
@@ -240,8 +267,7 @@ class TestExpectation:
 
     def test_parity_null(self):
         res = solve_channel(ChannelSpec(ChannelKind.HO), P, 2001, 1, want_vectors=True)
-        grid = recommended_grid(ChannelKind.HO, P, 2001)
-        assert abs(expectation(res.eigenvectors[0], lambda x: x, grid)) <= 1e-10
+        assert abs(expectation(res.eigenvectors[0], lambda x: x, res.grid)) <= 1e-10
 
     def test_barrier_expectation_matches_derivative(self, sho_ground):
         v, grid = sho_ground

@@ -304,9 +304,8 @@ class TestVerify3D:
         # five fine sectors at the Perron-Frobenius budget, then the partner's
         assert len(asked) == 7 and sum(asked[5:]) == 2
 
-        box = extent / math.sqrt(params.omega)
-        fine = solve_hd_3d(params, n_per_axis, box, 6).eigenvalues
-        coarse = solve_hd_3d(params, n_per_axis // 2, box, 6).eigenvalues
+        fine = solve_hd_3d(params, n_per_axis, extent, 6).eigenvalues
+        coarse = solve_hd_3d(params, n_per_axis // 2, extent, 6).eigenvalues
         m = min(len(fine), len(coarse))
         ratio = (n_per_axis // 2 + 1) / (n_per_axis // 4 + 1)
         expected = richardson(coarse[:m], fine[:m], ratio)
