@@ -5,30 +5,37 @@ symmetries of the grid, so agreement with the closed forms is a genuine
 three-dimensional cross-check.  The barrier splits space into two mirror
 half-spaces, so the grid holds X2 > 0 behind a Dirichlet plane at X2 = 0.
 Each level is solved once and carries its multiplicity: 2 for the mirror
-half-space, 4 for the X1 <-> X3 image pair of the N = 1 class.  The
-coarse grid solves only the levels the fine one holds, each paired with the
-fine level of the same rank in its sector, and the two grids share the
-extent, so each pair is extrapolated at their spacing ratio: the pairing of
-`verify 3d`, through the same function.
+half-space, 4 for the X1 <-> X3 image pair of the N = 1 class.
 
-Run:  python demos/grid3d_check.py      (a few seconds)
+Only X2 meets the barrier, so only X2 has the second-order stencil; X1 and
+X3 carry a sinc-DVR whose node count the extent fixes.  The coarse grid
+has half the X2 points and the same DVR, solves only the levels the fine
+one holds, each paired with the fine level of the same rank in its sector,
+and the pair is extrapolated at the X2 spacing ratio: the pairing of
+`verify 3d`, through the same function.  What the pair leaves, the DVR
+error, is measured by solving the coarse grid again with 4 DVR nodes fewer.
+
+Run:  python demos/grid3d_check.py      (about a second)
 """
 
 from wolfes4 import ModelParams, delta_constant
+from wolfes4.grid3d import dvr_change, dvr_nodes
 from wolfes4.verify import grid3d_richardson_pair
 
 
 def main() -> None:
     params = ModelParams(omega=1.0, g1_squared=3.0)
     exact_ground = 2.0 + delta_constant(params)
-    k = 6
+    k, n_points, extent = 6, 61, 7.0
 
-    # the coarse grid has 61 // 2 = 30 points; a grid's spacing is
+    # the coarse grid has 61 // 2 = 30 X2 points; an X2 spacing is
     # extent / (n // 2 + 1), so the ratio is 31/16, not 2
-    fine, coarse, ratio, extrap = grid3d_richardson_pair(params, 61, 7.0, k)
+    fine, coarse, ratio, extrap, partner = grid3d_richardson_pair(params, n_points, extent, k)
 
     print(f"closed-form ground: {exact_ground:.6f}; "
-          f"the lowest {k} states in {len(fine.eigenvalues)} levels\n")
+          f"the lowest {k} states in {len(fine.eigenvalues)} levels")
+    print(f"X2: {n_points // 2} and {n_points // 4} stencil nodes; "
+          f"X1, X3: {2 * dvr_nodes(extent) + 1} DVR nodes on both grids\n")
     print(f"  {'level':>5} {'sector':>12} {'states':>6} {'coarse':>10} {'fine':>10} "
           f"{'extrapolated':>13}")
     for i, (sector, mult) in enumerate(zip(fine.sectors, fine.multiplicities)):
@@ -37,6 +44,8 @@ def main() -> None:
 
     print(f"\nspacing ratio {ratio:.6g}; "
           f"extrapolated ground error: {extrap[0] - exact_ground:+.2e}")
+    dvr = dvr_change(params, n_points // 2, extent, partner)
+    print(f"grid3d-dvr-error (coarse levels with 4 DVR nodes fewer): {dvr:.1e}")
     print(f"largest Ritz residual: {fine.residual_bound:.1e}")
 
 

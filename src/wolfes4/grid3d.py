@@ -1,4 +1,4 @@
-"""Direct 3D diagonalization of the relative-motion operator on a cubic grid.
+"""Direct 3D diagonalization of the relative-motion operator on a mixed grid.
 
 This is the route that never uses separability.  It starts from the
 four-particle Hamiltonian: every grid node (X1, X2, X3) is taken at Xcm = 0
@@ -7,27 +7,35 @@ where the particle potential (omega^2/8) sum_{i<j} (x_i - x_j)^2 is
 evaluated.  J is orthogonal, so the kinetic term stays
 -(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2), and c = J @ coords.BARRIER_FORM lies
 along X2, so the barrier g1^2 / (x1 + x2 - 2 x3)^2 is g1^2 / (c2 X2)^2;
-solve_sectors checks both.  The operator is discretized with the 7-point
-stencil.  The barrier makes the particles
-impenetrable: the half-spaces X2 > 0 and X2 < 0 never couple and are mirror
-images, so the grid holds X2 > 0 only: one spacing h on every axis, the
-nodes j * h with |j| <= n_half on X1 and X3 and 1 <= j <= n_half on X2,
-behind a Dirichlet plane at X2 = 0, and every level counts twice.  The
-barrier diagonal is that of the 1D channels (numsolve.inverse_square_diag),
-which keeps the grid second order at every g1^2; g1^2 = 0 is the
-impenetrable limit.
+solve_sectors checks both.  The barrier makes the particles impenetrable:
+the half-spaces X2 > 0 and X2 < 0 never couple and are mirror images, so the
+grid holds X2 > 0 only, behind a Dirichlet plane at X2 = 0, and every level
+counts twice.
+
+Only X2 meets the barrier, so the grid is mixed; it is still a product grid
+with the particle potential evaluated at every node.  X2 carries the 3-point
+stencil on the nodes j * h, 1 <= j <= n_half, with the barrier diagonal of
+the 1D channels (numsolve.inverse_square_diag), which keeps it second order
+at every g1^2 (g1^2 = 0 is the impenetrable limit); this is the axis a
+Richardson pair of grids refines.  X1 and X3 carry the sinc discrete
+variable representation (DVR) of Colbert and Miller (J. Chem. Phys. 96,
+1982, 1992; Light and Carrington, Adv. Chem. Phys. 114, 263, 2000) on the
+nodes j * h_dvr, |j| <= dvr_nodes(extent): along them the potential is a
+smooth oscillator, and the DVR's error falls faster than any power of
+h_dvr, so both grids of a pair share one DVR and dvr_change measures what
+it leaves.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
 each solved by solve_sectors for the levels asked of it, with a
 matrix-free thick-restart Lanczos iteration and selective
-reorthogonalization against its kept Ritz vectors.  By Perron-Frobenius
-the ground level lies in GROUND_SECTOR alone, so the other sectors share
-out only the levels above it.  The split is needed for correctness as well
-as speed: a single-vector Krylov space holds one vector of each eigenspace, so exactly
+reorthogonalization against its kept Ritz vectors.  The ground level lies
+in GROUND_SECTOR alone, so the other sectors share out only the levels
+above it.  The split is needed for correctness as well as speed: a
+single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
 Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
-sparse plane kinetic matrix beside the tridiagonal X2 axis.  The box is
+dense plane kinetic matrix beside the tridiagonal X2 axis.  The box is
 given in oscillator lengths 1/sqrt(omega) and solved in units of omega,
 where the operator does not depend on omega.
 """
@@ -53,9 +61,11 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-#: Points per axis that verify_3d accepts; solve_hd_3d takes any count up to
-#: the largest, where the biggest sector has ~220k unknowns and its Lanczos
-#: basis takes ~45 MB (`verify 3d` peaks near 150 MB).
+#: Points that verify_3d accepts, counted as a full X2 axis would hold them:
+#: the half-axis keeps n_per_axis // 2.  solve_hd_3d takes any count up to the
+#: largest, where the biggest sector at the DVR's largest count is 930 plane
+#: states by 60 X2 nodes, 55,800 unknowns, with a 6.9 MB dense plane matrix
+#: and an 11 MB Lanczos basis.
 MIN_POINTS_PER_AXIS = 16
 MAX_POINTS_PER_AXIS = 121
 #: Box half-widths that verify_3d accepts, in oscillator lengths 1/sqrt(omega):
@@ -63,99 +73,128 @@ MAX_POINTS_PER_AXIS = 121
 #: box the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
 GRID3D_EXTENT_RANGE = (1.0, 100.0)
 
+#: Largest spacing of the X1 and X3 DVR, in oscillator lengths: 23 nodes over
+#: a box of half-width 5.5, 29 over 7.  On [-7, 7] the 1D oscillator's lowest
+#: levels are then exact to ~1e-15, and 4 nodes fewer move the 3D levels by
+#: ~1e-12.
+DVR_SPACING = 0.47
+#: Bounds on the DVR nodes per half-axis.  Below, the smallest admitted grid's
+#: 8, which leaves every sector unknowns to spare when dvr_change takes 2
+#: away.  Above, 30: 61 nodes keep the spacing at most 0.47 up to extent
+#: 14.6, and within 0.65 (1D error ~3e-7) up to 20, past the widest box on
+#: which the 121-point X2 axis passes; wider boxes do bounded work, and
+#: dvr_change reports the coarser DVR.
+DVR_HALF_RANGE = (8, 30)
+
 
 #: Sectors in solve order: parities (+1 even, -1 odd) under X1 -> -X1, X3 -> -X3
 #: and X1 <-> X3 (0 where the first two differ), each mapped to the states one
 #: level stands for: 2 (X2 mirror), 4 for (1, -1, 0) and its image (-1, 1, 0).
 SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, -1): 2}
 
-#: The sector of the ground level.  The half-space operator has negative
-#: off-diagonals and a connected stencil, so by Perron-Frobenius its lowest
-#: level is simple, strictly below every other, with a positive eigenvector,
-#: which every symmetry of D4 leaves unchanged.
+#: The sector of the ground level.  The half-space operator of the continuum
+#: has a simple ground level with a positive eigenfunction (Perron-Frobenius,
+#: its heat kernel being positive), which every symmetry of D4 leaves
+#: unchanged.  On the grid the DVR's off-diagonals alternate in sign, so the
+#: grid operator is not a Z-matrix and Perron-Frobenius does not carry over:
+#: the level budget rests on the continuum argument and on the guard in
+#: solve_sectors, which raises if another sector returns a level at or below
+#: this one's.
 GROUND_SECTOR = (1, 1, 1)
 
 #: Lanczos basis size of a sector solve, unless its levels need more room.
-#: 16-30 measured alike at 41 points per axis; 16 came near the restart cap at 81.
+#: 16-24 took alike 633-769 matvecs for `verify 3d` at 41 and 61 points;
+#: 16 and 20 run out of restarts at 81 points with g1^2 = 1000 and at 121
+#: with 300, where 24 converges.
 SECTOR_KRYLOV_DIM = 24
 
 #: Largest g1^2 the grid takes, below the CLI's range until the X2 window
 #: follows the barrier: its diagonal at the first X2 node widens the
-#: spectrum.  The 61-point default converges and passes at 1000; finer grids
-#: stop converging inside the cap (81 points at 1000, 101 at 500, 121 at
-#: 300), and coarser ones fail their level checks sooner (41 points over
+#: spectrum.  The 61-point default converges and passes at 1000, as do 81
+#: points at 1000, 101 at 500 and 121 at 400; nearer the cap finer grids
+#: still run out of restarts in the ground sector (101 points at 800, 121
+#: at 500), and coarser ones fail their level checks sooner (41 points over
 #: 5.5 from g1^2 = 500).
 MAX_G1_SQUARED = 1000.0
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _sector_axis(n_half: int, h: float, parity: int):
-    """One axis of a reflection sector: kept nodes and the axis kinetic matrix.
+def dvr_nodes(extent: float) -> int:
+    """Nodes per half-axis m of the X1 and X3 DVR over ``extent``.
 
-    The kept nodes are j * h, j <= n_half, in the orthonormal basis
-    (delta_x +/- delta_-x) / sqrt(2), with delta_0 alone for an even
-    function.  The x = 0 node couples to x = h by sqrt(2) times the stencil
-    weight (even), or is dropped, which leaves a Dirichlet boundary (odd).
+    The nodes are j * extent / (m + 1), |j| <= m, at the fewest equal steps
+    of at most DVR_SPACING, with m bounded to DVR_HALF_RANGE.
     """
-    c = -0.5 / h**2
-    x = h * np.arange(0 if parity > 0 else 1, n_half + 1)
-    links = np.full(len(x) - 1, c)
-    kinetic = np.diag(np.full(len(x), 1.0 / h**2)) + np.diag(links, 1) + np.diag(links, -1)
+    low, high = DVR_HALF_RANGE
+    return min(max(math.ceil(extent / DVR_SPACING) - 1, low), high)
+
+
+def _dvr_axis(m: int, h: float, parity: int):
+    """One DVR axis of a reflection sector: kept nodes and the axis kinetic matrix.
+
+    Colbert-Miller on the nodes j * h, |j| <= m: T(0) = pi^2 / (6 h^2) and
+    T(d) = (-1)^d / (h^2 d^2).  Kept are the nodes a * h, a <= m, from 0 for
+    an even function and from 1 for an odd one, in the orthonormal basis
+    (delta_a + parity delta_-a) / sqrt(2), with delta_0 alone: the folded
+    matrix is T(a - b) + parity T(a + b), its x = 0 row and column divided
+    by sqrt(2).
+    """
+    a = np.arange(0 if parity > 0 else 1, m + 1)
+
+    def colbert_miller(d):
+        sq = d * d
+        return np.where(sq == 0, math.pi**2 / 6.0,
+                        (1 - 2 * (d % 2)) / np.maximum(sq, 1)) / h**2
+
+    kinetic = colbert_miller(a[:, None] - a) + parity * colbert_miller(a[:, None] + a)
     if parity > 0:
-        kinetic[0, 1] = kinetic[1, 0] = _SQRT2 * c
-    return x, kinetic
+        kinetic[0] /= _SQRT2
+        kinetic[:, 0] /= _SQRT2
+    return h * a, kinetic
 
 
-def _build_operator(g1_squared: float, n_half: int, h: float, sector: tuple,
+def _x2_axis(n_half: int, h: float):
+    """The X2 half-axis: the nodes j * h, 1 <= j <= n_half, behind a Dirichlet
+    plane at X2 = 0, and the 3-point stencil of -1/2 d2/dX2^2."""
+    links = np.full(n_half - 1, -0.5 / h**2)
+    kinetic = np.diag(np.full(n_half, 1.0 / h**2)) + np.diag(links, 1) + np.diag(links, -1)
+    return h * np.arange(1, n_half + 1), kinetic
+
+
+def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, sector: tuple,
                     jacobi: np.ndarray):
     """Matrix-free symmetric operator of one sector of SECTORS at omega = 1, and its size.
 
-    The unknowns are the sector's (X1, X3) plane states by the X2 nodes,
-    U = u.reshape(n_plane, n2), and the operator is pot * U + plane @ U + U @ k2.
-    A plane state is a box node (i, j) alone or, in a mirror sector, the pair
-    i >= j (i > j when odd) of (i, j) and (j, i); P maps box nodes to plane
-    states (1 on the diagonal, 1/sqrt(2) below it, swap/sqrt(2) above it), and
-    ``plane`` = P^T (k1 (+) k3) P is the 5-point stencil in that basis, sparse.
-    Entries of nodes outside the sector (the diagonal, when odd) have weight 0
-    and are dropped.  ``pot`` is the particle potential at each state's nodes,
-    the positions jacobi^T (X1, X2, X3, 0), at g1^2 = 0, plus the barrier
-    diagonal along X2 with the coupling g1^2 / c2^2, c = jacobi @ BARRIER_FORM;
-    X2 is kept as an odd axis is.
+    X2 has the n_half stencil nodes at h = extent / (n_half + 1), X1 and X3
+    the DVR of m nodes per half-axis at extent / (m + 1).  The unknowns are
+    the sector's (X1, X3) plane states by the X2 nodes, U = u.reshape(n_plane,
+    n2), and the operator is pot * U + plane @ U + U @ k2.  A plane state is
+    a box node (i, j) alone or, in a mirror sector, the pair i >= j (i > j
+    when odd) of (i, j) and (j, i); P maps plane states to box nodes (1 on
+    the diagonal, 1/sqrt(2) below it, swap/sqrt(2) above it), and ``plane`` =
+    P^T (k1 (+) k3) P, dense.  ``pot`` is the particle potential at each
+    state's nodes, the positions jacobi^T (X1, X2, X3, 0), at g1^2 = 0, plus
+    the barrier diagonal along X2 with the coupling g1^2 / c2^2, c = jacobi @
+    BARRIER_FORM.
     """
-    # imported here: only the 3D route needs scipy.sparse (~19 ms, ~2 MB at import)
-    from scipy.sparse import csr_matrix
-
     p1, p3, swap = sector
-    x1, k1 = _sector_axis(n_half, h, p1)
-    x2, k2 = _sector_axis(n_half, h, -1)
-    x3, k3 = _sector_axis(n_half, h, p3)
+    h = extent / (n_half + 1)
+    x1, k1 = _dvr_axis(m, extent / (m + 1), p1)
+    x3, k3 = _dvr_axis(m, extent / (m + 1), p3)
+    x2, k2 = _x2_axis(n_half, h)
     n1, n3 = len(x1), len(x3)
-
-    # k1 (+) k3 on the box nodes (i, j), index i * n3 + j, as COO entries
-    r1, c1 = np.nonzero(k1)
-    r3, c3 = np.nonzero(k3)
-    rows = np.concatenate([np.add.outer(r1 * n3, np.arange(n3)).ravel(),
-                           np.add.outer(np.arange(n1) * n3, r3).ravel()])
-    cols = np.concatenate([np.add.outer(c1 * n3, np.arange(n3)).ravel(),
-                           np.add.outer(np.arange(n1) * n3, c3).ravel()])
-    vals = np.concatenate([np.repeat(k1[r1, c1], n3), np.tile(k3[r3, c3], n1)])
-    # P: each box node's plane state and weight, 0 off the sector
-    state = np.zeros((n1, n3), dtype=np.intp)
+    plane = np.kron(k1, np.eye(n3)) + np.kron(np.eye(n1), k3)  # on the box nodes i * n3 + j
     if swap:
         i, j = np.tril_indices(n1, 0 if swap > 0 else -1)
-        state[i, j] = state[j, i] = np.arange(i.size)
-        below = np.tri(n1, k=-1) / _SQRT2
-        weight = below + swap * below.T + (swap > 0) * np.eye(n1)
+        states = np.arange(i.size)
+        P = np.zeros((n1, n3, i.size))
+        P[i, j, states] = np.where(i == j, 0.5, 1.0 / _SQRT2)
+        P[j, i, states] += swap * P[i, j, states]  # a diagonal state's halves add to 1
+        P = P.reshape(n1 * n3, i.size)
+        plane = P.T @ plane @ P
     else:
         i, j = np.indices((n1, n3)).reshape(2, -1)
-        state[i, j] = np.arange(i.size)
-        weight = np.ones((n1, n3))
-    state, weight = state.ravel(), weight.ravel()
-    vals = weight[rows] * weight[cols] * vals
-    keep = vals != 0.0
-    plane = csr_matrix((vals[keep], (state[rows[keep]], state[cols[keep]])),
-                       shape=(i.size, i.size))
     # the states' nodes as particle positions jacobi^T (X1, X2, X3, 0): Xcm = 0 drops
     # its last row, and adding the X2 term last makes only one sum full size
     x = x1[i, None, None] * jacobi[0] + x3[j, None, None] * jacobi[2] + x2[:, None] * jacobi[1]
@@ -276,7 +315,7 @@ class GridLevels:
 
 
 def grid_intervals(n_per_axis: int) -> int:
-    """Spacings from the centre of the box to its edge: h = extent / grid_intervals."""
+    """Spacings from X2 = 0 to the box edge: h = extent / grid_intervals."""
     return n_per_axis // 2 + 1
 
 
@@ -284,12 +323,12 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
                   counts: dict, tol: float = 1e-8) -> dict:
     """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
-    ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  The
-    grid has spacing h = extent / grid_intervals(n_per_axis), n_half =
-    n_per_axis // 2: X1 and X3 carry the 2 n_half + 1 nodes j * h, |j| <=
-    n_half, X2 the n_half with j >= 1.  Eigenvalues converge at O(h^2), so a
-    run paired with one on a coarser grid over the same extent can be
-    extrapolated.
+    ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  X2
+    carries the n_half = n_per_axis // 2 nodes j * h, 1 <= j <= n_half, h =
+    extent / grid_intervals(n_per_axis); X1 and X3 the 2 m + 1 DVR nodes,
+    m = dvr_nodes(extent), whatever n_per_axis is.  Eigenvalues converge at
+    O(h^2) on X2, so a run paired with one of fewer points over the same
+    extent can be extrapolated.
 
     Returns {sector: (levels, residuals)} in SECTORS order, both in units of
     omega, for every sector with a positive count; the others are not
@@ -298,13 +337,35 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
     and convergence thresholds of lanczos_lowest mean the same at every
     omega.  Raises ConvergenceError when a sector does not converge,
     or when one returns a level at or below GROUND_SECTOR's, which
-    Perron-Frobenius rules out.  Raises ValueError when n_per_axis exceeds
-    MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED, and when
-    J = coords.jacobi_matrix() is not orthogonal to 1e-14 (the kinetic term
-    would not be -1/2 Laplacian) or c = J @ coords.BARRIER_FORM has an X1,
-    X3 or Xcm component above 1e-14 of its X2 one (the barrier would not
-    depend on X2 alone).
+    Perron-Frobenius rules out in the continuum.  Raises ValueError when
+    n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED,
+    and when J = coords.jacobi_matrix() is not orthogonal to 1e-14 (the
+    kinetic term would not be -1/2 Laplacian) or c = J @ coords.BARRIER_FORM
+    has an X1, X3 or Xcm component above 1e-14 of its X2 one (the barrier
+    would not depend on X2 alone).
     """
+    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol)
+
+
+def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict) -> float:
+    """How far the levels of ``solved`` move with 4 DVR nodes fewer, in units of omega.
+
+    ``solved`` is solve_sectors at the same arguments; the same sector
+    levels are solved again with dvr_nodes(extent) - 2 nodes per half-axis
+    over the same extent, and the largest change is returned.  The DVR
+    converges faster than any power of its spacing, so this bounds the X1
+    and X3 error of ``solved``, which the Richardson pair of X2 grids does
+    not cancel.  Raises as solve_sectors does.
+    """
+    fewer = _solve(params, n_per_axis, dvr_nodes(extent) - 2, extent,
+                   {sector: len(vals) for sector, (vals, _) in solved.items()}, 1e-8)
+    return max(float(np.max(np.abs(fewer[sector][0] - vals)))
+               for sector, (vals, _) in solved.items())
+
+
+def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
+           tol: float) -> dict:
+    """solve_sectors with m DVR nodes per half-axis."""
     if n_per_axis > MAX_POINTS_PER_AXIS:
         raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
                          f"got {n_per_axis}")
@@ -318,15 +379,13 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
     if np.max(np.abs(c[[0, 2, 3]])) > 1e-14 * abs(c[1]):
         raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
                          f"J @ BARRIER_FORM = {c}")
-    n_half = n_per_axis // 2
-    h = extent / grid_intervals(n_per_axis)
     solved = {}
     ground = None
     for sector in SECTORS:  # GROUND_SECTOR first
         wanted = counts.get(sector, 0)
         if wanted < 1:
             continue
-        matvec, n = _build_operator(params.g1_squared, n_half, h, sector, J)
+        matvec, n = _build_operator(params.g1_squared, n_per_axis // 2, m, extent, sector, J)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
         vals, res = lanczos_lowest(matvec, n, wanted, tol=tol,
                                    krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10))
@@ -345,7 +404,7 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     """Lowest levels of the relative-motion operator on the 3D grid, each once.
 
     The grid is that of solve_sectors.  The ground level is simple in the
-    half-space (Perron-Frobenius) and lies in GROUND_SECTOR, so that sector
+    half-space and lies in GROUND_SECTOR (see there), so that sector
     is solved for ceil(k / 2) levels and every other sector of SECTORS, m
     its multiplicity, for ceil((k - 2) / m), its part of the k - 2 states
     above the ground level; a sector with none (k <= 2) is not solved.  The

@@ -21,6 +21,8 @@ from .grid3d import (
     GRID3D_EXTENT_RANGE,
     MAX_POINTS_PER_AXIS,
     MIN_POINTS_PER_AXIS,
+    dvr_change,
+    dvr_nodes,
     grid_intervals,
     solve_hd_3d,
     solve_sectors,
@@ -408,33 +410,38 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 def grid3d_richardson_pair(params: ModelParams, n_per_axis: int, extent: float, k: int):
     """The lowest k states of the 3D grid, each level paired and extrapolated.
 
-    Returns (fine, coarse, ratio, extrapolated): ``fine`` is solve_hd_3d at
-    ``n_per_axis`` points, and ``coarse[i]`` the level of the same rank in
-    the same sector as fine level i on its partner grid of ``n_per_axis //
-    2`` points over the same extent, which solves no other level.  A pair
-    within one sector stays the same state when levels of different
-    sectors cross between the grids.  ``extrapolated`` is the Richardson
-    value of each pair at the grids' spacing ratio ``ratio``.
+    Returns (fine, coarse, ratio, extrapolated, partner): ``fine`` is
+    solve_hd_3d at ``n_per_axis`` points, and ``coarse[i]`` the level of the
+    same rank in the same sector as fine level i on its partner grid of
+    ``n_per_axis // 2`` points over the same extent, which solves no other
+    level; ``partner`` is that grid's solve_sectors result.  The two grids
+    differ on X2 only, so ``extrapolated``, the Richardson value of each
+    pair at their X2 spacing ratio ``ratio``, cancels the X2 error.  A pair
+    within one sector stays the same state when levels of different sectors
+    cross between the grids.
     """
     fine = solve_hd_3d(params, n_per_axis, extent, k)
     rank = [fine.sectors[:i].count(s) for i, s in enumerate(fine.sectors)]
     partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors))
     coarse = params.omega * np.array([partner[s][0][r] for s, r in zip(fine.sectors, rank)])
     ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
-    return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio)
+    return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio), partner
 
 
 def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D_TOL,
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
-    Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` points over the
+    Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` X2 points over the
     same extent (in oscillator lengths) are paired within their sector and
     Richardson-extrapolated (grid3d_richardson_pair).  Each class (both
     mirror half-spaces) takes grid levels until their multiplicities reach
     its degeneracy; every class within the lowest k states checks its worst
     level and its degeneracy.  The provenance quotes that level's fine and
-    coarse grid values in units of omega.
+    coarse grid values and the largest Lanczos residual of each grid, in
+    units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
+    does not cancel: the partner levels' largest move with 4 DVR nodes
+    fewer (grid3d.dvr_change), within tol / 100.
     """
     if k < 2:
         raise ValueError("k must be at least 2, the states of the ground class")
@@ -445,9 +452,11 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     if not low <= extent <= high:
         raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
-    fine, coarse, ratio, extrap = grid3d_richardson_pair(params, n_per_axis, extent, k)
+    fine, coarse, ratio, extrap, partner = grid3d_richardson_pair(params, n_per_axis, extent, k)
     mults = fine.multiplicities
     m = len(mults)
+    residuals = (f"largest Lanczos residual: fine grid {fine.residual_bound / params.omega:.1e}, "
+                 f"coarse {max(float(np.max(r)) for _, r in partner.values()):.1e}")
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
@@ -464,7 +473,13 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
                    f"worst of {i - first} levels: fine grid "
                    f"{fine.eigenvalues[worst] / params.omega:.6f}, coarse "
                    f"{coarse[worst] / params.omega:.6f}, Richardson pair at "
-                   f"spacing ratio {ratio:.6g}")
+                   f"spacing ratio {ratio:.6g}; {residuals}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")
+    nodes = 2 * dvr_nodes(extent) + 1
+    report.add("grid3d-dvr-error",
+               params.omega * dvr_change(params, n_per_axis // 2, extent, partner),
+               0.0, tol / 100.0 * params.omega,
+               f"largest move of the coarse grid's levels when its X1/X3 DVR of "
+               f"{nodes} nodes has {nodes - 4} over the same extent")
     return report

@@ -217,23 +217,24 @@ class TestVerifyCommand:
         payload = json.loads(out)
         names = [c["name"] for c in payload["checks"]]
         assert names == ["grid3d-level[N=0]", "grid3d-degeneracy[N=0]",
-                         "grid3d-level[N=1]", "grid3d-degeneracy[N=1]"]
+                         "grid3d-level[N=1]", "grid3d-degeneracy[N=1]", "grid3d-dvr-error"]
 
     def test_3d_coarsest_grid_completes(self, workdir, capsys):
-        # its Richardson partner has 8 points per axis, below the 16 a user may ask for
+        # its Richardson partner has 8 X2 points, below the 16 a user may ask for
         code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16")
         assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
-        assert len(json.loads(out)["checks"]) == 4
+        assert len(json.loads(out)["checks"]) == 5
 
     def test_3d_coarsest_grid_without_a_barrier_writes_its_report(self, workdir, capsys):
-        # its 8-point partner grid has sectors of 24-80 unknowns, on which a
-        # Lanczos basis kept only selectively orthogonal overflowed at g1^2 = 0
+        # on the all-stencil grid its 8-point partner had sectors of 24-80
+        # unknowns, on which a Lanczos basis kept only selectively orthogonal
+        # overflowed at g1^2 = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16",
                                      "--domain-extent", "7", "--g1sq", "0")
         assert code in (EXIT_PASS, EXIT_FAIL) and err == ""
-        assert len(json.loads(out)["checks"]) == 4
+        assert len(json.loads(out)["checks"]) == 5
 
     @pytest.mark.parametrize("argv", [("jacobi", "--tol", "nan"), ("3d", "--tol", "inf"),
                                       ("3d", "--domain-extent", "nan"),
@@ -304,6 +305,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "3d", "--g1sq", "300")
         assert code == EXIT_PASS
         assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("points, g1sq", [("81", "1000"), ("101", "500"), ("121", "300")])
+    def test_3d_fine_grid_strong_barrier_passes(self, workdir, capsys, points, g1sq):
+        # a 3-point stencil on X1 and X3 ran out of Lanczos restarts here
+        code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", points,
+                                 "--g1sq", g1sq)
+        assert code == EXIT_PASS and err == ""
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    def test_3d_coarse_dvr_fails(self, workdir, capsys, monkeypatch):
+        monkeypatch.setattr(grid3d, "DVR_SPACING", 1.0)
+        code, out, err = run_cli(capsys, "verify", "3d")
+        assert code == EXIT_FAIL and err == ""
+        assert [c["name"] for c in json.loads(out)["checks"] if c["status"] == "fail"] == [
+            "grid3d-dvr-error"]
 
     def test_unconverged_3d_solve_is_one_error_line(self, workdir, capsys, monkeypatch):
         def stalled(*args, **kwargs):
@@ -437,8 +453,8 @@ class TestExitCodes:
         assert main([*argv, "--grid-points", str(least)]) != EXIT_USAGE
 
     def test_cli_import_leaves_scipy_sparse_out(self):
-        # only the 3D grid needs scipy.sparse; resolve, spectrum and the 1D
-        # routes must not pay for its import
+        # no command pays for importing scipy.sparse: neither the CLI's
+        # imports nor a 3D solve, whose plane matrices are dense
         import subprocess
         import sys
 
@@ -448,7 +464,10 @@ class TestExitCodes:
             p for p in (str(src), env.get("PYTHONPATH")) if p)
         done = subprocess.run(
             [sys.executable, "-c",
-             "import sys, wolfes4.cli; assert 'scipy.sparse' not in sys.modules"],
+             "import sys, wolfes4.cli; assert 'scipy.sparse' not in sys.modules\n"
+             "from wolfes4 import ModelParams, verify_3d\n"
+             "verify_3d(ModelParams(1.0, 3.0), 6, offset=1.0, n_per_axis=16, extent=5.0)\n"
+             "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]"],
             capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
 

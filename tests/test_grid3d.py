@@ -1,6 +1,7 @@
 """3D grid solver: layout, Lanczos behavior, and the tensor-sum oracle."""
 
 import inspect
+import math
 import re
 
 import numpy as np
@@ -24,7 +25,9 @@ from wolfes4.grid3d import (
     MAX_G1_SQUARED,
     SECTORS,
     _build_operator,
-    _sector_axis,
+    _dvr_axis,
+    _x2_axis,
+    dvr_nodes,
     solve_sectors,
 )
 
@@ -32,36 +35,49 @@ P = ModelParams(omega=1.0, g1_squared=3.0)
 J = jacobi_matrix()
 
 
-def spacing(n_per_axis, extent):
-    """The documented grid: n_half = n_per_axis // 2 nodes j * h per half-axis,
-    h = extent / (n_half + 1)."""
-    n_half = n_per_axis // 2
-    return n_half, extent / (n_half + 1)
+def grid(n_per_axis, extent):
+    """The documented grid, as _build_operator takes it: n_half = n_per_axis // 2
+    X2 nodes j * extent / (n_half + 1), j >= 1, and m DVR nodes per half of X1
+    and X3, j * extent / (m + 1), |j| <= m, where m + 1 is the fewest steps of at
+    most 0.47 over the extent, within [9, 31]."""
+    m = min(max(math.ceil(extent / 0.47) - 1, 8), 30)
+    return n_per_axis // 2, m, extent
 
 
-def tensor_sum_oracle(params, n_half, h, k):
-    """The discrete operator is an exact Kronecker sum of 1D stencils, so its
-    spectrum is the set of sums of 1D eigenvalues; the X2 axis is the
-    half-line j*h, j >= 1, with the barrier as the exact-local-power diagonal
-    that annihilates x^b up to g1^2 = 18 (b = 3) and sampled above, and each
-    sum counts twice (X2 < 0 mirrors X2 > 0).  Assembled here from raw
-    arrays; shares nothing with the Lanczos path."""
+def colbert_miller(m, h):
+    """The unfolded sinc-DVR kinetic matrix of -1/2 d2/dx2 on the 2 m + 1 nodes
+    j * h, |j| <= m, from its closed form, entry by entry."""
+    t = np.empty((2 * m + 1, 2 * m + 1))
+    for a in range(2 * m + 1):
+        for b in range(2 * m + 1):
+            d = a - b
+            t[a, b] = math.pi**2 / (6.0 * h**2) if d == 0 else (-1.0) ** d / (h**2 * d**2)
+    return t
+
+
+def tensor_sum_oracle(params, n_half, m, extent, k):
+    """The discrete operator is an exact Kronecker sum of 1D operators, so its
+    spectrum is the set of sums of 1D eigenvalues: X1 and X3 are the unfolded
+    sinc-DVR on j * extent / (m + 1), |j| <= m, whose spectrum is that of its
+    even and odd folded blocks together (TestDvrAxis), and X2 is the half-line
+    stencil on j * h, j >= 1, h = extent / (n_half + 1), with the barrier as the
+    exact-local-power diagonal that annihilates x^b up to g1^2 = 18 (b = 3) and
+    sampled above; each sum counts twice (X2 < 0 mirrors X2 > 0).  Assembled
+    here from raw arrays; shares nothing with the Lanczos path."""
+    h = extent / (n_half + 1)
     j = np.arange(1, n_half + 1, dtype=float)
     b = 0.5 + np.sqrt(0.25 + params.g1_squared / 3.0)
     if params.g1_squared <= 18.0:
         barrier = 0.5 / h**2 * ((j + 1.0) ** b - 2.0 * j**b + (j - 1.0) ** b) / j**b
     else:
         barrier = params.g1_squared / (6.0 * (h * j) ** 2)
-
-    def axis_eigs(x, extra):
-        diag = 1.0 / h**2 + 0.5 * params.omega**2 * x**2 + extra
-        off = np.full(len(x) - 1, -0.5 / h**2)
-        return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                                select_range=(0, min(k, len(x) - 1)))
-
-    e_sym = axis_eigs(h * np.arange(-n_half, n_half + 1), 0.0)
-    e_half = axis_eigs(h * j, barrier)
-    sums = (e_sym[:, None, None] + e_half[None, :, None] + e_sym[None, None, :])
+    h_dvr = extent / (m + 1)
+    x = h_dvr * np.arange(-m, m + 1)
+    e_dvr = np.linalg.eigvalsh(colbert_miller(m, h_dvr) + np.diag(0.5 * x**2))[:k]
+    e_half = eigh_tridiagonal(1.0 / h**2 + 0.5 * (h * j) ** 2 + barrier,
+                              np.full(n_half - 1, -0.5 / h**2), eigvals_only=True,
+                              select="i", select_range=(0, min(k, n_half - 1)))
+    sums = (e_dvr[:, None, None] + e_half[None, :, None] + e_dvr[None, None, :])
     return np.sort(np.repeat(sums.ravel(), 2))[:k]
 
 
@@ -75,37 +91,69 @@ class TestAxisLayout:
         # an even count makes the grid of the next odd one
         assert np.array_equal(solve_hd_3d(P, 20, 5.0, k=2).eigenvalues,
                               solve_hd_3d(P, 21, 5.0, k=2).eigenvalues)
-        n_half, h = spacing(61, 7.0)
-        assert (n_half, h) == (30, 7.0 / 31)
-        even, _ = _sector_axis(n_half, h, 1)
-        odd, kinetic = _sector_axis(n_half, h, -1)
-        assert len(even) == n_half + 1 and len(odd) == kinetic.shape[0] == n_half
-        assert odd[0] == h and odd[-1] + h == pytest.approx(7.0)  # walls at 0 and the extent
+        n_half, m, extent = grid(61, 7.0)
+        assert (n_half, m, dvr_nodes(7.0)) == (30, 14, 14)
+        x2, kinetic = _x2_axis(n_half, 7.0 / 31)
+        assert len(x2) == kinetic.shape[0] == n_half
+        assert x2[0] == 7.0 / 31 and x2[-1] + 7.0 / 31 == pytest.approx(7.0)  # walls at 0 and 7
+        even, _ = _dvr_axis(m, 7.0 / 15, 1)
+        odd, kinetic = _dvr_axis(m, 7.0 / 15, -1)
+        assert len(even) == m + 1 and len(odd) == kinetic.shape[0] == m
+        assert even[0] == 0.0 and odd[0] == 7.0 / 15 and odd[-1] + 7.0 / 15 == pytest.approx(7.0)
+
+    def test_dvr_count_fixed_by_the_extent(self):
+        # the fewest steps of at most 0.47: 23 nodes over 5.5 and 29 over 7;
+        # never fewer per half-axis than the 16-point grid's 8, nor more than 30
+        assert [2 * dvr_nodes(e) + 1 for e in (5.5, 7.0)] == [23, 29]
+        for extent in (1.0, 2.0, 3.76, 4.0, 4.5, 5.0, 9.4, 9.41, 14.57, 14.6, 20.0, 100.0):
+            assert dvr_nodes(extent) == grid(16, extent)[1]
+            if dvr_nodes(extent) < 30:
+                assert extent / (dvr_nodes(extent) + 1) <= 0.47
+        assert (dvr_nodes(1.0), dvr_nodes(100.0)) == (8, 30)
+
+    def test_both_grids_of_a_pair_share_the_dvr(self, monkeypatch):
+        built = []
+
+        def recording(g1_squared, n_half, m, extent, sector, jacobi):
+            built.append((n_half, m))
+            return _build_operator(g1_squared, n_half, m, extent, sector, jacobi)
+
+        monkeypatch.setattr(grid3d, "_build_operator", recording)
+        verify_3d(P, k=6, offset=1.0, n_per_axis=41, extent=5.5)
+        # five fine sectors, the partner's two, and the partner's two again
+        # with 4 DVR nodes fewer for grid3d-dvr-error
+        assert built == [(20, 11)] * 5 + [(10, 11)] * 2 + [(10, 9)] * 2
 
     def test_sym_axis_contains_origin(self):
-        # an even axis keeps x = 0, coupled to x = h by sqrt(2) times the stencil
-        n_half, h = spacing(21, 5.0)
-        x, kinetic = _sector_axis(n_half, h, 1)
+        # an even axis keeps x = 0, coupled to x = b * h by sqrt(2) T(b)
+        m, h = 10, 0.5
+        x, kinetic = _dvr_axis(m, h, 1)
         assert x[0] == 0.0 and x[1] == h
-        assert kinetic[0, 1] == kinetic[1, 0] == pytest.approx(-np.sqrt(2.0) * 0.5 / h**2)
+        b = np.arange(1, m + 1)
+        assert kinetic[0, 1:] == pytest.approx(np.sqrt(2.0) * (-1.0) ** b / (h * b) ** 2,
+                                               rel=1e-14)
+        assert kinetic[0, 0] == pytest.approx(np.pi**2 / (6 * h**2), rel=1e-14)
 
     def test_x2_axis_is_the_positive_half_space(self):
         # X2 keeps the nodes j*h, j >= 1, behind a Dirichlet plane at X2 = 0,
         # and runs fastest: u.reshape(n_plane, n2).  In sector (1, -1, 0) the
-        # plane state (i, j) is X1 = i*h, X3 = (j + 1)*h at index i * n3 + j;
-        # at g1^2 = 0 the diagonal along X2 at X1 = h, X3 = 2h reads
-        # 3/h^2 + (x2^2 + 5 h^2)/2, which no walk along X1 or X3 gives
-        n_half, h = spacing(21, 5.0)
-        matvec, n = _build_operator(0.0, n_half, h, (1, -1, 0), J)
+        # plane state (i, j) is X1 = i*hd, X3 = (j + 1)*hd at index i * n3 + j;
+        # at g1^2 = 0 the diagonal along X2 at X1 = hd, X3 = 2 hd reads
+        # 1/h^2 + T(0) + T(2) + T(0) - T(4) + (x2^2 + 5 hd^2)/2, which no walk
+        # along X1 or X3 gives
+        n_half, m, extent = grid(21, 5.0)
+        h, hd = extent / (n_half + 1), extent / (m + 1)
+        matvec, n = _build_operator(0.0, n_half, m, extent, (1, -1, 0), J)
         n1, n2, n3 = 11, 10, 10
-        assert n == n1 * n3 * n2
+        assert (n_half, m) == (10, 10) and n == n1 * n3 * n2
         row = (1 * n3 + 1) * n2
         diag = []
         for jj in range(n2):
             e = np.zeros(n)
             e[row + jj] = 1.0
             diag.append(matvec(e) @ e)
-        x2 = np.sqrt(2.0 * (np.array(diag) - 3.0 / h**2) - 5.0 * h**2)
+        kinetic = 1.0 / h**2 + (np.pi**2 / 3.0 + 1.0 / 4.0 - 1.0 / 16.0) / hd**2
+        x2 = np.sqrt(2.0 * (np.array(diag) - kinetic) - 5.0 * hd**2)
         assert x2 == pytest.approx(h * np.arange(1, 11), abs=1e-12)
 
     def test_too_small_rejected(self):
@@ -117,10 +165,38 @@ class TestAxisLayout:
             solve_hd_3d(P, 122, 5.0, k=1)
 
 
+class TestDvrAxis:
+    @pytest.mark.parametrize("m", [8, 14])
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_folded_blocks_are_the_unfolded_dvr_restricted(self, m, parity):
+        # B^T T B with B the columns (delta_a + parity delta_-a) / sqrt(2),
+        # a >= 1, and delta_0 alone when even
+        h = 7.0 / (m + 1)
+        cols = []
+        for a in range(0 if parity > 0 else 1, m + 1):
+            f = np.zeros(2 * m + 1)
+            f[m + a] += 1.0
+            f[m - a] += parity
+            cols.append(f / np.linalg.norm(f))
+        B = np.column_stack(cols)
+        x, kinetic = _dvr_axis(m, h, parity)
+        assert x == pytest.approx(h * np.arange(0 if parity > 0 else 1, m + 1), rel=1e-15)
+        assert np.max(np.abs(kinetic - B.T @ colbert_miller(m, h) @ B)) <= 1e-12
+
+    def test_oscillator_exact_at_extent_7(self):
+        # both folded blocks together: 1/2, 3/2, 5/2
+        m = dvr_nodes(7.0)
+        levels = []
+        for parity in (1, -1):
+            x, kinetic = _dvr_axis(m, 7.0 / (m + 1), parity)
+            levels.extend(np.linalg.eigvalsh(kinetic + np.diag(0.5 * x**2))[:2])
+        assert np.max(np.abs(np.sort(levels)[:3] - [0.5, 1.5, 2.5])) <= 1e-11
+
+
 class TestSolver:
     def test_matches_tensor_sum_oracle(self):
         res = solve_hd_3d(P, 16, 5.0, k=5, tol=1e-9)
-        oracle = tensor_sum_oracle(P, *spacing(16, 5.0), 5)
+        oracle = tensor_sum_oracle(P, *grid(16, 5.0), 5)
         assert states(res, 5) == pytest.approx(oracle, abs=1e-8)
 
     def test_each_level_once_with_its_multiplicity(self):
@@ -174,7 +250,7 @@ class TestSolver:
         # states 2-5 are two exactly degenerate X1 <-> X3 image pairs
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 41, 5.5, k=6)
-        oracle = tensor_sum_oracle(params, *spacing(41, 5.5), 6)
+        oracle = tensor_sum_oracle(params, *grid(41, 5.5), 6)
         assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("g1_squared", [0.3, 3.0])
@@ -188,7 +264,7 @@ class TestSolver:
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 20, 5.0, k=12)
-        oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 12)
+        oracle = tensor_sum_oracle(params, *grid(20, 5.0), 12)
         assert states(res, 12) == pytest.approx(oracle, abs=1e-10)
         # one solve per sector: the ground sector for its share of the 12
         # states, every other for its share of the 10 above the ground level
@@ -207,7 +283,7 @@ class TestSolver:
         res = solve_hd_3d(P, 20, 5.0, k=k)
         assert asked == [1]
         assert res.multiplicities.tolist() == [2]
-        assert res.eigenvalues == pytest.approx(tensor_sum_oracle(P, *spacing(20, 5.0), 1),
+        assert res.eigenvalues == pytest.approx(tensor_sum_oracle(P, *grid(20, 5.0), 1),
                                                 abs=1e-10)
 
     @pytest.mark.parametrize("n_per_axis", [16, 41])
@@ -217,12 +293,12 @@ class TestSolver:
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         lowest = {}
         for sector in SECTORS:
-            matvec, n = _build_operator(g1_squared, *spacing(n_per_axis, 5.5), sector, J)
+            matvec, n = _build_operator(g1_squared, *grid(n_per_axis, 5.5), sector, J)
             lowest[sector] = lanczos_lowest(matvec, n, 1, tol=1e-10)[0][0]
         ground = lowest.pop(GROUND_SECTOR)
         assert ground < min(lowest.values())
         assert ground == pytest.approx(
-            tensor_sum_oracle(params, *spacing(n_per_axis, 5.5), 1)[0], abs=1e-10)
+            tensor_sum_oracle(params, *grid(n_per_axis, 5.5), 1)[0], abs=1e-10)
 
     def test_level_below_the_ground_sector_raises(self, monkeypatch):
         solved = []
@@ -274,12 +350,11 @@ class TestSolver:
         # block only; a ghost copy of a converged level would shift the list
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, 20, 5.0, k=20)
-        oracle = tensor_sum_oracle(params, *spacing(20, 5.0), 20)
+        oracle = tensor_sum_oracle(params, *grid(20, 5.0), 20)
         assert states(res, 20) == pytest.approx(oracle, abs=1e-10)
 
-    # 8-9 points per axis make sectors of 24-80 unknowns, where a Ritz value
-    # converges within the first Lanczos cycle, before a restart has kept
-    # any Ritz vector to orthogonalize against
+    # 8-9 points make an X2 axis of 4 nodes and, with the DVR's fewest 17
+    # nodes, sectors of 112-840 unknowns
     @pytest.mark.parametrize("k", [6, 12])
     @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 100.0])
     @pytest.mark.parametrize("extent", [2.0, 4.5, 7.0])
@@ -287,15 +362,28 @@ class TestSolver:
     def test_small_sectors_match_the_oracle(self, n_per_axis, extent, g1_squared, k):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, n_per_axis, extent, k)
-        oracle = tensor_sum_oracle(params, *spacing(n_per_axis, extent), k)
+        oracle = tensor_sum_oracle(params, *grid(n_per_axis, extent), k)
         assert states(res, k) == pytest.approx(oracle, abs=1e-10)
+
+    # dvr_change solves the 16-point grid's partner with 2 DVR nodes fewer
+    # per half-axis, 6 below extent 3.76: sectors of 60-168 unknowns, where a
+    # Ritz value converges within the first Lanczos cycle, before a restart
+    # has kept any Ritz vector to orthogonalize against
+    @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 100.0])
+    def test_fewest_dvr_nodes_match_the_oracle(self, g1_squared, monkeypatch):
+        monkeypatch.setattr(grid3d, "DVR_HALF_RANGE", (6, 30))
+        assert dvr_nodes(2.0) == 6
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        res = solve_hd_3d(params, 8, 2.0, 12)
+        assert states(res, 12) == pytest.approx(tensor_sum_oracle(params, 4, 6, 2.0, 12),
+                                                abs=1e-10)
 
     @settings(max_examples=10, deadline=None)
     @given(g1_squared=st.floats(0.0, 40.0), n_per_axis=st.integers(16, 22))
     def test_matches_tensor_sum_oracle_anywhere(self, g1_squared, n_per_axis):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         res = solve_hd_3d(params, n_per_axis, 5.0, k=6)
-        oracle = tensor_sum_oracle(params, *spacing(n_per_axis, 5.0), 6)
+        oracle = tensor_sum_oracle(params, *grid(n_per_axis, 5.0), 6)
         assert states(res, 6) == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_k(self):
@@ -341,15 +429,15 @@ class TestReduction:
 class TestRichardsonPair:
     @pytest.mark.parametrize("n_per_axis", [16, 24, 41])
     def test_levels_extrapolate_the_oracle_pair(self, n_per_axis):
-        # verify_3d pairs the grid with n_per_axis // 2 points on the same
-        # extent; its level entries must be the extrapolation of the two
-        # oracle spectra at their spacing ratio (1.8, 1.44 and 1.909 here)
-        extent = 5.0
-        n_fine, h_fine = spacing(n_per_axis, extent)
-        n_coarse, h_coarse = spacing(n_per_axis // 2, extent)
-        fine = tensor_sum_oracle(P, n_fine, h_fine, 6)
-        coarse = tensor_sum_oracle(P, n_coarse, h_coarse, 6)
-        expected = richardson(coarse, fine, h_coarse / h_fine)
+        # verify_3d pairs the grid with n_per_axis // 2 X2 points on the same
+        # extent and the same DVR; its level entries must be the extrapolation
+        # of the two oracle spectra at their X2 spacing ratio (1.8, 1.44 and
+        # 1.909 here)
+        n_half, m, extent = grid(n_per_axis, 5.0)
+        n_coarse = (n_per_axis // 2) // 2
+        fine = tensor_sum_oracle(P, n_half, m, extent, 6)
+        coarse = tensor_sum_oracle(P, n_coarse, m, extent, 6)
+        expected = richardson(coarse, fine, (n_half + 1) / (n_coarse + 1))
         report = verify_3d(P, k=6, offset=1.0, n_per_axis=n_per_axis, extent=extent)
         levels = [c.measured for c in report.checks if c.name.startswith("grid3d-level")]
         # the ground class is state 0, the N = 1 class the image quartet 2-5
@@ -361,27 +449,28 @@ class TestSectors:
     def test_sectors_partition_the_grid(self):
         # counted by multiplicity over the two mirror half-spaces, the sectors
         # hold every full-grid unknown once
-        n_half, h = spacing(21, 5.0)
-        sizes = [_build_operator(P.g1_squared, n_half, h, sector, J)[1] for sector in SECTORS]
-        n_sym = 2 * n_half + 1
-        full = n_sym * (n_sym - 1) * n_sym
-        assert sum(n * m for n, m in zip(sizes, SECTORS.values())) == full
+        n_half, m, extent = grid(21, 5.0)
+        sizes = [_build_operator(P.g1_squared, n_half, m, extent, sector, J)[1]
+                 for sector in SECTORS]
+        n_dvr = 2 * m + 1
+        full = n_dvr * 2 * n_half * n_dvr
+        assert sum(n * k for n, k in zip(sizes, SECTORS.values())) == full
         assert max(sizes) < 0.26 * full / 2
 
     @pytest.mark.parametrize("g1_squared", [3.0, 100.0])
     def test_sector_operators_match_the_projected_stencil(self, g1_squared):
-        # each sector's operator is B^T S B: S the 7-point stencil of the whole
-        # half-space box, assembled densely here from raw arrays, B the
+        # each sector's operator is B^T S B: S the operator of the whole
+        # half-space box, the unfolded DVR on X1 and X3 and the 3-point
+        # stencil on X2, assembled densely here from raw arrays, B the
         # sector's orthonormal D4 basis in its unknown order (plane states in
         # row-major order, i >= j for a mirror pair, then the X2 nodes)
-        n_half, h = spacing(16, 5.0)
-        n_sym, n2 = 2 * n_half + 1, n_half
-        x = h * np.arange(-n_half, n_half + 1)
+        n_half, m, extent = grid(8, 3.0)
+        n_dvr, n2 = 2 * m + 1, n_half
+        h, h_dvr = extent / (n_half + 1), extent / (m + 1)
+        x = h_dvr * np.arange(-m, m + 1)
         x2 = h * np.arange(1, n_half + 1)
-
-        def kinetic(m):
-            return (np.diag(np.full(m, 1.0 / h**2)) + np.diag(np.full(m - 1, -0.5 / h**2), 1)
-                    + np.diag(np.full(m - 1, -0.5 / h**2), -1))
+        stencil = (np.diag(np.full(n2, 1.0 / h**2)) + np.diag(np.full(n2 - 1, -0.5 / h**2), 1)
+                   + np.diag(np.full(n2 - 1, -0.5 / h**2), -1))
 
         j = np.arange(1, n_half + 1, dtype=float)
         b = 0.5 + np.sqrt(0.25 + g1_squared / 3.0)
@@ -392,17 +481,17 @@ class TestSectors:
         pot = (0.5 * (x[:, None, None] ** 2 + x2[None, :, None] ** 2 + x[None, None, :] ** 2)
                + barrier[None, :, None])
         S = np.diag(pot.ravel())
-        S += np.kron(kinetic(n_sym), np.eye(n2 * n_sym))
-        S += np.kron(np.kron(np.eye(n_sym), kinetic(n2)), np.eye(n_sym))
-        S += np.kron(np.eye(n_sym * n2), kinetic(n_sym))
+        S += np.kron(colbert_miller(m, h_dvr), np.eye(n2 * n_dvr))
+        S += np.kron(np.kron(np.eye(n_dvr), stencil), np.eye(n_dvr))
+        S += np.kron(np.eye(n_dvr * n2), colbert_miller(m, h_dvr))
 
         def axis_basis(parity):
             # columns (delta_a + parity delta_-a)/sqrt(2), delta_0 alone if even
             cols = []
-            for a in range(0 if parity > 0 else 1, n_half + 1):
-                f = np.zeros(n_sym)
-                f[n_half + a] += 1.0
-                f[n_half - a] += parity
+            for a in range(0 if parity > 0 else 1, m + 1):
+                f = np.zeros(n_dvr)
+                f[m + a] += 1.0
+                f[m - a] += parity
                 cols.append(f / np.linalg.norm(f))
             return cols
 
@@ -419,25 +508,20 @@ class TestSectors:
                 (state[:, None, :] * (np.arange(n2) == t)[None, :, None]).ravel()
                 for state in plane for t in range(n2)])
             assert np.max(np.abs(B.T @ B - np.eye(B.shape[1]))) <= 1e-12
-            # B^T S B from the (at most 8) nonzero rows of each column of B
-            rows = np.argsort(B == 0.0, axis=0, kind="stable")[:np.max(np.sum(B != 0.0, axis=0))]
-            weights = np.take_along_axis(B, rows, axis=0)
-            projected = sum(np.outer(wa, wb) * S[np.ix_(ra, rb)]
-                            for ra, wa in zip(rows, weights) for rb, wb in zip(rows, weights))
-            matvec, n = _build_operator(g1_squared, n_half, h, sector, J)
+            matvec, n = _build_operator(g1_squared, n_half, m, extent, sector, J)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
-            assert np.max(np.abs(A - projected)) <= 1e-12
+            assert np.max(np.abs(A - B.T @ S @ B)) <= 1e-12
 
     def test_sector_operators_are_symmetric(self):
         for sector in SECTORS:
-            matvec, n = _build_operator(P.g1_squared, *spacing(16, 5.0), sector, J)
+            matvec, n = _build_operator(P.g1_squared, *grid(16, 5.0), sector, J)
             A = np.column_stack([matvec(e) for e in np.eye(n)])
             assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
-        matvec, n = _build_operator(P.g1_squared, *spacing(20, 5.0), (1, 1, 1), J)
+        matvec, n = _build_operator(P.g1_squared, *grid(20, 5.0), (1, 1, 1), J)
         history: list = []
         lanczos_lowest(matvec, n, k=1, krylov_dim=12, max_restarts=200,
                        tol=1e-10, history=history)
@@ -445,7 +529,7 @@ class TestLanczos:
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_nonconvergence_reports_residuals(self):
-        matvec, n = _build_operator(P.g1_squared, *spacing(24, 5.0), (1, 1, 1), J)
+        matvec, n = _build_operator(P.g1_squared, *grid(24, 5.0), (1, 1, 1), J)
         with pytest.raises(ConvergenceError) as err:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None

@@ -259,7 +259,8 @@ class TestVerify3D:
         report = verify_3d(P3, k=4, tol=5e-3, offset=1.0, n_per_axis=41, extent=5.0)
         assert report.passed
         assert [c.name for c in report.checks] == ["grid3d-level[N=0]",
-                                                   "grid3d-degeneracy[N=0]"]
+                                                   "grid3d-degeneracy[N=0]",
+                                                   "grid3d-dvr-error"]
         assert report.checks[0].reference == pytest.approx(2 + math.sqrt(5) / 2, rel=1e-12)
         assert (report.checks[1].measured, report.checks[1].tolerance) == (2.0, 0.0)
 
@@ -273,7 +274,7 @@ class TestVerify3D:
             2.0 + math.sqrt(0.25 + g1_squared / 3.0), rel=1e-12)
         assert [(c.name, c.measured) for c in report.checks[1::2]] == [
             ("grid3d-degeneracy[N=0]", 2.0), ("grid3d-degeneracy[N=1]", 4.0)]
-        assert len(report.checks) == 4
+        assert len(report.checks) == 5
         assert report.passed
 
     @pytest.mark.parametrize("sector, count, failing", [
@@ -301,8 +302,9 @@ class TestVerify3D:
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
         params = ModelParams(2.5, g1_squared)
         report = verify_3d(params, k=6, offset=1.0, n_per_axis=n_per_axis, extent=extent)
-        # five fine sectors at the Perron-Frobenius budget, then the partner's
-        assert len(asked) == 7 and sum(asked[5:]) == 2
+        # five fine sectors at the Perron-Frobenius budget, then the partner's,
+        # then the partner's again with 4 DVR nodes fewer
+        assert len(asked) == 9 and sum(asked[5:7]) == 2 and asked[7:] == asked[5:7]
 
         fine = solve_hd_3d(params, n_per_axis, extent, 6).eigenvalues
         coarse = solve_hd_3d(params, n_per_axis // 2, extent, 6).eigenvalues
@@ -312,6 +314,33 @@ class TestVerify3D:
         levels = [c.measured for c in report.checks if c.name.startswith("grid3d-level")]
         assert m == 2
         assert levels == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("omega", [1.0, 2.5])
+    def test_dvr_error_entry(self, omega):
+        # the partner levels with 4 DVR nodes fewer move by ~1e-12 at 61 / 7,
+        # in units of omega, against tol / 100
+        report = verify_3d(ModelParams(omega, 3.0), k=6, offset=1.0, n_per_axis=61,
+                           extent=7.0)
+        entry = report.checks[-1]
+        assert entry.name == "grid3d-dvr-error" and entry.passed
+        assert (entry.reference, entry.tolerance) == (0.0, 5e-5 * omega)
+        assert 0.0 <= entry.measured <= 1e-11 * omega
+        assert "29 nodes has 25" in entry.provenance
+
+    def test_coarse_dvr_fails_the_dvr_error_entry(self, monkeypatch):
+        # a DVR spacing of 1 leaves the floor of 17 nodes over 7, 0.78 apart
+        monkeypatch.setattr(grid3d, "DVR_SPACING", 1.0)
+        report = verify_3d(P3, k=6, offset=1.0, n_per_axis=61, extent=7.0)
+        assert [c.name for c in report.checks if not c.passed] == ["grid3d-dvr-error"]
+        assert report.checks[-1].measured > 10 * report.checks[-1].tolerance
+
+    def test_residuals_quoted(self):
+        report = verify_3d(P3, k=6, offset=1.0, n_per_axis=41, extent=5.5)
+        for c in report.checks:
+            if c.name.startswith("grid3d-level"):
+                fine, coarse = re.search(r"largest Lanczos residual: fine grid (\S+), "
+                                         r"coarse (\S+)$", c.provenance).groups()
+                assert 0.0 < float(fine) <= 5e-8 and 0.0 < float(coarse) <= 5e-8
 
     def test_tolerance_in_units_of_omega(self):
         report = verify_3d(ModelParams(4.0, 3.0), k=2, tol=5e-3, offset=1.0,
@@ -332,10 +361,10 @@ class TestVerify3D:
             report = verify_3d(ModelParams(omega, 3.0), k=6, offset=1.0,
                                n_per_axis=41, extent=5.5)
             assert report.passed
+            levels = [c for c in report.checks if c.name.startswith("grid3d-level")]
             quoted = [re.search(r"fine grid (\S+), coarse (\S+),", c.provenance).groups()
-                      for c in report.checks[::2]]
-            return (np.array([c.measured for c in report.checks[::2]]),
-                    np.array(quoted, dtype=float))
+                      for c in levels]
+            return (np.array([c.measured for c in levels]), np.array(quoted, dtype=float))
 
         unit, unit_quoted = levels(1.0)
         assert np.all(unit_quoted > 2.0)
