@@ -46,7 +46,7 @@ def main() -> None:
           f"extrapolated ground error: {extrap[0] - exact_ground:+.2e}")
     dvr = dvr_change(params, n_points // 2, extent, partner)
     print(f"grid3d-dvr-error (coarse levels with 4 DVR nodes fewer): {dvr:.1e}")
-    print(f"largest Ritz residual: {fine.residual_bound:.1e}")
+    print(f"largest Ritz residual of the fine levels: {fine.residual_bound:.1e}")
 
 
 if __name__ == "__main__":

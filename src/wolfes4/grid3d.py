@@ -29,9 +29,10 @@ X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
 each solved by solve_sectors for the levels asked of it, with a
 matrix-free thick-restart Lanczos iteration and selective
-reorthogonalization against its kept Ritz vectors.  The ground level lies
-in GROUND_SECTOR alone, so the other sectors share out only the levels
-above it.  The split is needed for correctness as well as speed: a
+reorthogonalization against its kept Ritz vectors; solve_hd_3d lets a level
+stop short of converging once it is bounded above the lowest k states.  The
+ground level lies in GROUND_SECTOR alone, so the other sectors share out
+only the levels above it.  The split is needed for correctness as well as speed: a
 single-vector Krylov space holds one vector of each eigenspace, so exactly
 degenerate partners are found only in different sectors or by multiplicity.
 Every sector has one layout, its (X1, X3) plane states by the X2 nodes: a
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -90,31 +92,36 @@ DVR_HALF_RANGE = (8, 30)
 #: Sectors in solve order: parities (+1 even, -1 odd) under X1 -> -X1, X3 -> -X3
 #: and X1 <-> X3 (0 where the first two differ), each mapped to the states one
 #: level stands for: 2 (X2 mirror), 4 for (1, -1, 0) and its image (-1, 1, 0).
-SECTORS = {(1, 1, 1): 2, (1, 1, -1): 2, (1, -1, 0): 4, (-1, -1, 1): 2, (-1, -1, -1): 2}
+#: (1, -1, 0) goes first, then GROUND_SECTOR: at k = 6 their lowest levels are
+#: the 6 states, so solve_hd_3d's bound on the k-th state is finite from the
+#: ground sector's solve on, and the levels above it need not converge.
+SECTORS = {(1, -1, 0): 4, (1, 1, 1): 2, (1, 1, -1): 2, (-1, -1, 1): 2, (-1, -1, -1): 2}
 
 #: The sector of the ground level.  The half-space operator of the continuum
 #: has a simple ground level with a positive eigenfunction (Perron-Frobenius,
 #: its heat kernel being positive), which every symmetry of D4 leaves
 #: unchanged.  On the grid the DVR's off-diagonals alternate in sign, so the
 #: grid operator is not a Z-matrix and Perron-Frobenius does not carry over:
-#: the level budget rests on the continuum argument and on the guard in
-#: solve_sectors, which raises if another sector returns a level at or below
-#: this one's.
+#: the level budget rests on the continuum argument and on the guard of the
+#: sector loop (_solve), which raises, once every sector is solved, if
+#: another sector returns a level at or below this one's.
 GROUND_SECTOR = (1, 1, 1)
 
 #: Lanczos basis size of a sector solve, unless its levels need more room.
-#: 16-24 took alike 633-769 matvecs for `verify 3d` at 41 and 61 points;
-#: 16 and 20 run out of restarts at 81 points with g1^2 = 1000 and at 121
-#: with 300, where 24 converges.
+#: 16, 20 and 24 took 393, 419 and 431 matvecs for `verify 3d` at 41 points
+#: over 5.5, and 452, 482 and 499 at 61 over 7; 16 runs out of restarts at
+#: 81 points with g1^2 = 1000, 101 with 500 and 121 with 300, and 20 at 121
+#: with 1000, where 24 converges.
 SECTOR_KRYLOV_DIM = 24
 
 #: Largest g1^2 the grid takes, below the CLI's range until the X2 window
 #: follows the barrier: its diagonal at the first X2 node widens the
-#: spectrum.  The 61-point default converges and passes at 1000, as do 81
-#: points at 1000, 101 at 500 and 121 at 400; nearer the cap finer grids
-#: still run out of restarts in the ground sector (101 points at 800, 121
-#: at 500), and coarser ones fail their level checks sooner (41 points over
-#: 5.5 from g1^2 = 500).
+#: spectrum.  Grids of 61 to 121 points over 7 (checked in steps of 10)
+#: converge and pass at 1000: the level pair that ran out of restarts there
+#: lies above the lowest 6 states and needs only bounding.  Coarser grids
+#: fail their level checks sooner (41 points over 5.5 from g1^2 = 500), and
+#: at 800 a 20-state solve_hd_3d still runs out of restarts on some grids of
+#: 30 to 41 points.
 MAX_G1_SQUARED = 1000.0
 
 _SQRT2 = math.sqrt(2.0)
@@ -223,7 +230,8 @@ def _start_vector(n: int) -> np.ndarray:
 
 def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    krylov_dim: int = SECTOR_KRYLOV_DIM, max_restarts: int = 40,
-                   tol: float = 1e-8, history: list | None = None):
+                   tol: float = 1e-8, history: list | None = None,
+                   bound: Callable[[np.ndarray], float] | None = None):
     """Lowest k eigenvalues and their residuals, as a pair of arrays.
 
     Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602,
@@ -241,6 +249,14 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     against the whole basis, with no link to it in T.  A ``history`` list
     gets the lowest Ritz value of each restart cycle, non-increasing by the
     variational principle.
+
+    Each cycle's lowest k Ritz values are upper bounds on the lowest k
+    eigenvalues (Cauchy interlacing), and an eigenvalue lies within each
+    one's residual (Parlett, The Symmetric Eigenvalue Problem, ch. 11).  A
+    ``bound`` maps them to a value U; the solve then stops once each of the
+    k is converged to ``tol`` or bounded, its Ritz value minus its residual
+    above U, and returns the bounded ones with their residuals.  Without a
+    ``bound`` every one must converge.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
@@ -284,7 +300,10 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
         res = np.abs(beta * S[m - 1])
         if history is not None:
             history.append(float(lam[0]))
-        if np.all(res[:k] <= tol * np.maximum(1.0, np.abs(lam[:k]))):
+        done = res[:k] <= tol * np.maximum(1.0, np.abs(lam[:k]))
+        if bound is not None:
+            done |= lam[:k] - res[:k] > bound(lam[:k])
+        if np.all(done):
             return lam[:k], res[:k]
         kk = k + keep_extra
         V[:kk] = S[:, :kk].T @ V[:m]
@@ -301,7 +320,9 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
 class GridLevels:
     """Levels of the 3D grid, ascending, each once, with the sector it lies in.
 
-    ``residual_bound`` is the largest Lanczos residual of any sector solved.
+    ``residual_bound`` is the largest Lanczos residual of the levels returned;
+    a sector's levels above them may be bounded only (see _solve), with
+    residuals that are not quoted.
     """
 
     eigenvalues: np.ndarray
@@ -363,9 +384,36 @@ def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict
                for sector, (vals, _) in solved.items())
 
 
+def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> float:
+    """The k-th lowest of the state energies ``earlier`` and the Ritz values
+    ``ritz``, each of these counted ``mult`` times; inf when there are fewer
+    than k."""
+    energies = np.sort(np.concatenate([earlier, np.repeat(ritz, mult)]))
+    return float(energies[k - 1]) if energies.size >= k else math.inf
+
+
 def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
-           tol: float) -> dict:
-    """solve_sectors with m DVR nodes per half-axis."""
+           tol: float, states: int | None = None) -> dict:
+    """solve_sectors with m DVR nodes per half-axis, for the lowest ``states``.
+
+    Without ``states`` every level asked for converges.  With it, a sector's
+    solve stops once each level asked of it is converged or bounded
+    (lanczos_lowest): its Ritz value theta minus its residual r lies above
+    U, the states-th lowest state energy over the levels of the sectors
+    solved before it and its own current Ritz values, each counted by its
+    sector's multiplicity.  Every one of those values is an upper bound on
+    a distinct eigenstate: a Ritz value bounds the eigenvalue of its rank in
+    its sector from above (Cauchy interlacing), an earlier sector's levels
+    are its last Ritz values, and the sectors are orthogonal.  So at least
+    ``states`` states lie at or below U, and E_k <= U for k = ``states``.
+    A bounded level's eigenvalue lies within r of theta, lambda >= theta - r
+    > U >= E_k, so it is none of the lowest k states.  That rests on the
+    assumption the stopping rule already makes for converged levels:
+    Lanczos misses no lower eigenvalue, so the i-th Ritz value is the
+    sector's i-th eigenvalue.  The sectors solved later only add values,
+    which lowers the k-th state energy, so the fewest lowest levels that
+    cover k states (solve_hd_3d) hold converged levels only.
+    """
     if n_per_axis > MAX_POINTS_PER_AXIS:
         raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
                          f"got {n_per_axis}")
@@ -380,22 +428,25 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
         raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
                          f"J @ BARRIER_FORM = {c}")
     solved = {}
-    ground = None
-    for sector in SECTORS:  # GROUND_SECTOR first
+    earlier = np.zeros(0)  # the state energies of the sectors solved so far
+    for sector, mult in SECTORS.items():
         wanted = counts.get(sector, 0)
         if wanted < 1:
             continue
         matvec, n = _build_operator(params.g1_squared, n_per_axis // 2, m, extent, sector, J)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
-        vals, res = lanczos_lowest(matvec, n, wanted, tol=tol,
-                                   krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10))
-        if sector == GROUND_SECTOR:
-            ground = vals[0]
-        elif ground is not None and vals[0] <= ground:
-            raise ConvergenceError(
-                f"sector {sector} has a level {float(vals[0])} at or below the ground "
-                f"level {float(ground)}, which Perron-Frobenius rules out", residuals=res)
+        vals, res = lanczos_lowest(
+            matvec, n, wanted, tol=tol, krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10),
+            bound=None if states is None else partial(_kth_energy, states, earlier, mult))
         solved[sector] = vals, res
+        earlier = np.concatenate([earlier, np.repeat(vals, mult)])
+    if GROUND_SECTOR in solved:
+        ground = solved[GROUND_SECTOR][0][0]
+        for sector, (vals, res) in solved.items():
+            if sector != GROUND_SECTOR and vals[0] <= ground:
+                raise ConvergenceError(
+                    f"sector {sector} has a level {float(vals[0])} at or below the ground "
+                    f"level {float(ground)}, which Perron-Frobenius rules out", residuals=res)
     return solved
 
 
@@ -407,23 +458,25 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     half-space and lies in GROUND_SECTOR (see there), so that sector
     is solved for ceil(k / 2) levels and every other sector of SECTORS, m
     its multiplicity, for ceil((k - 2) / m), its part of the k - 2 states
-    above the ground level; a sector with none (k <= 2) is not solved.  The
-    fewest merged levels whose multiplicities cover the lowest k states are
-    returned.  Raises as solve_sectors does, and ValueError when k < 1.
+    above the ground level; a sector with none (k <= 2) is not solved.  A
+    level need not converge when it is bounded above the k-th state (see
+    _solve).  The fewest merged levels whose multiplicities cover the lowest
+    k states are returned, all converged, with the largest residual among
+    them.  Raises as solve_sectors does, and ValueError when k < 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
     above_ground = k - SECTORS[GROUND_SECTOR]
     counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
               for sector, m in SECTORS.items()}
-    solved = solve_sectors(params, n_per_axis, extent, counts, tol)
+    solved = _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol, k)
     vals = np.concatenate([v for v, _ in solved.values()])
     sectors = [sector for sector, (v, _) in solved.items() for _ in v]
     mults = np.array([SECTORS[s] for s in sectors])
     # near-degenerate pairs may come back equal to rounding; order ties stably
     order = np.argsort(vals, kind="stable")
     order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-    residual = max(float(np.max(r)) for _, r in solved.values())
+    residual = float(np.max(np.concatenate([r for _, r in solved.values()])[order]))
     return GridLevels(eigenvalues=params.omega * vals[order],
                       sectors=[sectors[i] for i in order],
                       residual_bound=params.omega * residual)

@@ -438,8 +438,8 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     mirror half-spaces) takes grid levels until their multiplicities reach
     its degeneracy; every class within the lowest k states checks its worst
     level and its degeneracy.  The provenance quotes that level's fine and
-    coarse grid values and the largest Lanczos residual of each grid, in
-    units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
+    coarse grid values and the largest Lanczos residual of the levels each
+    grid returns, in units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
     does not cancel: the partner levels' largest move with 4 DVR nodes
     fewer (grid3d.dvr_change), within tol / 100.
     """

@@ -306,11 +306,15 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 
-    @pytest.mark.parametrize("points, g1sq", [("81", "1000"), ("101", "500"), ("121", "300")])
+    @pytest.mark.parametrize("points, g1sq", [("81", "1000"), ("101", "500"), ("121", "300"),
+                                              ("101", "800"), ("101", "1000"), ("121", "500")])
     def test_3d_fine_grid_strong_barrier_passes(self, workdir, capsys, points, g1sq):
-        # a 3-point stencil on X1 and X3 ran out of Lanczos restarts here
+        # a 3-point stencil on X1 and X3 ran out of Lanczos restarts on the
+        # first three; on the last three the ground sector's N = 2 pair, split
+        # by O(h^2), did while it had to converge, though it lies above the
+        # sixth state
         code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", points,
-                                 "--g1sq", g1sq)
+                                 "--g1sq", g1sq, "--domain-extent", "7")
         assert code == EXIT_PASS and err == ""
         assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 

@@ -328,12 +328,26 @@ class TestSolver:
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
         counts = {GROUND_SECTOR: 2, (1, -1, 0): 1, (-1, -1, 1): 0}
         solved = solve_sectors(P, 20, 5.0, counts)
-        assert list(solved) == [GROUND_SECTOR, (1, -1, 0)] and asked == [2, 1]
-        assert [len(vals) for vals, _ in solved.values()] == [2, 1]
+        # in SECTORS order, whatever the order of the counts
+        assert list(solved) == [(1, -1, 0), GROUND_SECTOR] and asked == [1, 2]
+        assert [len(vals) for vals, _ in solved.values()] == [1, 2]
         # the lowest level of each, as the full solve at k = 6 finds them
         full = solve_hd_3d(P, 20, 5.0, k=6)
-        assert [vals[0] for vals, _ in solved.values()] == pytest.approx(
+        assert [solved[sector][0][0] for sector in full.sectors] == pytest.approx(
             full.eigenvalues, abs=1e-10)
+
+    def test_level_below_the_ground_sector_raises_when_solved_before_it(self, monkeypatch):
+        # (1, -1, 0) is solved first; the guard runs once the ground sector is in
+        solved = []
+
+        def lowering(matvec, n, k, **kwargs):
+            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
+            solved.append(n)
+            return (vals - 10.0 if len(solved) == 1 else vals), res
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
+        with pytest.raises(ConvergenceError, match=r"sector \(1, -1, 0\) has a level"):
+            solve_hd_3d(P, 16, 5.0, k=6)
 
     def test_level_below_the_ground_sector_raises_for_any_counts(self, monkeypatch):
         def lowering(matvec, n, k, **kwargs):
@@ -343,6 +357,58 @@ class TestSolver:
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
             solve_sectors(P, 16, 5.0, {GROUND_SECTOR: 2, (-1, -1, -1): 1})
+
+    def test_levels_above_the_lowest_k_are_bounded_not_converged(self, monkeypatch):
+        # at k = 6 the ground sector's N = 2 pair and every level of the three
+        # sectors solved last lie above the sixth state; converging them too
+        # took 406 matvecs
+        matvecs, bounds = [], []
+
+        def counting(matvec, n, k, **kwargs):
+            bounds.append(kwargs["bound"])
+
+            def counted(u):
+                matvecs.append(n)
+                return matvec(u)
+
+            return lanczos_lowest(counted, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", counting)
+        res = solve_hd_3d(P, 41, 5.5, k=6)
+        assert len(bounds) == 5 and None not in bounds
+        assert len(matvecs) <= 250
+        # every level returned converged, and they are the oracle's
+        assert 0.0 < res.residual_bound <= 1e-8 * max(res.eigenvalues)
+        assert states(res, 6) == pytest.approx(tensor_sum_oracle(P, *grid(41, 5.5), 6),
+                                               abs=1e-10)
+
+    def test_exact_counts_converge_every_level(self, monkeypatch):
+        # the partner grid and dvr_change pair their levels by rank with the
+        # fine grid's, so none of them may be only bounded
+        bounds = []
+
+        def recording(matvec, n, k, **kwargs):
+            bounds.append(kwargs["bound"])
+            return lanczos_lowest(matvec, n, k, **kwargs)
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
+        solved = solve_sectors(P, 20, 5.0, dict.fromkeys(SECTORS, 3))
+        grid3d.dvr_change(P, 20, 5.0, solved)
+        assert bounds == [None] * 10
+        for vals, res in solved.values():
+            assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(vals)))
+
+    # a sector solve ran out of Lanczos restarts in 8 of these 18 while
+    # every level asked for had to converge, those above the lowest k states
+    # as well
+    @pytest.mark.parametrize("k", [12, 14])
+    @pytest.mark.parametrize("extent", [2.0, 4.5, 7.0])
+    @pytest.mark.parametrize("n_per_axis", [24, 30, 41])
+    def test_strong_barrier_matches_the_oracle(self, n_per_axis, extent, k):
+        params = ModelParams(omega=1.0, g1_squared=800.0)
+        res = solve_hd_3d(params, n_per_axis, extent, k)
+        oracle = tensor_sum_oracle(params, *grid(n_per_axis, extent), k)
+        assert states(res, k) == pytest.approx(oracle, abs=1e-10)
 
     @pytest.mark.parametrize("g1_squared", [0.3, 3.0, 100.0])
     def test_twenty_states_without_ghosts(self, g1_squared):
@@ -558,10 +624,41 @@ class TestLanczos:
         assert len(history) >= 11
         assert vals == pytest.approx(np.linalg.eigvalsh(A)[:4], abs=1e-10)
 
+    def test_levels_converge_or_lie_above_the_bound(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((300, 300))
+        A = (A + A.T) / 2
+        exact = np.linalg.eigvalsh(A)[:8]
+        # just below the fourth eigenvalue: the fourth level is bounded only
+        # once its residual falls below the 1e-8 between them
+        upper = exact[3] - 1e-8
+        vals, res = lanczos_lowest(lambda v: A @ v, 300, k=8, krylov_dim=20,
+                                   max_restarts=200, tol=1e-10, bound=lambda ritz: upper)
+        converged = res <= 1e-10 * np.maximum(1.0, np.abs(vals))
+        assert np.all(converged | (vals - res > upper))
+        assert np.all(converged[:3]) and not np.all(converged)
+        assert vals[converged] == pytest.approx(exact[converged], abs=1e-8)
+        # a Ritz value bounds its eigenvalue from above, and lies within its
+        # residual of it
+        assert np.all(exact <= vals + 1e-10) and np.all(exact >= vals - res - 1e-10)
+
+    def test_infinite_bound_changes_nothing(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((300, 300))
+        A = (A + A.T) / 2
+        runs = []
+        for bound in (None, lambda ritz: math.inf):
+            history: list = []
+            vals, res = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
+                                       max_restarts=200, tol=1e-10, history=history,
+                                       bound=bound)
+            runs.append((vals.tobytes(), res.tobytes(), history))
+        assert runs[0] == runs[1]
+
     def test_signature(self):
         # the names a caller binds by, keyword or position
         assert list(inspect.signature(lanczos_lowest).parameters) == [
-            "matvec", "n", "k", "krylov_dim", "max_restarts", "tol", "history"]
+            "matvec", "n", "k", "krylov_dim", "max_restarts", "tol", "history", "bound"]
 
     def test_repeated_eigenvalues_without_ghosts(self):
         # a random rotation of the spectrum of a 3D Laplacian: 512 levels over
