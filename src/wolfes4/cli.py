@@ -63,7 +63,9 @@ class RunConfig:
 
     ``grid_points``, ``domain_extent`` and ``tol`` stay None unless a flag or
     the config file sets them; the check a command calls then keeps its own
-    default, which differs between the 1D channels and the 3D grid.
+    default, which differs between the 1D channels and the 3D grid.  Under
+    ``verify all`` a set ``grid_points`` goes to the 3D grid only, and the
+    1D legs keep their default.
     ``params``, the ModelParams of ``omega`` and ``g1_squared``, is built
     once at construction and validates them.
     """
@@ -128,21 +130,33 @@ def _json_scalar(x) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """JSON text of nested dicts, lists and tuples, two spaces per level.
+
+    Each item is dispatched on its type: an int is written inline, a nested
+    container recurses through this module global, and every other value
+    goes through _json_scalar.
+    """
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        # scalars directly: a report's lists hold thousands of them
-        items = [inner + (to_json(v, indent + 1) if isinstance(v, (dict, list, tuple))
-                          else _json_scalar(v)) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _json_scalar(obj)
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _json_scalar(obj)
+    if not obj:
+        return brackets
+    items = []
+    for v in values:
+        if type(v) is int:  # not bool, which subclasses int
+            items.append(str(v))
+        elif isinstance(v, (dict, list, tuple)):
+            items.append(to_json(v, indent + 1))
+        else:
+            items.append(_json_scalar(v))
+    if brackets == "{}":
+        items = [f'"{k}": {s}' for k, s in zip(obj, items)]
+    inner = "  " * (indent + 1)
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + "  " * indent + brackets[1])
 
 
 def _csv_field(x) -> str:
@@ -362,24 +376,21 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
         resolved = {"sho_offset": offset, "radial_rule": rule}
     table = enumerate_spectrum(config.params, config.max_quanta, offset,
                                config.sector_multiplicity)
-    levels = [
-        {"N": lv.members[0].total_quanta, "energy": lv.value,
-         "degeneracy": lv.degeneracy,
-         "members": [(t.n1, t.n2, t.n3) for t in lv.members]}
-        for lv in table.levels
-    ]
     if config.format == "json":
         payload = {"params": {"omega": config.omega, "g1_squared": config.g1_squared}}
         if resolved is not None:
             payload["resolved"] = resolved
         payload["levels"] = [
-            {**lv, "members": [list(m) for m in lv["members"]]} for lv in levels
+            {"N": lv.members[0].total_quanta, "energy": lv.value,
+             "degeneracy": lv.degeneracy,
+             "members": [(t.n1, t.n2, t.n3) for t in lv.members]}
+            for lv in table.levels
         ]
         emit(config, to_json(payload) + "\n")
     else:
-        rows = [[lv["N"], lv["energy"], lv["degeneracy"],
-                 ";".join(f"({a},{b},{c})" for a, b, c in lv["members"])]
-                for lv in levels]
+        rows = [[lv.members[0].total_quanta, lv.value, lv.degeneracy,
+                 ";".join([f"({t.n1},{t.n2},{t.n3})" for t in lv.members])]
+                for lv in table.levels]
         emit(config, to_csv(["N", "energy", "degeneracy", "members"], rows))
     return EXIT_PASS
 
@@ -387,7 +398,7 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
 def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
     n_cap = min(config.max_quanta, 4)
     # a 1D leg asks a channel for one level more than the largest class it checks
-    if which in ("jacobi", "all"):
+    if which == "jacobi":
         _require_grid_points(config, config.max_quanta + 1, "verify jacobi")
     if which == "spherical":
         _require_grid_points(config, n_cap + 1, "verify spherical")
@@ -404,7 +415,10 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
         return EXIT_FAIL
     resolved = {"sho_offset": offset, "radial_rule": rule}
     report = VerificationReport()
-    channel = _given(tol=config.tol, n_points=config.grid_points)
+    # under `verify all` --grid-points sizes the 3D grid only: no 1D leg
+    # passes on a channel of the 16 to 121 points the 3D grid admits
+    channel = _given(tol=config.tol,
+                     n_points=None if which == "all" else config.grid_points)
     if which in ("jacobi", "all"):
         report.extend(verify_jacobi_route(config.params, config.max_quanta,
                                           offset=offset, **channel))

@@ -188,10 +188,14 @@ def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, secto
     p1, p3, swap = sector
     h = extent / (n_half + 1)
     x1, k1 = _dvr_axis(m, extent / (m + 1), p1)
-    x3, k3 = _dvr_axis(m, extent / (m + 1), p3)
+    x3, k3 = (x1, k1) if p3 == p1 else _dvr_axis(m, extent / (m + 1), p3)
     x2, k2 = _x2_axis(n_half, h)
     n1, n3 = len(x1), len(x3)
-    plane = np.kron(k1, np.eye(n3)) + np.kron(np.eye(n1), k3)  # on the box nodes i * n3 + j
+    # k1 (+) k3 on the box nodes i * n3 + j, written block by block
+    plane = np.zeros((n1, n3, n1, n3))
+    plane[:, range(n3), :, range(n3)] = k1  # k1 in each block j = j'
+    plane[range(n1), :, range(n1), :] += k3  # k3 in each block i = i'
+    plane = plane.reshape(n1 * n3, n1 * n3)
     if swap:
         i, j = np.tril_indices(n1, 0 if swap > 0 else -1)
         states = np.arange(i.size)

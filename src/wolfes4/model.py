@@ -199,6 +199,26 @@ class SpectrumTable:
         return out
 
 
+def _class_members(n: int) -> list[QuantumTriple]:
+    """The triples of class N = n1 + n3 + 2*n2 = n, in ascending order.
+
+    Their fields are nonnegative ints by construction, so each triple is
+    built without QuantumTriple's validation: the fields go into the
+    instance dict, where the frozen dataclass's __init__ would put them.
+    """
+    new = object.__new__
+    members = []
+    for n1 in range(n + 1):
+        for n2 in range((n - n1) // 2 + 1):
+            t = new(QuantumTriple)
+            attrs = t.__dict__
+            attrs["n1"] = n1
+            attrs["n2"] = n2
+            attrs["n3"] = n - n1 - 2 * n2
+            members.append(t)
+    return members
+
+
 def enumerate_spectrum(params: ModelParams, cutoff: int, offset: float,
                        sector_multiplicity: int = 1) -> SpectrumTable:
     """One level per total-quanta class N = n1 + n3 + 2*n2 <= cutoff.
@@ -217,8 +237,7 @@ def enumerate_spectrum(params: ModelParams, cutoff: int, offset: float,
     sho = [sho_energy_resolved(n, params, offset) for n in range(cutoff // 2 + 1)]
     levels = []
     for n in range(cutoff + 1):
-        triples = [QuantumTriple(n1, n2, n - n1 - 2 * n2)
-                   for n1 in range(n + 1) for n2 in range((n - n1) // 2 + 1)]
+        triples = _class_members(n)
         levels.append(EnergyLevel(
             value=min(ho[t.n1] + sho[t.n2] + ho[t.n3] for t in triples),
             degeneracy=sector_multiplicity * len(triples), members=triples))

@@ -1,5 +1,6 @@
 """Command-line surface: flags, files, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -7,16 +8,22 @@ import pathlib
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wolfes4 import ConvergenceError, VerificationReport, cli, grid3d
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    RunConfig,
     format_float,
     load_config_file,
     main,
     parse_key_value_file,
+    render_checks,
+    to_json,
+    write_state_file,
 )
 
 
@@ -144,6 +151,114 @@ class TestSpectrumCommand:
         _, out1, _ = run_cli(capsys, "spectrum", "--max-quanta", "4")
         _, out2, _ = run_cli(capsys, "spectrum", "--max-quanta", "4")
         assert out1 == out2
+
+
+class TestReportBytes:
+    """Rendered reports, pinned byte for byte."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--max-quanta", "30"),
+         "14c2d40a50b4d20caebbb22363dbf5ca8b97e8af724683f7b5de828f3d95dc60"),
+        (("--max-quanta", "30", "--sector-mult", "2", "--format", "csv"),
+         "f1a1c3728489665fefdbe80f58956042a62289febc8ecbd3f178de3cd4585592"),
+        (("--max-quanta", "60"),
+         "28480995deef195fb26b0879ed2d38aa9ae3d39b177d656a5fd1367336778b8c"),
+    ])
+    def test_spectrum_report_bytes(self, workdir, capsys, argv, sha256):
+        # the state file `resolve` writes at the standard sweep
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert code == EXIT_PASS and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @staticmethod
+    def _report():
+        report = VerificationReport()
+        report.add("sho-offset-unique", 2.5e-6, 0.0, math.inf,
+                   "offset 1 fits, 0.5 does not", ok=True)
+        report.add("grid3d-level[N=1]", 3.0001234, 3.0, 5e-5,
+                   'fine grid 41, coarse 20; "X2" ratio 2.05')
+        return report
+
+    def test_render_checks_json(self):
+        text = render_checks(RunConfig(omega=2.0, g1_squared=0.3), self._report(),
+                             {"sho_offset": 1.0, "radial_rule": "candidate"})
+        assert text == """{
+  "params": {
+    "omega": 2,
+    "g1_squared": 0.3
+  },
+  "checks": [
+    {
+      "name": "sho-offset-unique",
+      "status": "pass",
+      "measured": 2.50000000000e-06,
+      "reference": 0,
+      "tolerance": "inf",
+      "provenance": "offset 1 fits, 0.5 does not"
+    },
+    {
+      "name": "grid3d-level[N=1]",
+      "status": "fail",
+      "measured": 3.0001234,
+      "reference": 3,
+      "tolerance": 5.00000000000e-05,
+      "provenance": "fine grid 41, coarse 20; \\"X2\\" ratio 2.05"
+    }
+  ],
+  "resolved": {
+    "sho_offset": 1,
+    "radial_rule": "candidate"
+  }
+}
+"""
+
+    def test_render_checks_csv(self):
+        text = render_checks(RunConfig(omega=2.0, g1_squared=0.3, format="csv"),
+                             self._report(), None)
+        assert text == (
+            "name,status,measured,reference,tolerance,provenance\n"
+            'sho-offset-unique,pass,2.50000000000e-06,0,inf,"offset 1 fits, 0.5 does not"\n'
+            'grid3d-level[N=1],fail,3.0001234,3,5.00000000000e-05,'
+            '"fine grid 41, coarse 20; ""X2"" ratio 2.05"\n')
+
+
+_JSON_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True)
+_PRINTABLE = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
+
+
+def _nested(scalars):
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=5) | st.tuples(inner, inner)
+                       | st.dictionaries(_JSON_KEYS, inner, max_size=5)),
+        max_leaves=25)
+
+
+def _reads_back(value, parsed) -> bool:
+    """``parsed``, from json.loads(to_json(value)), holds value's items, each
+    float as its 12-digit text: a number when finite, a string otherwise."""
+    if isinstance(value, float):
+        text = format_float(value)
+        return parsed == (float(text) if math.isfinite(value) else text)
+    if isinstance(value, dict):
+        return list(parsed) == list(value) and all(
+            _reads_back(v, parsed[k]) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return len(parsed) == len(value) and all(map(_reads_back, value, parsed))
+    return type(parsed) is type(value) and parsed == value
+
+
+class TestToJson:
+    @settings(max_examples=200, deadline=None)
+    @given(_nested(st.none() | st.booleans() | st.integers() | _PRINTABLE))
+    def test_float_free_values_match_the_json_module(self, value):
+        assert to_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_nested(st.none() | st.booleans() | st.integers() | _PRINTABLE | st.floats()))
+    def test_floats_read_back_as_their_formatted_text(self, value):
+        assert _reads_back(value, json.loads(to_json(value)))
 
 
 class TestResolveCommand:
@@ -281,6 +396,20 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE and out == "" and ran == []
         assert "--grid-points must be in [16, 121] for the 3D grid" in err
+
+    def test_all_grid_points_size_the_3d_grid_only(self, workdir, capsys):
+        # no 1D leg passes on a channel of the 16 to 121 points the 3D grid
+        # admits, so under `verify all` the 1D legs keep their default
+        code, out, _ = run_cli(capsys, "verify", "all", "--grid-points", "61",
+                               "--format", "csv")
+        assert code == EXIT_PASS
+        legs = [run_cli(capsys, "verify", which, "--format", "csv")
+                for which in ("jacobi", "spherical")]
+        assert [c for c, _, _ in legs] == [EXIT_PASS, EXIT_PASS]
+        rows = out.splitlines(keepends=True)
+        one_d = [row for _, text, _ in legs for row in text.splitlines(keepends=True)[1:]]
+        assert rows[1:len(one_d) + 1] == one_d
+        assert all(row.startswith("grid3d-") for row in rows[len(one_d) + 1:])
 
     @pytest.mark.parametrize("argv", [("3d", "--g1sq", "2000", "--grid-points", "16"),
                                       ("3d", "--g1sq", "5000", "--grid-points", "16"),

@@ -294,6 +294,20 @@ class TestEnumerateSpectrum:
                     if n1 + n3 + 2 * n2 <= cutoff}
         assert set(seen) == expected
 
+    def test_members_are_plain_quantum_triples(self):
+        # enumerate_spectrum builds its triples without re-validating them;
+        # they must still act in every way as validated ones
+        members = [t for lv in enumerate_spectrum(P1, 9, 1.0).levels for t in lv.members]
+        for t in members:
+            built = QuantumTriple(t.n1, t.n2, t.n3)
+            assert type(t) is QuantumTriple and vars(t) == vars(built)
+            assert t == built and hash(t) == hash(built) and repr(t) == repr(built)
+            assert not t < built and not built < t
+            with pytest.raises(AttributeError):
+                t.n1 = 0
+        assert members == sorted(members, key=lambda t: (t.total_quanta, t))
+        assert len(set(members)) == len(members)
+
     def test_members_share_value(self):
         table = enumerate_spectrum(P1, 6, 1.0)
         for lv in table.levels:
