@@ -15,15 +15,41 @@ and the pair is extrapolated at the X2 spacing ratio: the pairing of
 `verify 3d`, through the same function.  What the pair leaves, the DVR
 error, is measured by solving the coarse grid again with 4 DVR nodes fewer.
 
+The fine grid's Lanczos solves start cold; the coarse grid starts each
+sector from the fine grid's Ritz vectors, carried to its X2 nodes, and the
+DVR check from the coarse grid's, carried to the coarser DVR.  The demo
+counts the operator applications of each of the three grids.
+
 Run:  python demos/grid3d_check.py      (about a second)
 """
 
-from wolfes4 import ModelParams, delta_constant
+from wolfes4 import ModelParams, delta_constant, grid3d
 from wolfes4.grid3d import dvr_change, dvr_nodes
 from wolfes4.verify import grid3d_richardson_pair
 
 
+def count_matvecs(solves: list) -> None:
+    """Record (warm start?, matvecs) of every sector solve from here on."""
+    lanczos_lowest = grid3d.lanczos_lowest
+
+    def counting(matvec, n, k, **kwargs):
+        calls = []
+
+        def counted(u):
+            calls.append(None)
+            return matvec(u)
+
+        try:
+            return lanczos_lowest(counted, n, k, **kwargs)
+        finally:
+            solves.append((kwargs.get("start") is not None, len(calls)))
+
+    grid3d.lanczos_lowest = counting
+
+
 def main() -> None:
+    solves: list = []
+    count_matvecs(solves)
     params = ModelParams(omega=1.0, g1_squared=3.0)
     exact_ground = 2.0 + delta_constant(params)
     k, n_points, extent = 6, 61, 7.0
@@ -44,9 +70,15 @@ def main() -> None:
 
     print(f"\nspacing ratio {ratio:.6g}; "
           f"extrapolated ground error: {extrap[0] - exact_ground:+.2e}")
+    paired = len(solves)
     dvr = dvr_change(params, n_points // 2, extent, partner)
     print(f"grid3d-dvr-error (coarse levels with 4 DVR nodes fewer): {dvr:.1e}")
     print(f"largest Ritz residual of the fine levels: {fine.residual_bound:.1e}")
+    cold = sum(matvecs for warm, matvecs in solves[:paired] if not warm)
+    coarse_warm = sum(matvecs for warm, matvecs in solves[:paired] if warm)
+    dvr_warm = sum(matvecs for _, matvecs in solves[paired:])
+    print(f"Lanczos matvecs: fine grid {cold} (cold start), coarse grid {coarse_warm} "
+          f"(from the fine vectors), DVR check {dvr_warm} (from the coarse vectors)")
 
 
 if __name__ == "__main__":

@@ -280,20 +280,19 @@ def load_state_file(path: str) -> tuple[float, str] | None:
 # -- argument parsing -------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--g1sq", type=float, default=None)
-    p.add_argument("--max-quanta", type=int, default=None)
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--domain-extent", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--sector-mult", type=int, choices=(1, 2), default=None)
-    p.add_argument("--format", choices=("json", "csv"), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # the flags every subcommand takes, on one parent that each copies
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--omega", type=float, default=None)
+    common.add_argument("--g1sq", type=float, default=None)
+    common.add_argument("--max-quanta", type=int, default=None)
+    common.add_argument("--grid-points", type=int, default=None)
+    common.add_argument("--domain-extent", type=float, default=None)
+    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--sector-mult", type=int, choices=(1, 2), default=None)
+    common.add_argument("--format", choices=("json", "csv"), default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--config", default=None)
     parser = argparse.ArgumentParser(
         prog="wolfes4",
         description="Spectra and cross-checks for the four-particle chain "
@@ -305,11 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("resolve", "fix the printed-formula constants against the numerics"),
         ("audit", "measured audit of the earlier spherical-route claims"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-    p = sub.add_parser("verify", help="route-equivalence verification suites")
+        sub.add_parser(name, help=help_text, parents=[common])
+    p = sub.add_parser("verify", help="route-equivalence verification suites",
+                       parents=[common])
     p.add_argument("which", choices=("jacobi", "spherical", "3d", "all"))
-    _add_common_flags(p)
     return parser
 
 

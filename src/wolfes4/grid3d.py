@@ -25,6 +25,16 @@ smooth oscillator, and the DVR's error falls faster than any power of
 h_dvr, so both grids of a pair share one DVR and dvr_change measures what
 it leaves.
 
+Only the first grid of a check starts cold.  Each extra grid solves levels
+the grid before it has just converged, on grids that differ on one axis
+set, so its Lanczos solves start from the earlier grid's Ritz vectors:
+the Richardson partner from the fine grid's, carried to its X2 nodes by
+linear interpolation (solve_sectors), and dvr_change from the partner's,
+carried to the coarser DVR by sinc interpolation (_dvr_transfer).  Such a
+start holds the levels sought almost alone, and lanczos_lowest blends
+1e-6 of its cold start vector in, so that a lower level it has all but
+lost is still found.
+
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
 each solved by solve_sectors for the levels asked of it, with a
@@ -108,8 +118,8 @@ SECTORS = {(1, -1, 0): 4, (1, 1, 1): 2, (1, 1, -1): 2, (-1, -1, 1): 2, (-1, -1, 
 GROUND_SECTOR = (1, 1, 1)
 
 #: Lanczos basis size of a sector solve, unless its levels need more room.
-#: 16, 20 and 24 took 393, 419 and 431 matvecs for `verify 3d` at 41 points
-#: over 5.5, and 452, 482 and 499 at 61 over 7; 16 runs out of restarts at
+#: 16, 20 and 24 took 249, 289 and 295 matvecs for `verify 3d` at 41 points
+#: over 5.5, and 308, 313 and 346 at 61 over 7; 16 runs out of restarts at
 #: 81 points with g1^2 = 1000, 101 with 500 and 121 with 300, and 20 at 121
 #: with 1000, where 24 converges.
 SECTOR_KRYLOV_DIM = 24
@@ -169,6 +179,22 @@ def _x2_axis(n_half: int, h: float):
     return h * np.arange(1, n_half + 1), kinetic
 
 
+def _mirror_map(n1: int, swap: int):
+    """The plane states of a mirror sector on an n1 by n1 box, and P.
+
+    A state is the pair i >= j (i > j when ``swap`` is odd) of the box nodes
+    (i, j) and (j, i); P maps the states to the box nodes i * n1 + j, with
+    orthonormal columns: 1 on the diagonal, 1/sqrt(2) below it and swap /
+    sqrt(2) above it.
+    """
+    i, j = np.tril_indices(n1, 0 if swap > 0 else -1)
+    states = np.arange(i.size)
+    P = np.zeros((n1, n1, i.size))
+    P[i, j, states] = np.where(i == j, 0.5, 1.0 / _SQRT2)
+    P[j, i, states] += swap * P[i, j, states]  # a diagonal state's halves add to 1
+    return i, j, P.reshape(n1 * n1, i.size)
+
+
 def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, sector: tuple,
                     jacobi: np.ndarray):
     """Matrix-free symmetric operator of one sector of SECTORS at omega = 1, and its size.
@@ -178,12 +204,11 @@ def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, secto
     the sector's (X1, X3) plane states by the X2 nodes, U = u.reshape(n_plane,
     n2), and the operator is pot * U + plane @ U + U @ k2.  A plane state is
     a box node (i, j) alone or, in a mirror sector, the pair i >= j (i > j
-    when odd) of (i, j) and (j, i); P maps plane states to box nodes (1 on
-    the diagonal, 1/sqrt(2) below it, swap/sqrt(2) above it), and ``plane`` =
-    P^T (k1 (+) k3) P, dense.  ``pot`` is the particle potential at each
-    state's nodes, the positions jacobi^T (X1, X2, X3, 0), at g1^2 = 0, plus
-    the barrier diagonal along X2 with the coupling g1^2 / c2^2, c = jacobi @
-    BARRIER_FORM.
+    when odd) of (i, j) and (j, i); P (_mirror_map) maps plane states to box
+    nodes, and ``plane`` = P^T (k1 (+) k3) P, dense.  ``pot`` is the
+    particle potential at each state's nodes, the positions jacobi^T (X1,
+    X2, X3, 0), at g1^2 = 0, plus the barrier diagonal along X2 with the
+    coupling g1^2 / c2^2, c = jacobi @ BARRIER_FORM.
     """
     p1, p3, swap = sector
     h = extent / (n_half + 1)
@@ -197,12 +222,7 @@ def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, secto
     plane[range(n1), :, range(n1), :] += k3  # k3 in each block i = i'
     plane = plane.reshape(n1 * n3, n1 * n3)
     if swap:
-        i, j = np.tril_indices(n1, 0 if swap > 0 else -1)
-        states = np.arange(i.size)
-        P = np.zeros((n1, n3, i.size))
-        P[i, j, states] = np.where(i == j, 0.5, 1.0 / _SQRT2)
-        P[j, i, states] += swap * P[i, j, states]  # a diagonal state's halves add to 1
-        P = P.reshape(n1 * n3, i.size)
+        i, j, P = _mirror_map(n1, swap)
         plane = P.T @ plane @ P
     else:
         i, j = np.indices((n1, n3)).reshape(2, -1)
@@ -224,6 +244,64 @@ def _build_operator(g1_squared: float, n_half: int, m: int, extent: float, secto
     return matvec, pot.size
 
 
+def _x2_transfer(n_from: int, n_to: int) -> np.ndarray:
+    """Linear interpolation from n_from X2 nodes to n_to over the same extent.
+
+    Returns the (n_from, n_to) matrix W: U @ W carries plane states by X2
+    nodes j * extent / (n_from + 1) to the nodes i * extent / (n_to + 1),
+    with the Dirichlet zeros at X2 = 0 and X2 = extent between them.
+    """
+    t = np.arange(1, n_to + 1) * ((n_from + 1) / (n_to + 1))  # in source spacings
+    below = t.astype(int)
+    cols = np.arange(n_to)
+    W = np.zeros((n_from + 2, n_to))  # with the two Dirichlet nodes
+    W[below, cols] = below + 1 - t
+    W[below + 1, cols] += t - below
+    return W[1:-1]
+
+
+def _sinc_transfer(m_from: int, m_to: int, parity: int) -> np.ndarray:
+    """Sinc interpolation between two DVR axes of one parity over the same extent.
+
+    A Colbert-Miller basis function is sinc((x - x_a) / h), so values at the
+    nodes a * h, |a| <= m_from, h = extent / (m_from + 1), are carried to the
+    nodes b * h', |b| <= m_to, by sinc((b h' - a h) / h).  Folded as
+    _dvr_axis folds the kinetic matrix, the (kept b, kept a) matrix is
+    sinc(b' - a) + parity sinc(b' + a), b' = b h' / h, its x = 0 row and
+    column divided by sqrt(2).
+    """
+    first = 0 if parity > 0 else 1
+    b = np.arange(first, m_to + 1)[:, None] * ((m_from + 1) / (m_to + 1))
+    a = np.arange(first, m_from + 1)
+    W = np.sinc(b - a) + parity * np.sinc(b + a)
+    if parity > 0:
+        W[0] /= _SQRT2
+        W[:, 0] /= _SQRT2
+    return W
+
+
+def _dvr_transfer(u: np.ndarray, sector: tuple, m_from: int, m_to: int) -> np.ndarray:
+    """A sector vector, plane states by X2 nodes, carried from the DVR of m_from
+    nodes per half-axis to that of m_to over the same extent.
+
+    The plane states are unfolded through the mirror map P (_mirror_map) to
+    the box, each of X1 and X3 is sinc-interpolated within its parity
+    (_sinc_transfer), and the box is folded back.  DVR coefficients are the
+    nodal values times one power of the spacing for the whole vector, which
+    the normalization of a start drops.
+    """
+    p1, p3, swap = sector
+    W1 = _sinc_transfer(m_from, m_to, p1)
+    W3 = W1 if p3 == p1 else _sinc_transfer(m_from, m_to, p3)
+    (n1, n1_from), n3_from = W1.shape, W3.shape[1]
+    n2 = u.shape[-1]
+    if swap:
+        u = _mirror_map(n1_from, swap)[2] @ u
+    box = (W1 @ u.reshape(n1_from, n3_from * n2)).reshape(n1, n3_from, n2)
+    box = (W3 @ box).reshape(-1, n2)
+    return _mirror_map(n1, swap)[2].T @ box if swap else box
+
+
 def _start_vector(n: int) -> np.ndarray:
     # The all-equal vector with a tiny deterministic modulation, so that no
     # regular pattern on the grid leaves it orthogonal to an eigenvector; it
@@ -235,8 +313,9 @@ def _start_vector(n: int) -> np.ndarray:
 def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
                    krylov_dim: int = SECTOR_KRYLOV_DIM, max_restarts: int = 40,
                    tol: float = 1e-8, history: list | None = None,
-                   bound: Callable[[np.ndarray], float] | None = None):
-    """Lowest k eigenvalues and their residuals, as a pair of arrays.
+                   bound: Callable[[np.ndarray], float] | None = None,
+                   start: np.ndarray | None = None):
+    """Lowest k eigenvalues, their residuals and their Ritz vectors (k rows).
 
     Thick-restart Lanczos (Wu and Simon, SIAM J. Matrix Anal. Appl. 22, 602,
     2000), deterministic, with at most krylov_dim * max_restarts matrix
@@ -261,13 +340,25 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
     k is converged to ``tol`` or bounded, its Ritz value minus its residual
     above U, and returns the bounded ones with their residuals.  Without a
     ``bound`` every one must converge.
+
+    Without a ``start`` the solve starts from _start_vector(n).  A ``start``
+    (a vector of the levels sought, carried from another grid) is
+    normalized, 1e-6 * _start_vector(n) is added, and the sum normalized:
+    a start nearly orthogonal to a lower eigenvector, such as the transfer
+    of a higher level alone, otherwise converged in one cycle to the higher
+    level, and the stopping rule took it for the lowest.  With the blend
+    that lower eigenvector has a component Lanczos amplifies.
     """
     m = min(krylov_dim, n - 1)
     if k > m - 2:
         raise ValueError("k too large for the Krylov dimension")
     keep_extra = min(6, m - 2 - k)
     V = np.zeros((m + 1, n))
-    V[0] = _start_vector(n)
+    if start is None:
+        V[0] = _start_vector(n)
+    else:
+        v = np.ravel(start) / np.linalg.norm(start) + 1e-6 * _start_vector(n)
+        V[0] = v / np.linalg.norm(v)
     n_locked = 0
     locked_vals = np.zeros(0)
     locked_links = np.zeros(0)
@@ -308,7 +399,7 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
         if bound is not None:
             done |= lam[:k] - res[:k] > bound(lam[:k])
         if np.all(done):
-            return lam[:k], res[:k]
+            return lam[:k], res[:k], S[:, :k].T @ V[:m]
         kk = k + keep_extra
         V[:kk] = S[:, :kk].T @ V[:m]
         V[kk] = V[m]
@@ -326,12 +417,14 @@ class GridLevels:
 
     ``residual_bound`` is the largest Lanczos residual of the levels returned;
     a sector's levels above them may be bounded only (see _solve), with
-    residuals that are not quoted.
+    residuals that are not quoted.  ``vectors`` holds each level's Ritz
+    vector in its sector's layout, plane states by X2 nodes, unit norm.
     """
 
     eigenvalues: np.ndarray
     sectors: list[tuple[int, int, int]]
     residual_bound: float
+    vectors: list[np.ndarray]
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -345,7 +438,7 @@ def grid_intervals(n_per_axis: int) -> int:
 
 
 def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
-                  counts: dict, tol: float = 1e-8) -> dict:
+                  counts: dict, tol: float = 1e-8, starts: dict | None = None) -> dict:
     """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
     ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  X2
@@ -355,9 +448,15 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
     O(h^2) on X2, so a run paired with one of fewer points over the same
     extent can be extrapolated.
 
-    Returns {sector: (levels, residuals)} in SECTORS order, both in units of
-    omega, for every sector with a positive count; the others are not
-    solved.  In these units the operator is the one at omega = 1,
+    Returns {sector: (levels, residuals, vectors)} in SECTORS order, the
+    first two in units of omega, for every sector with a positive count; the
+    others are not solved.  ``vectors`` holds the levels' Ritz vectors, an
+    array of plane states by X2 nodes for each.  A sector in ``starts``
+    starts its Lanczos solve from the vector given there, plane states by
+    the X2 nodes of another grid with the same DVR over the same extent (the
+    fine grid of a Richardson pair), carried to this grid's X2 nodes by
+    linear interpolation (_x2_transfer); the others start cold.  In units of
+    omega the operator is the one at omega = 1,
     H(omega; h / sqrt(omega)) = omega H(1; h), so the absolute breakdown
     and convergence thresholds of lanczos_lowest mean the same at every
     omega.  Raises ConvergenceError when a sector does not converge,
@@ -369,7 +468,10 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
     has an X1, X3 or Xcm component above 1e-14 of its X2 one (the barrier
     would not depend on X2 alone).
     """
-    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol)
+    n_half = n_per_axis // 2
+    warm = {sector: u @ _x2_transfer(u.shape[1], n_half)
+            for sector, u in (starts or {}).items()}
+    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol, starts=warm)
 
 
 def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict) -> float:
@@ -380,12 +482,18 @@ def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict
     over the same extent, and the largest change is returned.  The DVR
     converges faster than any power of its spacing, so this bounds the X1
     and X3 error of ``solved``, which the Richardson pair of X2 grids does
-    not cancel.  Raises as solve_sectors does.
+    not cancel.  Each sector's solve starts from the sum of its vectors in
+    ``solved``, carried to the coarser DVR by sinc interpolation on X1 and
+    X3 (_dvr_transfer).  Raises as solve_sectors does.
     """
-    fewer = _solve(params, n_per_axis, dvr_nodes(extent) - 2, extent,
-                   {sector: len(vals) for sector, (vals, _) in solved.items()}, 1e-8)
+    m = dvr_nodes(extent)
+    starts = {sector: _dvr_transfer(vectors.sum(axis=0), sector, m, m - 2)
+              for sector, (_, _, vectors) in solved.items()}
+    fewer = _solve(params, n_per_axis, m - 2, extent,
+                   {sector: len(vals) for sector, (vals, _, _) in solved.items()}, 1e-8,
+                   starts=starts)
     return max(float(np.max(np.abs(fewer[sector][0] - vals)))
-               for sector, (vals, _) in solved.items())
+               for sector, (vals, _, _) in solved.items())
 
 
 def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> float:
@@ -397,8 +505,10 @@ def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> flo
 
 
 def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
-           tol: float, states: int | None = None) -> dict:
+           tol: float, states: int | None = None, starts: dict | None = None) -> dict:
     """solve_sectors with m DVR nodes per half-axis, for the lowest ``states``.
+
+    A sector in ``starts`` starts from the vector given there, on this grid.
 
     Without ``states`` every level asked for converges.  With it, a sector's
     solve stops once each level asked of it is converged or bounded
@@ -433,20 +543,22 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
                          f"J @ BARRIER_FORM = {c}")
     solved = {}
     earlier = np.zeros(0)  # the state energies of the sectors solved so far
+    n_half = n_per_axis // 2
     for sector, mult in SECTORS.items():
         wanted = counts.get(sector, 0)
         if wanted < 1:
             continue
-        matvec, n = _build_operator(params.g1_squared, n_per_axis // 2, m, extent, sector, J)
+        matvec, n = _build_operator(params.g1_squared, n_half, m, extent, sector, J)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
-        vals, res = lanczos_lowest(
+        vals, res, vectors = lanczos_lowest(
             matvec, n, wanted, tol=tol, krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10),
-            bound=None if states is None else partial(_kth_energy, states, earlier, mult))
-        solved[sector] = vals, res
+            bound=None if states is None else partial(_kth_energy, states, earlier, mult),
+            start=(starts or {}).get(sector))
+        solved[sector] = vals, res, vectors.reshape(wanted, -1, n_half)
         earlier = np.concatenate([earlier, np.repeat(vals, mult)])
     if GROUND_SECTOR in solved:
         ground = solved[GROUND_SECTOR][0][0]
-        for sector, (vals, res) in solved.items():
+        for sector, (vals, res, _) in solved.items():
             if sector != GROUND_SECTOR and vals[0] <= ground:
                 raise ConvergenceError(
                     f"sector {sector} has a level {float(vals[0])} at or below the ground "
@@ -474,13 +586,15 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
               for sector, m in SECTORS.items()}
     solved = _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol, k)
-    vals = np.concatenate([v for v, _ in solved.values()])
-    sectors = [sector for sector, (v, _) in solved.items() for _ in v]
+    vals = np.concatenate([v for v, _, _ in solved.values()])
+    sectors = [sector for sector, (v, _, _) in solved.items() for _ in v]
+    vectors = [u for _, _, us in solved.values() for u in us]
     mults = np.array([SECTORS[s] for s in sectors])
     # near-degenerate pairs may come back equal to rounding; order ties stably
     order = np.argsort(vals, kind="stable")
     order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-    residual = float(np.max(np.concatenate([r for _, r in solved.values()])[order]))
+    residual = float(np.max(np.concatenate([r for _, r, _ in solved.values()])[order]))
     return GridLevels(eigenvalues=params.omega * vals[order],
                       sectors=[sectors[i] for i in order],
-                      residual_bound=params.omega * residual)
+                      residual_bound=params.omega * residual,
+                      vectors=[vectors[i] for i in order])

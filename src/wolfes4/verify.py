@@ -418,11 +418,18 @@ def grid3d_richardson_pair(params: ModelParams, n_per_axis: int, extent: float, 
     differ on X2 only, so ``extrapolated``, the Richardson value of each
     pair at their X2 spacing ratio ``ratio``, cancels the X2 error.  A pair
     within one sector stays the same state when levels of different sectors
-    cross between the grids.
+    cross between the grids.  Each partner sector solve starts from the sum
+    of the fine grid's Ritz vectors of that sector, the ranks it pairs,
+    carried to the partner's X2 nodes (solve_sectors); ``partner`` holds the
+    partner's own vectors, from which grid3d.dvr_change starts in turn.
     """
     fine = solve_hd_3d(params, n_per_axis, extent, k)
     rank = [fine.sectors[:i].count(s) for i, s in enumerate(fine.sectors)]
-    partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors))
+    starts: dict = {}
+    for sector, vector in zip(fine.sectors, fine.vectors):
+        starts[sector] = starts.get(sector, 0.0) + vector
+    partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors),
+                            starts=starts)
     coarse = params.omega * np.array([partner[s][0][r] for s, r in zip(fine.sectors, rank)])
     ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
     return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio), partner
@@ -456,7 +463,7 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     mults = fine.multiplicities
     m = len(mults)
     residuals = (f"largest Lanczos residual: fine grid {fine.residual_bound / params.omega:.1e}, "
-                 f"coarse {max(float(np.max(r)) for _, r in partner.values()):.1e}")
+                 f"coarse {max(float(np.max(r)) for _, r, _ in partner.values()):.1e}")
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice

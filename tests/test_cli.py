@@ -469,8 +469,8 @@ class TestVerifyCommand:
         real = grid3d.lanczos_lowest
 
         def lowering(matvec, n, k, **kwargs):
-            vals, res = real(matvec, n, k, **kwargs)
-            return (vals if k == 3 else vals - 10.0), res
+            vals, res, vectors = real(matvec, n, k, **kwargs)
+            return (vals if k == 3 else vals - 10.0), res, vectors
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         code, out, err = run_cli(capsys, "verify", "3d", "--grid-points", "16",
@@ -622,3 +622,34 @@ class TestExitCodes:
         done = subprocess.run([sys.executable, "-m", "wolfes4", "verify", "bogus"],
                               capture_output=True, text=True, cwd=workdir, env=env)
         assert done.returncode == EXIT_USAGE
+
+
+class TestHelpText:
+    # the parser's text, byte for byte, at a fixed terminal width: the help of
+    # the command and of each subcommand, and one usage error
+    @pytest.mark.parametrize("argv, sha256", [
+        (("-h",), "6fdbf70103943246554253ea3b4547e245e99f8e3db3ffb2215d02d4efbc3af0"),
+        (("spectrum", "-h"), "b5392a47981da4616f3275b4fb3e5574060d10b21a1642f049223556d0d04962"),
+        (("hf-check", "-h"), "7d07bd85ab703d88455a0262a50b040cb8b752cbe0fc3ef199734181efe17b29"),
+        (("resolve", "-h"), "b14085381002fddba1b8a2f6192530068b57ca056064811dc16d9477e31ca655"),
+        (("audit", "-h"), "37b797ba1969045e8ffb50fc98973685907b56baf027422cdf7b81093f8989cc"),
+        (("verify", "-h"), "76e04043cef7cc015d84860b49aae4deff7c9f4b87bb858c4c6294e1f761c97b"),
+    ])
+    def test_help_bytes(self, workdir, capsys, monkeypatch, argv, sha256):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PASS and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_usage_error_bytes(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_cli(capsys, "spectrum", "--sector-mult", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert err == (
+            "usage: wolfes4 spectrum [-h] [--omega OMEGA] [--g1sq G1SQ]\n"
+            "                        [--max-quanta MAX_QUANTA] [--grid-points GRID_POINTS]\n"
+            "                        [--domain-extent DOMAIN_EXTENT] [--tol TOL]\n"
+            "                        [--sector-mult {1,2}] [--format {json,csv}]\n"
+            "                        [--out OUT] [--config CONFIG]\n"
+            "wolfes4 spectrum: error: argument --sector-mult: invalid choice: 3 "
+            "(choose from 1, 2)\n")

@@ -1,5 +1,6 @@
 """3D grid solver: layout, Lanczos behavior, and the tensor-sum oracle."""
 
+import hashlib
 import inspect
 import math
 import re
@@ -26,10 +27,13 @@ from wolfes4.grid3d import (
     SECTORS,
     _build_operator,
     _dvr_axis,
+    _dvr_transfer,
     _x2_axis,
+    _x2_transfer,
     dvr_nodes,
     solve_sectors,
 )
+from wolfes4.verify import grid3d_richardson_pair
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 J = jacobi_matrix()
@@ -304,9 +308,9 @@ class TestSolver:
         solved = []
 
         def lowering(matvec, n, k, **kwargs):
-            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
+            vals, res, vectors = lanczos_lowest(matvec, n, k, **kwargs)
             solved.append(n)
-            return (vals - 10.0 if len(solved) == 3 else vals), res
+            return (vals - 10.0 if len(solved) == 3 else vals), res, vectors
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         with pytest.raises(ConvergenceError, match="Perron-Frobenius") as info:
@@ -330,7 +334,7 @@ class TestSolver:
         solved = solve_sectors(P, 20, 5.0, counts)
         # in SECTORS order, whatever the order of the counts
         assert list(solved) == [(1, -1, 0), GROUND_SECTOR] and asked == [1, 2]
-        assert [len(vals) for vals, _ in solved.values()] == [1, 2]
+        assert [len(vals) for vals, _, _ in solved.values()] == [1, 2]
         # the lowest level of each, as the full solve at k = 6 finds them
         full = solve_hd_3d(P, 20, 5.0, k=6)
         assert [solved[sector][0][0] for sector in full.sectors] == pytest.approx(
@@ -341,9 +345,9 @@ class TestSolver:
         solved = []
 
         def lowering(matvec, n, k, **kwargs):
-            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
+            vals, res, vectors = lanczos_lowest(matvec, n, k, **kwargs)
             solved.append(n)
-            return (vals - 10.0 if len(solved) == 1 else vals), res
+            return (vals - 10.0 if len(solved) == 1 else vals), res, vectors
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         with pytest.raises(ConvergenceError, match=r"sector \(1, -1, 0\) has a level"):
@@ -351,8 +355,8 @@ class TestSolver:
 
     def test_level_below_the_ground_sector_raises_for_any_counts(self, monkeypatch):
         def lowering(matvec, n, k, **kwargs):
-            vals, res = lanczos_lowest(matvec, n, k, **kwargs)
-            return (vals - 10.0 if k == 1 else vals), res
+            vals, res, vectors = lanczos_lowest(matvec, n, k, **kwargs)
+            return (vals - 10.0 if k == 1 else vals), res, vectors
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
@@ -395,7 +399,7 @@ class TestSolver:
         solved = solve_sectors(P, 20, 5.0, dict.fromkeys(SECTORS, 3))
         grid3d.dvr_change(P, 20, 5.0, solved)
         assert bounds == [None] * 10
-        for vals, res in solved.values():
+        for vals, res, _ in solved.values():
             assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(vals)))
 
     # a sector solve ran out of Lanczos restarts in 8 of these 18 while
@@ -585,6 +589,119 @@ class TestSectors:
             assert np.max(np.abs(A - A.T)) <= 1e-12
 
 
+def sector_plane_states(sector, m):
+    """The orthonormal (X1, X3) plane states of a sector on the unfolded DVR
+    box of 2 m + 1 nodes per axis, in the sector's order (row-major, i >= j
+    for a mirror pair), built from the unit vectors of the box."""
+    def axis(parity):
+        cols = []
+        for a in range(0 if parity > 0 else 1, m + 1):
+            f = np.zeros(2 * m + 1)
+            f[m + a] += 1.0
+            f[m - a] += parity
+            cols.append(f / np.linalg.norm(f))
+        return cols
+
+    p1, p3, swap = sector
+    f1, f3 = axis(p1), axis(p3)
+    if swap:
+        return [np.outer(f1[a], f1[a]) if a == c else
+                (np.outer(f1[a], f1[c]) + swap * np.outer(f1[c], f1[a])) / np.sqrt(2.0)
+                for a in range(len(f1)) for c in range(a + (swap > 0))]
+    return [np.outer(f1[a], f3[c]) for a in range(len(f1)) for c in range(len(f3))]
+
+
+class TestWarmStart:
+    """The partner grid and dvr_change start from the vectors solved before them."""
+
+    def test_x2_transfer_is_linear_interpolation(self):
+        # a smooth function with the Dirichlet zeros at 0 and the extent: exact
+        # where the nodes coincide, within h^2 / 8 max|f''| elsewhere
+        extent = 5.5
+        f = lambda x: np.sin(np.pi * x / extent)  # noqa: E731
+        for n_from, n_to in [(21, 10), (20, 10), (40, 10), (80, 15), (10, 20)]:
+            x_from = extent * np.arange(1, n_from + 1) / (n_from + 1)
+            x_to = extent * np.arange(1, n_to + 1) / (n_to + 1)
+            carried = f(x_from) @ _x2_transfer(n_from, n_to)
+            h = extent / (n_from + 1)
+            error = np.max(np.abs(carried - f(x_to)))
+            assert error <= h**2 / 8 * (np.pi / extent) ** 2 + 1e-15
+            if (n_from + 1) % (n_to + 1) == 0:
+                assert error <= 1e-15
+
+    @pytest.mark.parametrize("sector", list(SECTORS))
+    def test_dvr_transfer_carries_a_gaussian(self, sector):
+        # a Gaussian of the sector's symmetry, sampled on the 29-node DVR over
+        # 7 and folded, then carried to the 25-node one, against its own
+        # samples there
+        g = lambda x: np.exp(-x * x / 2)  # noqa: E731
+        p1, p3, swap = sector
+        odd1, odd3 = (p1 < 0), (p3 < 0)
+
+        def f(a, b):
+            if swap:
+                u = (a ** (2 + odd1) * g(a)) * (b**odd1 * g(b))
+                return u + swap * u.T
+            return a**odd1 * g(a) * b**odd3 * g(b)
+
+        m = dvr_nodes(7.0)
+        samples = []
+        for nodes in (m, m - 2):
+            x = 7.0 / (nodes + 1) * np.arange(-nodes, nodes + 1)
+            box = f(x[:, None], x[None, :])
+            samples.append(np.array([np.sum(state * box)
+                                     for state in sector_plane_states(sector, nodes)]))
+        carried = _dvr_transfer(samples[0][:, None], sector, m, m - 2)[:, 0]
+        assert np.max(np.abs(samples[1])) > 0.5
+        assert carried == pytest.approx(samples[1], abs=1e-6)
+
+    @pytest.mark.parametrize("k", [6, 12, 14])
+    @pytest.mark.parametrize("n_per_axis, extent", [(30, 4.5), (41, 5.5), (61, 7.0)])
+    @pytest.mark.parametrize("g1_squared", [0.0, 3.0, 100.0, 800.0])
+    def test_warm_levels_equal_the_cold_ones(self, g1_squared, n_per_axis, extent, k,
+                                             monkeypatch):
+        params = ModelParams(omega=1.0, g1_squared=g1_squared)
+        _, _, _, _, partner = grid3d_richardson_pair(params, n_per_axis, extent, k)
+        counts = {sector: len(vals) for sector, (vals, _, _) in partner.items()}
+        cold = solve_sectors(params, n_per_axis // 2, extent, counts)
+        real, fewer = grid3d._solve, []
+        monkeypatch.setattr(grid3d, "_solve",
+                            lambda *args, **kwargs: fewer.append(real(*args, **kwargs))
+                            or fewer[-1])
+        grid3d.dvr_change(params, n_per_axis // 2, extent, partner)
+        m = dvr_nodes(extent)
+        cold_fewer = real(params, n_per_axis // 2, m - 2, extent, counts, 1e-8)
+        for sector in counts:
+            assert partner[sector][0] == pytest.approx(cold[sector][0], abs=1e-11)
+            assert fewer[0][sector][0] == pytest.approx(cold_fewer[sector][0], abs=1e-11)
+
+    def test_a_higher_level_start_still_finds_the_lowest(self, monkeypatch):
+        # the ground sector's third level on the 61-point grid, carried to its
+        # partner, is nearly orthogonal to the partner's lowest level
+        fine = solve_sectors(P, 61, 7.0, {GROUND_SECTOR: 3})
+        starts = {GROUND_SECTOR: fine[GROUND_SECTOR][2][2]}
+        cold = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1})[GROUND_SECTOR][0]
+        warm = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1}, starts=starts)[GROUND_SECTOR][0]
+        assert warm == pytest.approx(cold, abs=1e-11)
+        # without the 1e-6 blend of _start_vector the solve stops at the
+        # higher level in its first cycle and takes it for the lowest
+        monkeypatch.setattr(grid3d, "_start_vector", np.zeros)
+        unblended = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1},
+                                  starts=starts)[GROUND_SECTOR][0]
+        assert unblended[0] > cold[0] + 1.0
+
+    def test_fine_levels_carry_their_ritz_vectors(self):
+        res = solve_hd_3d(P, 41, 5.5, k=6)
+        n_half, m, extent = grid(41, 5.5)
+        for value, sector, vector in zip(res.eigenvalues, res.sectors, res.vectors):
+            matvec, n = _build_operator(P.g1_squared, n_half, m, extent, sector, J)
+            assert vector.shape == (n // n_half, n_half)
+            assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+            # within the stopping rule's residual, 1e-8 relative
+            residual = np.linalg.norm(matvec(vector.ravel()) - value * vector.ravel())
+            assert residual <= 1e-8 * value
+
+
 class TestLanczos:
     def test_rayleigh_decreases_across_restarts(self):
         matvec, n = _build_operator(P.g1_squared, *grid(20, 5.0), (1, 1, 1), J)
@@ -607,7 +724,7 @@ class TestLanczos:
         A = (A + A.T) / 2
 
         history: list = []
-        vals, res = lanczos_lowest(lambda v: A @ v, 60, k=3, krylov_dim=25,
+        vals, res, _ = lanczos_lowest(lambda v: A @ v, 60, k=3, krylov_dim=25,
                                    max_restarts=20, tol=1e-10, history=history)
         exact = np.sort(np.linalg.eigvalsh(A))[:3]
         assert vals == pytest.approx(exact, abs=1e-8)
@@ -619,7 +736,7 @@ class TestLanczos:
         A = rng.standard_normal((300, 300))
         A = (A + A.T) / 2
         history: list = []
-        vals, _ = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
+        vals, _, _ = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
                                  max_restarts=200, tol=1e-10, history=history)
         assert len(history) >= 11
         assert vals == pytest.approx(np.linalg.eigvalsh(A)[:4], abs=1e-10)
@@ -632,7 +749,7 @@ class TestLanczos:
         # just below the fourth eigenvalue: the fourth level is bounded only
         # once its residual falls below the 1e-8 between them
         upper = exact[3] - 1e-8
-        vals, res = lanczos_lowest(lambda v: A @ v, 300, k=8, krylov_dim=20,
+        vals, res, _ = lanczos_lowest(lambda v: A @ v, 300, k=8, krylov_dim=20,
                                    max_restarts=200, tol=1e-10, bound=lambda ritz: upper)
         converged = res <= 1e-10 * np.maximum(1.0, np.abs(vals))
         assert np.all(converged | (vals - res > upper))
@@ -649,16 +766,47 @@ class TestLanczos:
         runs = []
         for bound in (None, lambda ritz: math.inf):
             history: list = []
-            vals, res = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
+            vals, res, _ = lanczos_lowest(lambda v: A @ v, 300, k=4, krylov_dim=16,
                                        max_restarts=200, tol=1e-10, history=history,
                                        bound=bound)
             runs.append((vals.tobytes(), res.tobytes(), history))
         assert runs[0] == runs[1]
 
+    def test_ritz_vectors_returned(self):
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((60, 60))
+        A = (A + A.T) / 2
+        vals, res, vectors = lanczos_lowest(lambda v: A @ v, 60, k=3, krylov_dim=25, tol=1e-10)
+        assert vectors.shape == (3, 60)
+        assert vectors @ vectors.T == pytest.approx(np.eye(3), abs=1e-12)
+        for value, r, v in zip(vals, res, vectors):
+            assert np.linalg.norm(A @ v - value * v) <= r + 1e-12
+
+    def test_cold_start_keeps_its_bits(self):
+        # values, residuals and history of two cold solves, pinned by SHA-256:
+        # with no start the solve runs as it did before it took one
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((300, 300))
+        A = (A + A.T) / 2
+        matvec, n = _build_operator(3.0, 10, 11, 5.5, GROUND_SECTOR, J)
+        cases = [((lambda v: A @ v), 300, 4, dict(krylov_dim=16, max_restarts=200, tol=1e-10),
+                  "771c86c2297bdbc30484822a58fb02e3f5e599b15f1ad39d008cf0eb89374369"),
+                 (matvec, n, 2, {},
+                  "daa43d7f27e85f752b10cc126e902b623fbf78d7f49801f50eae8df594a1cae6")]
+        for op, size, k, kwargs, sha256 in cases:
+            runs = []
+            for start in ({}, {"start": None}):
+                history: list = []
+                vals, res, _ = lanczos_lowest(op, size, k, history=history, **kwargs, **start)
+                runs.append(np.concatenate([vals, res, history]).tobytes())
+            assert runs[0] == runs[1]
+            assert hashlib.sha256(runs[0]).hexdigest() == sha256
+
     def test_signature(self):
         # the names a caller binds by, keyword or position
         assert list(inspect.signature(lanczos_lowest).parameters) == [
-            "matvec", "n", "k", "krylov_dim", "max_restarts", "tol", "history", "bound"]
+            "matvec", "n", "k", "krylov_dim", "max_restarts", "tol", "history", "bound",
+            "start"]
 
     def test_repeated_eigenvalues_without_ghosts(self):
         # a random rotation of the spectrum of a 3D Laplacian: 512 levels over
@@ -671,7 +819,7 @@ class TestLanczos:
         Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((512, 512)))
         A = (Q * levels) @ Q.T
         A = (A + A.T) / 2
-        vals, _ = lanczos_lowest(lambda v: A @ v, 512, k=8, tol=1e-10)
+        vals, _, _ = lanczos_lowest(lambda v: A @ v, 512, k=8, tol=1e-10)
         assert vals == pytest.approx(np.linalg.eigvalsh(A)[:8], abs=1e-10)
 
     def test_invariant_subspace_refill(self):
@@ -679,6 +827,6 @@ class TestLanczos:
         # operator; each refill starts a new Krylov block, which T must not
         # link to the exhausted one
         d = np.repeat([1.0, 2.0, 3.0, 5.0], 50)
-        vals, res = lanczos_lowest(lambda v: d * v, d.size, k=3, krylov_dim=12)
+        vals, res, _ = lanczos_lowest(lambda v: d * v, d.size, k=3, krylov_dim=12)
         assert vals == pytest.approx([1.0, 1.0, 1.0], abs=1e-10)
         assert np.all(res <= 1e-10)

@@ -334,6 +334,30 @@ class TestVerify3D:
         assert [c.name for c in report.checks if not c.passed] == ["grid3d-dvr-error"]
         assert report.checks[-1].measured > 10 * report.checks[-1].tolerance
 
+    def test_partner_and_dvr_solves_start_warm(self, monkeypatch):
+        # the fine grid starts cold and takes 199 matvecs; the partner's two
+        # solves start from its vectors and dvr_change's two from the
+        # partner's, one Lanczos cycle each, where cold starts took 116 + 116
+        solves = []
+
+        def counting(matvec, n, k, **kwargs):
+            calls = []
+
+            def counted(u):
+                calls.append(n)
+                return matvec(u)
+
+            out = lanczos_lowest(counted, n, k, **kwargs)
+            solves.append((kwargs.get("start") is not None, len(calls)))
+            return out
+
+        monkeypatch.setattr(grid3d, "lanczos_lowest", counting)
+        report = verify_3d(P3, k=6, offset=1.0, n_per_axis=41, extent=5.5)
+        assert report.passed
+        assert [warm for warm, _ in solves] == [False] * 5 + [True] * 4
+        assert sum(matvecs for _, matvecs in solves) <= 320
+        assert all(matvecs <= grid3d.SECTOR_KRYLOV_DIM for _, matvecs in solves[5:])
+
     def test_residuals_quoted(self):
         report = verify_3d(P3, k=6, offset=1.0, n_per_axis=41, extent=5.5)
         for c in report.checks:
