@@ -19,6 +19,18 @@ extrapolation valid everywhere.
 Eigenvalues come from Sturm-sequence bisection and eigenvectors from inverse
 iteration (LAPACK stebz/stein via scipy); both are deterministic for a fixed
 matrix.
+
+Three kinds are mirror-symmetric: HO about 0 and both angular kinds about
+pi/2 (``MIRROR_KINDS``).  Their matrix, assembled as for every kind, splits
+exactly into an even and an odd block of about half the rows each, built
+from its left half (Cantoni and Butler 1976).  By the discrete Sturm
+oscillation theorem the j-th eigenvector of a tridiagonal matrix with
+nonzero off-diagonal changes sign j times, so its parity is (-1)^j: the
+lowest k levels are the ceil(k/2) lowest even ones interleaved with the
+floor(k/2) lowest odd ones.  Bisection costs about (k + 1/2) x n, so the two
+blocks cost half the full matrix.  Vectors are unfolded onto the full grid
+and their residual is measured on the full matrix.  SHO and RADIAL have no
+mirror and solve the full matrix.
 """
 
 from __future__ import annotations
@@ -104,6 +116,11 @@ class ChannelKind(enum.Enum):
     ANGULAR_THETA = "angular_theta"
 
 
+#: Kinds whose operator is symmetric under reflection about the domain's
+#: middle: x -> -x for HO, x -> pi - x for the angular kinds.
+MIRROR_KINDS = frozenset({ChannelKind.HO, ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA})
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Which 1D operator to solve, plus its coupling where one is needed.
@@ -131,6 +148,9 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
     ``residual_bound``), so its last bits depend on k: asking the same matrix
     for fewer levels moved a polar-channel level at 4003 points by up to
     9.2e-9 for g1^2 <= 7.5 and 2.2e-8 at g1^2 = 100, each under eps * max|T|.
+
+    ``solve_channel`` sends the SHO and RADIAL matrices here whole and each
+    mirror kind's matrix as its even and odd blocks (``_solve_mirror``).
     """
     n = T.dimension
     if not (1 <= k <= n):
@@ -143,8 +163,77 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
                            residual_bound=np.finfo(float).eps * scale)
     vals, vecs = out
     vecs = vecs.T  # one eigenvector per row
-    resid = max(float(np.linalg.norm(T.matvec(v) - lam * v)) for lam, v in zip(vals, vecs))
-    return EigenResult(eigenvalues=vals, eigenvectors=vecs, residual_bound=resid)
+    return EigenResult(eigenvalues=vals, eigenvectors=vecs,
+                       residual_bound=_residual(T, vals, vecs))
+
+
+def _residual(T: TridiagonalMatrix, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """Largest ||T v - lambda v|| over the pairs (one eigenvector per row)."""
+    return max(float(np.linalg.norm(T.matvec(v) - lam * v)) for lam, v in zip(vals, vecs))
+
+
+def _mirror_block(T: TridiagonalMatrix, sign: float) -> TridiagonalMatrix:
+    """The even (sign +1) or odd (sign -1) block of a mirror-symmetric T.
+
+    Built from the left half of T, the rows nearer the lower end.  With n =
+    2m + 1 the even block keeps the centre row, its coupling to the paired
+    rows scaled by sqrt(2), and the odd block drops it; with n = 2m the row
+    pair across the middle folds onto the last diagonal entry as d +- e.
+    """
+    n = T.dimension
+    m = n // 2
+    d, e = T.diag, T.offdiag
+    if n % 2:
+        if sign < 0:
+            return TridiagonalMatrix(d[:m], e[:m - 1])
+        off = e[:m].copy()
+        off[-1] *= math.sqrt(2.0)
+        return TridiagonalMatrix(d[:m + 1], off)
+    diag = d[:m].copy()
+    diag[-1] += sign * e[m - 1]
+    return TridiagonalMatrix(diag, e[:m - 1])
+
+
+def _unfold(w: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """Block eigenvectors (rows) carried onto all n rows, unit Euclidean norm kept."""
+    m = n // 2
+    half = w[:, :m] / math.sqrt(2.0)
+    v = np.zeros((len(w), n))
+    v[:, :m] = half
+    v[:, n - m:] = sign * half[:, ::-1]
+    if n % 2 and sign > 0:
+        v[:, m] = w[:, m]
+    return v
+
+
+def _solve_mirror(T: TridiagonalMatrix, k: int, want_vectors: bool) -> EigenResult:
+    """Lowest k eigenpairs of a mirror-symmetric T from its even and odd blocks.
+
+    The eigenvector of the j-th level of a Jacobi matrix changes sign j times
+    (discrete Sturm oscillation), so its parity is (-1)^j: the lowest k levels
+    are the ceil(k/2) lowest even ones interleaved with the floor(k/2) lowest
+    odd ones, even first.  A stable sort then swaps only an even/odd pair
+    that rounding put out of order, one split by less than the bisection
+    accuracy, such as the edge-localized top levels of a grid of a dozen
+    points solved for all its levels.  Vectors are unfolded onto all rows of
+    T and ``residual_bound`` is their largest residual on T itself; without
+    vectors it is the larger block's bisection accuracy.
+    """
+    parts = [(sign, eigen_tridiag(_mirror_block(T, sign), count, want_vectors))
+             for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)) if count]
+    vals = np.empty(k)
+    vecs = np.empty((k, T.dimension)) if want_vectors else None
+    for start, (sign, res) in enumerate(parts):  # even levels at 0, 2, ...; odd at 1, 3, ...
+        vals[start::2] = res.eigenvalues
+        if want_vectors:
+            vecs[start::2] = _unfold(res.eigenvectors, T.dimension, sign)
+    order = np.argsort(vals, kind="stable")
+    if not want_vectors:
+        return EigenResult(eigenvalues=vals[order], eigenvectors=None,
+                           residual_bound=max(res.residual_bound for _, res in parts))
+    vals, vecs = vals[order], vecs[order]
+    return EigenResult(eigenvalues=vals, eigenvectors=vecs,
+                       residual_bound=_residual(T, vals, vecs))
 
 
 def _power_step(j: np.ndarray, b: float) -> np.ndarray:
@@ -219,6 +308,10 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
 
     The channel's kind fixes the domain, so the point count is all a caller
     chooses; the result carries the grid for integrals over its vectors.
+    A kind of ``MIRROR_KINDS`` solves as its even and odd half-problems
+    (``_solve_mirror``: ceil(k/2) even and floor(k/2) odd levels, interleaved
+    by the oscillation theorem; the residual of the unfolded vectors is
+    measured on the full matrix); SHO and RADIAL solve the full matrix.
     Returned values are the physical ones: energies for HO/SHO/RADIAL, the
     1/sin^2 eigenvalues f^2 for ANGULAR_PHI, and the separation constants
     k^2 (symmetric-operator eigenvalues minus 1/4) for ANGULAR_THETA, whose
@@ -226,7 +319,10 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
     """
     grid = recommended_grid(spec.kind, params, n_points)
     T = channel_tridiag(spec, params, grid)
-    res = eigen_tridiag(T, k, want_vectors=want_vectors)
+    if spec.kind in MIRROR_KINDS:
+        res = _solve_mirror(T, k, want_vectors)
+    else:
+        res = eigen_tridiag(T, k, want_vectors=want_vectors)
     vals = res.eigenvalues
     if spec.kind is ChannelKind.ANGULAR_THETA:
         vals = vals - 0.25

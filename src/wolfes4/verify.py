@@ -216,7 +216,11 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
 
 def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
                            ) -> list[tuple[float, QuantumTriple]]:
-    """Numeric composite levels E(n1) + E(n2) + E(n3) for all triples with N <= cutoff."""
+    """Numeric composite levels E(n2) + (E(n1) + E(n3)) for all triples with N <= cutoff.
+
+    Adding the two HO levels first makes (n1, n2, n3) and (n3, n2, n1) carry
+    bitwise-equal energies, so the sort names the first of them.
+    """
     e_ho = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), params,
                                       n_points, cutoff + 1)
     e_sho = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), params,
@@ -225,7 +229,7 @@ def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
     for n2 in range(cutoff // 2 + 1):
         for n1 in range(cutoff - 2 * n2 + 1):
             for n3 in range(cutoff - 2 * n2 - n1 + 1):
-                out.append((float(e_ho[n1] + e_sho[n2] + e_ho[n3]),
+                out.append((float(e_sho[n2] + (e_ho[n1] + e_ho[n3])),
                             QuantumTriple(n1, n2, n3)))
     out.sort(key=lambda item: (item[0], item[1]))
     return out

@@ -1,5 +1,6 @@
 """Grids, stencils, tridiagonal eigensolves, and the five channel oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from wolfes4 import (
     solve_channel,
     solve_channel_extrapolated,
 )
+from wolfes4 import numsolve
 from wolfes4.numsolve import channel_tridiag, inverse_square_diag
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
@@ -210,7 +212,10 @@ class TestChannels:
             ChannelSpec(ChannelKind.RADIAL, -1.0)
 
     @pytest.mark.parametrize("spec", [ChannelSpec(ChannelKind.SHO),
-                                      ChannelSpec(ChannelKind.ANGULAR_THETA, 1.25)],
+                                      ChannelSpec(ChannelKind.ANGULAR_THETA, 1.25),
+                                      ChannelSpec(ChannelKind.HO),
+                                      ChannelSpec(ChannelKind.RADIAL, 2.0),
+                                      ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0)],
                              ids=lambda spec: spec.kind.value)
     def test_vectors_leave_the_eigenvalues_unchanged(self, spec):
         # hf-check takes its levels from value-only solves and its expectation
@@ -229,6 +234,99 @@ class TestChannels:
         spec = ChannelSpec(ChannelKind.SHO)
         vals = [solve_channel(spec, P, n, 1).eigenvalues[0] for n in (500, 1001, 2003)]
         assert vals[0] < vals[1] < vals[2] < sho_energy_resolved(0, P, 1.0)
+
+
+MIRROR_SPECS = [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0),
+                ChannelSpec(ChannelKind.ANGULAR_THETA, 1.0)]
+
+
+def mirror_case(kind, g1sq, omega):
+    """The channel at one coupling: g1^2/3 for ANGULAR_PHI, f^2 = g1^2/3 + 1/4 for ANGULAR_THETA."""
+    coefficient = {ChannelKind.HO: 0.0, ChannelKind.ANGULAR_PHI: g1sq / 3.0,
+                   ChannelKind.ANGULAR_THETA: g1sq / 3.0 + 0.25}[kind]
+    return ChannelSpec(kind, coefficient), ModelParams(omega=omega, g1_squared=g1sq)
+
+
+class TestMirrorFold:
+    """HO and the angular kinds solve as their even and odd half-problems."""
+
+    @pytest.mark.parametrize("kind", [spec.kind for spec in MIRROR_SPECS],
+                             ids=lambda kind: kind.value)
+    def test_fold_matches_the_full_matrix(self, kind):
+        shift = 0.25 if kind is ChannelKind.ANGULAR_THETA else 0.0
+        solved = set()  # HO ignores g1^2 and the angular kinds omega: solve each matrix once
+        for g1sq, omega, n in itertools.product((0.0, 0.3, 3.0, 1e4), (1e-3, 1.0, 2.5),
+                                                (3, 4, 5, 6, 2000, 2001, 4003)):
+            spec, p = mirror_case(kind, g1sq, omega)
+            T = channel_tridiag(spec, p, recommended_grid(kind, p, n))
+            if T.diag.tobytes() in solved:
+                continue
+            solved.add(T.diag.tobytes())
+            full = eigen_tridiag(T, min(n, 8))
+            # the fold reads the left half only; by Weyl's inequality dropping
+            # the diagonal's rounding asymmetry moves no eigenvalue by more
+            asymmetry = np.max(np.abs(T.diag - T.diag[::-1]))
+            for k in range(1, min(n, 8) + 1):
+                fold = solve_channel(spec, p, n, k)
+                tol = full.residual_bound + fold.residual_bound + asymmetry
+                assert np.max(np.abs(fold.eigenvalues + shift - full.eigenvalues[:k])) <= tol
+                # strictly ascending wherever the levels are resolved at all:
+                # the top even/odd pair of a 6-point grid at g1^2 = 1e4 is split
+                # by less than the bisection accuracy
+                gaps = np.diff(fold.eigenvalues)
+                assert np.all(gaps >= 0.0)
+                assert np.all(gaps[np.diff(full.eigenvalues[:k]) > tol] > 0.0)
+        assert len(solved) == 7 * (3 if kind is ChannelKind.HO else 4)
+
+    def test_every_level_of_a_small_grid(self):
+        # `verify jacobi --grid-points n --max-quanta n - 1` asks HO for all n
+        # levels; the top ones sit at the box edges in even/odd pairs split
+        # below the bisection accuracy, and rounding can order such a pair odd
+        # first (at n = 12 among others)
+        spec = ChannelSpec(ChannelKind.HO)
+        for n in range(8, 41):
+            T = channel_tridiag(spec, P, recommended_grid(ChannelKind.HO, P, n))
+            full = eigen_tridiag(T, n)
+            for want_vectors in (False, True):
+                fold = solve_channel(spec, P, n, n, want_vectors=want_vectors)
+                assert np.all(np.diff(fold.eigenvalues) >= 0.0)
+                tol = (full.residual_bound + fold.residual_bound
+                       + np.max(np.abs(T.diag - T.diag[::-1])))
+                assert np.max(np.abs(fold.eigenvalues - full.eigenvalues)) <= tol
+
+    @pytest.mark.parametrize("n", [2000, 2001, 4003])
+    @pytest.mark.parametrize("spec", MIRROR_SPECS, ids=lambda spec: spec.kind.value)
+    def test_vector_path(self, spec, n):
+        res = solve_channel(spec, P, n, 8, want_vectors=True)
+        h = res.grid.spacing
+        T = channel_tridiag(spec, P, res.grid)
+        shift = 0.25 if spec.kind is ChannelKind.ANGULAR_THETA else 0.0
+        for j, (lam, v) in enumerate(zip(res.eigenvalues, res.eigenvectors)):
+            assert np.sum(v * v) * h == pytest.approx(1.0, abs=1e-12)
+            assert np.array_equal(v[::-1], v if j % 2 == 0 else -v)
+            u = v * math.sqrt(h)  # unit Euclidean norm, up to the rounding of the rescaling
+            slack = np.finfo(float).eps * np.max(np.abs(T.diag))
+            assert np.linalg.norm(T.matvec(u) - (lam + shift) * u) <= res.residual_bound + slack
+
+    def test_solves_reach_lapack_as_half_problems(self, monkeypatch):
+        calls = []
+        solve = numsolve.eigen_tridiag
+
+        def spy(T, k, want_vectors=False):
+            calls.append((T.dimension, k))
+            return solve(T, k, want_vectors)
+
+        monkeypatch.setattr(numsolve, "eigen_tridiag", spy)
+        expected = [
+            (ChannelSpec(ChannelKind.HO), 5, [(1001, 3), (1000, 2)]),
+            (ChannelSpec(ChannelKind.HO), 1, [(1001, 1)]),
+            (ChannelSpec(ChannelKind.SHO), 5, [(2001, 5)]),
+            (ChannelSpec(ChannelKind.RADIAL, 2.0), 5, [(2001, 5)]),
+        ]
+        for spec, k, sent in expected:
+            calls.clear()
+            solve_channel(spec, P, 2001, k)
+            assert calls == sent
 
 
 class TestRichardson:

@@ -113,6 +113,24 @@ class TestJacobiRoute:
         report = verify_jacobi_route(P3, cutoff=2, tol=1e-4, offset=0.5)
         assert not report.passed
 
+    @pytest.mark.parametrize("params", [ModelParams(1.0, 0.0), ModelParams(1.0, 3.0),
+                                        ModelParams(2.5, 0.3)], ids=str)
+    def test_mirror_triples_tie_exactly(self, params):
+        # (n1, n2, n3) and (n3, n2, n1) carry the same bits, so the sort and
+        # every provenance name the first of them, not a rounding-dependent one
+        levels = verify._jacobi_numeric_levels(params, 6, 2001)
+        energy = {t: e for e, t in levels}
+        rank = {t: i for i, (_, t) in enumerate(levels)}
+        for t, e in energy.items():
+            mirror = QuantumTriple(t.n3, t.n2, t.n1)
+            assert energy[mirror] == e
+            assert (rank[t] < rank[mirror]) == (t.n1 < t.n3)
+        report = verify_jacobi_route(params, cutoff=6, tol=1e-4, offset=1.0)
+        for c in report.checks:
+            if c.name.startswith("jacobi-level"):
+                n1, _, n3 = map(int, re.search(r"=\((\d+),(\d+),(\d+)\)", c.provenance).groups())
+                assert n1 <= n3, c.provenance
+
 
 @pytest.fixture(scope="module")
 def spherical_report():
