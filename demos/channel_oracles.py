@@ -10,15 +10,8 @@ Run:  python demos/channel_oracles.py
 
 import numpy as np
 
-from wolfes4 import (
-    ChannelKind,
-    ChannelSpec,
-    ModelParams,
-    delta_constant,
-    richardson,
-    sho_energy_resolved,
-    solve_channel,
-)
+from wolfes4.model import ModelParams, delta_constant, sho_energy_resolved
+from wolfes4.numsolve import ChannelKind, ChannelSpec, richardson, solve_channel
 
 
 def show(title, spec, params, exact, levels=4):

@@ -8,7 +8,7 @@ counts the triples sharing N.  Also contrasts the published SHO constant
 Run:  python demos/closed_form_spectrum.py
 """
 
-from wolfes4 import (
+from wolfes4.model import (
     ModelParams,
     delta_constant,
     enumerate_spectrum,

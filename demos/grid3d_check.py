@@ -23,8 +23,9 @@ counts the operator applications of each of the three grids.
 Run:  python demos/grid3d_check.py      (about a second)
 """
 
-from wolfes4 import ModelParams, delta_constant, grid3d
+from wolfes4 import grid3d
 from wolfes4.grid3d import dvr_change, dvr_nodes
+from wolfes4.model import ModelParams, delta_constant
 from wolfes4.verify import grid3d_richardson_pair
 
 

@@ -8,7 +8,8 @@ ignores the barrier strength.
 Run:  python demos/hellmann_feynman.py
 """
 
-from wolfes4 import ModelParams, hellmann_feynman_check, hf_derivative_closed_form
+from wolfes4.model import ModelParams, hf_derivative_closed_form
+from wolfes4.verify import hellmann_feynman_check
 
 
 def main() -> None:

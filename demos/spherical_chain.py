@@ -9,13 +9,9 @@ Run:  python demos/spherical_chain.py
 
 import numpy as np
 
-from wolfes4 import (
-    ChannelKind,
-    ChannelSpec,
-    ModelParams,
-    solve_channel_extrapolated,
-    verify_spherical_route,
-)
+from wolfes4.model import ModelParams
+from wolfes4.numsolve import ChannelKind, ChannelSpec, solve_channel_extrapolated
+from wolfes4.verify import verify_spherical_route
 
 
 def main() -> None:
@@ -39,7 +35,7 @@ def main() -> None:
     print(f"\nradial energies for k^2_00 = {k2_00:.6f}: {np.round(e, 6)}")
     print("(the lowest must equal the separated-route ground 2 + delta)")
 
-    report = verify_spherical_route(params, ranges=(3, 3, 1), tol=1e-4, offset=1.0)
+    report = verify_spherical_route(params, n_cap=3, tol=1e-4, offset=1.0)
     print(f"\nroute comparison: {'PASS' if report.passed else 'FAIL'}")
     for c in report.checks:
         if c.name.startswith("route-pair"):

@@ -14,7 +14,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from numpy.linalg import LinAlgError
 
@@ -55,6 +55,18 @@ MAX_QUANTA = 60
 #: Largest --g1sq.  The 1D routes pass to 3e4; from 5e4 the ground state's
 #: peak nears the half-line box edge.  The 3D grid takes less.
 MAX_G1SQ = 1e4
+#: Largest 1D --grid-points.  Rounding in the 1/h^2 entries grows as n^2 and
+#: the discretization error falls as n^-2; from 5e4 points hf-check fails.
+MAX_GRID_POINTS = 20001
+
+
+def _setting(flag: str, default=None, type=str, choices=None):
+    """A RunConfig field that ``flag`` sets, as do its field and flag names in a config file."""
+    return field(default=default, metadata={"flag": flag, "type": type, "choices": choices})
+
+
+def _dest(f) -> str:
+    return f.metadata["flag"][2:].replace("-", "_")
 
 
 @dataclass
@@ -70,15 +82,15 @@ class RunConfig:
     once at construction and validates them.
     """
 
-    omega: float = 1.0
-    g1_squared: float = 3.0
-    max_quanta: int = 6
-    grid_points: int | None = None
-    domain_extent: float | None = None
-    tol: float | None = None
-    sector_multiplicity: int = 1
-    format: str = "json"
-    out: str | None = None
+    omega: float = _setting("--omega", 1.0, float)
+    g1_squared: float = _setting("--g1sq", 3.0, float)
+    max_quanta: int = _setting("--max-quanta", 6, int)
+    grid_points: int | None = _setting("--grid-points", type=int)
+    domain_extent: float | None = _setting("--domain-extent", type=float)
+    tol: float | None = _setting("--tol", type=float)
+    sector_multiplicity: int = _setting("--sector-mult", 1, int, (1, 2))
+    format: str = _setting("--format", "json", choices=("json", "csv"))
+    out: str | None = _setting("--out")
 
     def __post_init__(self) -> None:
         self.params = ModelParams(omega=self.omega, g1_squared=self.g1_squared)
@@ -90,6 +102,10 @@ class RunConfig:
                              f"got {self.max_quanta}")
         if self.grid_points is not None and self.grid_points < 3:
             raise ValueError("grid-points must be at least 3")
+        if self.grid_points is not None and self.grid_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid-points must be at most {MAX_GRID_POINTS}: past it, "
+                             "rounding in the 1/h^2 entries grows past the "
+                             f"discretization error, got {self.grid_points}")
         low, high = GRID3D_EXTENT_RANGE
         if self.domain_extent is not None and not low <= self.domain_extent <= high:
             raise ValueError(f"domain-extent must lie in [{low:g}, {high:g}], "
@@ -97,10 +113,11 @@ class RunConfig:
         # in units of omega: at 1 a level would pass for its neighbour class
         if self.tol is not None and not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
-        if self.sector_multiplicity not in (1, 2):
-            raise ValueError("sector-mult must be 1 or 2")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
+        for f in fields(self):
+            choices = f.metadata["choices"]
+            if choices and getattr(self, f.name) not in choices:
+                raise ValueError(f"{f.metadata['flag'][2:]} must be "
+                                 + " or ".join(map(str, choices)))
 
 
 def format_float(x: float) -> str:
@@ -212,15 +229,12 @@ def emit(config: RunConfig, text: str) -> None:
 
 # -- config and state files -------------------------------------------------
 
-_KEY_ALIASES = {
-    "g1sq": "g1_squared",
-    "sector_mult": "sector_multiplicity",
-}
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+#: config-file key -> RunConfig field: each field's name and its flag's name
+_CONFIG_KEYS = {key: f.name for f in fields(RunConfig) for key in (f.name, _dest(f))}
 
 
 def parse_key_value_file(path: str) -> dict:
-    """Plain ``key = value`` lines with ``#`` comments."""
+    """Plain ``key = value`` lines with ``#`` comments; a setting's key is its field name."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -230,23 +244,18 @@ def parse_key_value_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, val = (part.strip() for part in line.split("=", 1))
-            key = _KEY_ALIASES.get(key.replace("-", "_"), key.replace("-", "_"))
-            values[key] = val
+            key = key.replace("-", "_")
+            values[_CONFIG_KEYS.get(key, key)] = val
     return values
 
 
 def load_config_file(path: str) -> dict:
-    raw = parse_key_value_file(path)
+    types = {f.name: f.metadata["type"] for f in fields(RunConfig)}
     out: dict = {}
-    casts = {
-        "omega": float, "g1_squared": float, "max_quanta": int,
-        "grid_points": int, "domain_extent": float, "tol": float,
-        "sector_multiplicity": int, "format": str, "out": str,
-    }
-    for key, val in raw.items():
-        if key not in _CONFIG_KEYS:
+    for key, val in parse_key_value_file(path).items():
+        if key not in types:
             raise ValueError(f"unknown configuration key {key!r}")
-        out[key] = casts[key](val)
+        out[key] = types[key](val)
     return out
 
 
@@ -283,15 +292,9 @@ def load_state_file(path: str) -> tuple[float, str] | None:
 def build_parser() -> argparse.ArgumentParser:
     # the flags every subcommand takes, on one parent that each copies
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--omega", type=float, default=None)
-    common.add_argument("--g1sq", type=float, default=None)
-    common.add_argument("--max-quanta", type=int, default=None)
-    common.add_argument("--grid-points", type=int, default=None)
-    common.add_argument("--domain-extent", type=float, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--sector-mult", type=int, choices=(1, 2), default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--out", default=None)
+    for f in fields(RunConfig):
+        common.add_argument(f.metadata["flag"], type=f.metadata["type"],
+                            choices=f.metadata["choices"])
     common.add_argument("--config", default=None)
     parser = argparse.ArgumentParser(
         prog="wolfes4",
@@ -313,24 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def make_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     """Settings from the flags, then the config file; also the names either gave."""
-    file_values = load_config_file(args.config) if args.config else {}
-    flag_values = {
-        "omega": args.omega,
-        "g1_squared": args.g1sq,
-        "max_quanta": args.max_quanta,
-        "grid_points": args.grid_points,
-        "domain_extent": args.domain_extent,
-        "tol": args.tol,
-        "sector_multiplicity": args.sector_mult,
-        "format": args.format,
-        "out": args.out,
-    }
-    merged: dict = {}
+    merged = load_config_file(args.config) if args.config else {}
     for f in fields(RunConfig):
-        if flag_values.get(f.name) is not None:
-            merged[f.name] = flag_values[f.name]
-        elif f.name in file_values:
-            merged[f.name] = file_values[f.name]
+        if getattr(args, _dest(f)) is not None:
+            merged[f.name] = getattr(args, _dest(f))
     return RunConfig(**merged), set(merged)
 
 
@@ -421,8 +410,8 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
         report.extend(verify_jacobi_route(config.params, config.max_quanta,
                                           offset=offset, **channel))
     if which in ("spherical", "all"):
-        report.extend(verify_spherical_route(
-            config.params, (n_cap, n_cap, n_cap // 2), offset=offset, **channel))
+        report.extend(verify_spherical_route(config.params, n_cap, offset=offset,
+                                             **channel))
     if which in ("3d", "all"):
         report.extend(verify_3d(config.params, k=6, offset=offset,
                                 **_given(tol=config.tol, n_per_axis=config.grid_points,

@@ -94,8 +94,10 @@ class EigenResult:
 
     Vectors from ``solve_channel`` are trapezoid-normalized on ``grid``, the
     grid it solved on (sum v_i^2 * spacing = 1); those from ``eigen_tridiag``,
-    which has no grid, carry unit Euclidean norm.  ``residual_bound`` bounds
-    ||T v - lambda v|| for every returned pair.
+    which has no grid, carry unit Euclidean norm.  ``residual_bound`` is the
+    pairs' largest ||T v - lambda v||; without vectors it is eps * (max|d| +
+    2 max|e|), an estimate and not a bound: on small matrices a level errs by
+    up to 1.23x it from stebz, and by up to 2.5x from the mirror blocks.
     """
 
     eigenvalues: np.ndarray
@@ -144,10 +146,12 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
     Backed by LAPACK: Sturm-sequence bisection (stebz) for the eigenvalues
     and inverse iteration (stein, capped at 5 sweeps internally) for the
     eigenvectors; deterministic for fixed input.  stebz bisects each
-    eigenvalue to an absolute accuracy of about eps * max|T| (the returned
-    ``residual_bound``), so its last bits depend on k: asking the same matrix
-    for fewer levels moved a polar-channel level at 4003 points by up to
-    9.2e-9 for g1^2 <= 7.5 and 2.2e-8 at g1^2 = 100, each under eps * max|T|.
+    eigenvalue to an absolute accuracy of about eps * max|T|, so its last
+    bits depend on k: asking the same matrix for fewer levels moved a
+    polar-channel level at 4003 points by up to 9.2e-9 for g1^2 <= 7.5 and
+    2.2e-8 at g1^2 = 100, each under eps * max|T|.  Without vectors the
+    returned ``residual_bound`` is that accuracy, not a bound: stebz exceeds
+    it by up to 1.23x on small matrices.
 
     ``solve_channel`` sends the SHO and RADIAL matrices here whole and each
     mirror kind's matrix as its even and odd blocks (``_solve_mirror``).
@@ -217,7 +221,8 @@ def _solve_mirror(T: TridiagonalMatrix, k: int, want_vectors: bool) -> EigenResu
     accuracy, such as the edge-localized top levels of a grid of a dozen
     points solved for all its levels.  Vectors are unfolded onto all rows of
     T and ``residual_bound`` is their largest residual on T itself; without
-    vectors it is the larger block's bisection accuracy.
+    vectors it is the larger block's bisection accuracy, which the blocks'
+    levels exceed by up to 2.5x on small matrices, so it is not a bound.
     """
     parts = [(sign, eigen_tridiag(_mirror_block(T, sign), count, want_vectors))
              for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)) if count]

@@ -283,21 +283,18 @@ def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
             for (l, m), row in zip(cases, radial_rows) for n, e in enumerate(row)}
 
 
-def verify_spherical_route(params: ModelParams, ranges: tuple[int, int, int], *,
+def verify_spherical_route(params: ModelParams, n_cap: int, *,
                            offset: float, tol: float = RESOLUTION_TOL,
                            n_points: int = 2001) -> VerificationReport:
     """Check the chained spherical solve against the separated route, as multisets.
 
-    ``ranges`` is (m_max, l_max, n_max).  Both routes are enumerated completely
-    up to the largest total-quanta class the ranges cover, n_cap =
-    min(m_max, l_max, 2 n_max + 1): the chain solves exactly the (n, l, m)
-    with 2n + l + m <= n_cap.  The two sorted energy multisets are paired
-    greedily; the first unpaired level is named.
+    Both routes are enumerated completely up to the total-quanta class
+    ``n_cap``: the chain solves exactly the (n, l, m) with 2n + l + m <= n_cap.
+    The two sorted energy multisets are paired greedily; the first unpaired
+    level is named.
     """
-    m_max, l_max, n_max = ranges
     tol = tol * params.omega
     report = VerificationReport()
-    n_cap = min(l_max, m_max, 2 * n_max + 1)
 
     spherical = sorted((e, q) for q, e in _spherical_chain(params, n_cap, n_points).items())
     jacobi = _jacobi_numeric_levels(params, n_cap, n_points)

@@ -9,22 +9,25 @@ import time
 import numpy as np
 import pytest
 
-from wolfes4 import (
-    ChannelKind,
-    ChannelSpec,
+from wolfes4.coords import jacobi_matrix, potential_particle
+from wolfes4.grid3d import solve_hd_3d
+from wolfes4.model import (
     ModelParams,
-    bk_audit,
     delta_constant,
     enumerate_spectrum,
-    hellmann_feynman_check,
-    jacobi_matrix,
-    potential_particle,
-    resolve_formula_offsets,
-    richardson,
     sho_energy_resolved,
+)
+from wolfes4.numsolve import (
+    ChannelKind,
+    ChannelSpec,
+    richardson,
     solve_channel,
     solve_channel_extrapolated,
-    solve_hd_3d,
+)
+from wolfes4.verify import (
+    bk_audit,
+    hellmann_feynman_check,
+    resolve_formula_offsets,
     verify_3d,
     verify_spherical_route,
 )
@@ -91,7 +94,7 @@ def test_criterion_04_route_equivalence(resolution):
     """Lowest 10 energies agree between the two routes within 1e-4."""
     offset = resolution[0]
     t0 = time.perf_counter()
-    report = verify_spherical_route(P3, ranges=(3, 3, 1), tol=1e-4, offset=offset)
+    report = verify_spherical_route(P3, n_cap=3, tol=1e-4, offset=offset)
     elapsed = time.perf_counter() - t0
     pairs = [c for c in report.checks if c.name.startswith("route-pair")]
     worst = max(abs(c.measured - c.reference) for c in pairs[:10])

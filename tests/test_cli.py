@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolfes4 import ConvergenceError, VerificationReport, cli, grid3d
+from wolfes4 import cli, grid3d
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -25,6 +25,8 @@ from wolfes4.cli import (
     to_json,
     write_state_file,
 )
+from wolfes4.grid3d import ConvergenceError
+from wolfes4.verify import VerificationReport
 
 
 @pytest.fixture()
@@ -67,9 +69,41 @@ class TestConfigFiles:
 
     def test_unknown_key_rejected(self, workdir):
         cfg = workdir / "run.cfg"
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(ValueError):
-            load_config_file(str(cfg))
+        for key in ("bogus", "g1-sq", "G1SQ", "sector", "config"):
+            cfg.write_text(f"{key} = 1\n")
+            with pytest.raises(ValueError, match="unknown configuration key"):
+                load_config_file(str(cfg))
+
+    @pytest.mark.parametrize("name, flag, text, value", [
+        ("omega", "--omega", "2", 2.0),
+        ("g1_squared", "--g1sq", "1.5", 1.5),
+        ("max_quanta", "--max-quanta", "3", 3),
+        ("grid_points", "--grid-points", "41", 41),
+        ("domain_extent", "--domain-extent", "5.5", 5.5),
+        ("tol", "--tol", "0.01", 0.01),
+        ("sector_multiplicity", "--sector-mult", "2", 2),
+        ("format", "--format", "csv", "csv"),
+        ("out", "--out", "report.json", "report.json"),
+    ])
+    def test_field_and_flag_names_are_keys_alike(self, workdir, name, flag, text, value):
+        cfg = workdir / "run.cfg"
+        parser = cli.build_parser()
+        by_flag = cli.make_config(parser.parse_args(["spectrum", flag, text]))
+        bare = flag[2:]
+        for key in {name, name.replace("_", "-"), bare, bare.replace("-", "_")}:
+            cfg.write_text(f"{key} = {text}\n")
+            by_file = cli.make_config(parser.parse_args(["spectrum", "--config", str(cfg)]))
+            assert load_config_file(str(cfg)) == {name: value} and by_file == by_flag
+
+    def test_last_spelling_of_a_setting_wins(self, workdir):
+        cfg = workdir / "run.cfg"
+        cfg.write_text("g1sq = 1\ng1_squared = 2\ng1sq = 3\n")
+        assert load_config_file(str(cfg)) == {"g1_squared": 3.0}
+
+    def test_state_file_keys_pass_through(self, workdir):
+        write_state_file(str(workdir / "state.txt"), 1.0, "candidate")
+        assert parse_key_value_file(str(workdir / "state.txt")) == {
+            "sho_offset": "1", "radial_rule": "candidate"}
 
     def test_malformed_line_rejected(self, workdir):
         cfg = workdir / "run.cfg"
@@ -585,6 +619,20 @@ class TestExitCodes:
         # the least value runs: too coarse to pass, but no usage error
         assert main([*argv, "--grid-points", str(least)]) != EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [("resolve",), ("verify", "jacobi"),
+                                      ("verify", "spherical"), ("hf-check",), ("audit",)])
+    def test_1d_grid_points_above_the_bound_rejected_before_any_solve(
+            self, workdir, capsys, monkeypatch, argv):
+        ran = []
+        for name in ("resolve_formula_offsets", "verify_jacobi_route",
+                     "verify_spherical_route", "hellmann_feynman_check", "bk_audit"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: ran.append(name))
+        code, out, err = run_cli(capsys, *argv, "--grid-points", "20002")
+        assert code == EXIT_USAGE and out == "" and ran == []
+        assert err == ("error: grid-points must be at most 20001: past it, rounding in "
+                       "the 1/h^2 entries grows past the discretization error, got 20002\n")
+        assert RunConfig(grid_points=cli.MAX_GRID_POINTS).grid_points == 20001
+
     def test_cli_import_leaves_scipy_sparse_out(self):
         # no command pays for importing scipy.sparse: neither the CLI's
         # imports nor a 3D solve, whose plane matrices are dense
@@ -598,9 +646,25 @@ class TestExitCodes:
         done = subprocess.run(
             [sys.executable, "-c",
              "import sys, wolfes4.cli; assert 'scipy.sparse' not in sys.modules\n"
-             "from wolfes4 import ModelParams, verify_3d\n"
+             "from wolfes4.model import ModelParams\n"
+             "from wolfes4.verify import verify_3d\n"
              "verify_3d(ModelParams(1.0, 3.0), 6, offset=1.0, n_per_axis=16, extent=5.0)\n"
              "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]"],
+            capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+
+    def test_package_root_imports_nothing(self):
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wolfes4\n"
+             "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]"],
             capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wolfes4 import ModelParams, jacobi_matrix, potential_particle
+from wolfes4.coords import jacobi_matrix, potential_particle
+from wolfes4.model import ModelParams
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wolfes4 import ModelParams, jacobi_matrix, potential_particle
+from wolfes4.coords import jacobi_matrix, potential_particle
+from wolfes4.model import ModelParams
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402

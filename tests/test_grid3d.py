@@ -11,17 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from wolfes4 import (
-    ConvergenceError,
-    ModelParams,
-    jacobi_matrix,
-    lanczos_lowest,
-    richardson,
-    solve_hd_3d,
-    verify_3d,
-)
 from wolfes4 import grid3d
+from wolfes4.coords import jacobi_matrix
 from wolfes4.grid3d import (
+    ConvergenceError,
     GROUND_SECTOR,
     MAX_G1_SQUARED,
     SECTORS,
@@ -31,9 +24,13 @@ from wolfes4.grid3d import (
     _x2_axis,
     _x2_transfer,
     dvr_nodes,
+    lanczos_lowest,
+    solve_hd_3d,
     solve_sectors,
 )
-from wolfes4.verify import grid3d_richardson_pair
+from wolfes4.model import ModelParams
+from wolfes4.numsolve import richardson
+from wolfes4.verify import grid3d_richardson_pair, verify_3d
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 J = jacobi_matrix()

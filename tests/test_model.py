@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from wolfes4 import (
+from wolfes4.model import (
     EnergyLevel,
     ModelParams,
     QuantumTriple,

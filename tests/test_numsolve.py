@@ -6,24 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from wolfes4 import (
+from wolfes4 import numsolve
+from wolfes4.model import (
+    ModelParams,
+    delta_constant,
+    hf_derivative_closed_form,
+    sho_energy_resolved,
+)
+from wolfes4.numsolve import (
     ChannelKind,
     ChannelSpec,
     Grid1D,
-    ModelParams,
     TridiagonalMatrix,
-    delta_constant,
+    channel_tridiag,
     eigen_tridiag,
     expectation,
-    hf_derivative_closed_form,
+    inverse_square_diag,
     recommended_grid,
     richardson,
-    sho_energy_resolved,
     solve_channel,
     solve_channel_extrapolated,
 )
-from wolfes4 import numsolve
-from wolfes4.numsolve import channel_tridiag, inverse_square_diag
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 

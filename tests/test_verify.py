@@ -6,27 +6,30 @@ import re
 import numpy as np
 import pytest
 
-from wolfes4 import (
-    ChannelKind,
-    ChannelSpec,
+from wolfes4 import grid3d, verify
+from wolfes4.grid3d import lanczos_lowest, solve_hd_3d
+from wolfes4.model import (
     ModelParams,
-    ResolutionError,
-    bk_audit,
+    QuantumTriple,
+    SphericalQuantum,
     composite_energy,
     delta_constant,
-    hellmann_feynman_check,
-    lanczos_lowest,
-    QuantumTriple,
-    resolve_formula_offsets,
+)
+from wolfes4.numsolve import (
+    ChannelKind,
+    ChannelSpec,
     richardson,
-    SphericalQuantum,
     solve_channel_extrapolated,
-    solve_hd_3d,
+)
+from wolfes4.verify import (
+    ResolutionError,
+    bk_audit,
+    hellmann_feynman_check,
+    resolve_formula_offsets,
     verify_3d,
     verify_jacobi_route,
     verify_spherical_route,
 )
-from wolfes4 import grid3d, verify
 
 P3 = ModelParams(omega=1.0, g1_squared=3.0)
 
@@ -134,7 +137,7 @@ class TestJacobiRoute:
 
 @pytest.fixture(scope="module")
 def spherical_report():
-    return verify_spherical_route(P3, ranges=(3, 3, 1), tol=1e-4, offset=1.0)
+    return verify_spherical_route(P3, n_cap=3, tol=1e-4, offset=1.0)
 
 
 class TestSphericalRoute:
@@ -173,8 +176,11 @@ class TestSphericalRoute:
 
     @pytest.mark.parametrize("ranges", [(4, 4, 2), (5, 4, 3)])
     def test_solves_only_the_checked_states(self, monkeypatch, ranges):
-        # both ranges cap the total quanta at 4: the chain solves the 15
-        # (l, m) with l + m <= 4 and, for each, the n with 2n + l + m <= 4
+        # both (m_max, l_max, n_max) boxes cap the total quanta at
+        # min(m_max, l_max, 2 n_max + 1) = 4: the chain solves the 15 (l, m)
+        # with l + m <= 4 and, for each, the n with 2n + l + m <= 4
+        m_max, l_max, n_max = ranges
+        n_cap = min(m_max, l_max, 2 * n_max + 1)
         solved = []
 
         def spy(spec, params, n_points, k):
@@ -182,7 +188,7 @@ class TestSphericalRoute:
             return solve_channel_extrapolated(spec, params, n_points, k)
 
         monkeypatch.setattr(verify, "solve_channel_extrapolated", spy)
-        verify_spherical_route(P3, ranges=ranges, offset=1.0, n_points=201)
+        verify_spherical_route(P3, n_cap=n_cap, offset=1.0, n_points=201)
 
         def levels(kind):
             return [k for kind_, k in solved if kind_ is kind]
@@ -216,7 +222,7 @@ class TestSphericalRoute:
         assert max(abs(trimmed[q] - full[q]) for q in full) <= 2e-9
 
     def test_absurd_tolerance_names_first_mismatch(self):
-        report = verify_spherical_route(P3, ranges=(1, 1, 0), tol=1e-13, offset=1.0)
+        report = verify_spherical_route(P3, n_cap=1, tol=1e-13, offset=1.0)
         assert not report.passed
         pairs = [c for c in report.checks if c.name.startswith("route-pair")]
         # pairing stops at the first level beyond tolerance and names it
