@@ -12,7 +12,6 @@ from wolfes4.model import (
     ModelParams,
     delta_constant,
     enumerate_spectrum,
-    sho_energy_published,
     sho_energy_resolved,
 )
 
@@ -24,7 +23,7 @@ def main() -> None:
 
     print("published vs resolved SHO levels (the printed constant is off by 1/2):")
     for n in range(4):
-        print(f"  n2={n}:  published {sho_energy_published(n, params):.6f}   "
+        print(f"  n2={n}:  published {sho_energy_resolved(n, params, 0.5):.6f}   "
               f"resolved {sho_energy_resolved(n, params, 1.0):.6f}")
 
     print("\nlevel table up to N = 6 (resolved offset):")

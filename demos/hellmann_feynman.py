@@ -20,7 +20,7 @@ def main() -> None:
         print(f"g1^2 = {g}:")
         print(f"  finite difference : {by_name['hf-fd-vs-closed'].measured:.9f}")
         print(f"  expectation value : {by_name['hf-expectation-vs-closed'].measured:.9f}")
-        print(f"  closed form       : {hf_derivative_closed_form(0, params):.9f}")
+        print(f"  closed form       : {hf_derivative_closed_form(params):.9f}")
         print(f"  -> {'PASS' if report.passed else 'FAIL'}\n")
 
 

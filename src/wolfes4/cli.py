@@ -2,9 +2,10 @@
 
 Commands: ``spectrum``, ``verify {jacobi|spherical|3d|all}``, ``hf-check``,
 ``resolve``, ``audit``.  Exit codes: 0 = pass, 1 = verification failure
-(or an eigensolve that did not converge, or a LAPACK failure), 2 = usage or
-configuration error.  Output is JSON (default) or CSV with a fixed float
-format, so identical configurations produce byte-identical reports.
+(or an ambiguous formula resolution, an eigensolve that did not converge,
+or a LAPACK failure), 2 = usage or configuration error.  Output is JSON
+(default) or CSV with a fixed float format, so identical configurations
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .grid3d import (
 )
 from .model import (
     ModelParams,
+    RADIAL_RULES,
     SHO_OFFSET_CANDIDATES,
     enumerate_spectrum,
 )
@@ -273,15 +275,16 @@ def write_state_file(path: str, offset: float, rule: str) -> None:
 
 
 def load_state_file(path: str) -> tuple[float, str] | None:
+    """The stored (offset, rule), or None when the file is absent or holds no usable pair."""
     if not os.path.exists(path):
         return None
-    raw = parse_key_value_file(path)
     try:
+        raw = parse_key_value_file(path)
         offset = float(raw["sho_offset"])
         rule = raw["radial_rule"]
     except (KeyError, ValueError):
         return None
-    if offset not in SHO_OFFSET_CANDIDATES or rule not in ("published", "candidate"):
+    if offset not in SHO_OFFSET_CANDIDATES or rule not in RADIAL_RULES:
         return None
     return offset, rule
 
@@ -341,19 +344,19 @@ def _require_grid_points(config: RunConfig, least: int, where: str,
     raise ValueError(f"--grid-points must be {bound} for {where}, got {n}")
 
 
-def _resolution(config: RunConfig, config_path: str | None):
+def _resolution(config_path: str | None) -> tuple[float, str]:
     """Stored resolution if present, otherwise computed in memory."""
     stored = load_state_file(state_file_path(config_path))
     if stored is not None:
-        return stored[0], stored[1], None
-    offset, rule, report = resolve_formula_offsets()
-    return offset, rule, report
+        return stored
+    offset, rule, _ = resolve_formula_offsets()
+    return offset, rule
 
 
 def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
     stored = load_state_file(state_file_path(config_path))
     if stored is None:
-        offset = 0.5
+        offset = SHO_OFFSET_CANDIDATES[0]
         resolved = None
         sys.stderr.write(
             "warning: formula resolution has not been run; printing the "
@@ -395,11 +398,7 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
         if config.g1_squared > MAX_G1_SQUARED:
             raise ValueError(f"--g1sq must be at most {MAX_G1_SQUARED:g} for the 3D grid, "
                              f"got {config.g1_squared:g}")
-    try:
-        offset, rule, _ = _resolution(config, config_path)
-    except ResolutionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
+    offset, rule = _resolution(config_path)
     resolved = {"sho_offset": offset, "radial_rule": rule}
     report = VerificationReport()
     # under `verify all` --grid-points sizes the 3D grid only: no 1D leg
@@ -437,12 +436,8 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
         params_list = [config.params]
     else:
         params_list = [replace(config.params, g1_squared=g) for g in STANDARD_SWEEP]
-    try:
-        offset, rule, report = resolve_formula_offsets(
-            params_list, **_given(tol=config.tol, n_points=config.grid_points))
-    except ResolutionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
+    offset, rule, report = resolve_formula_offsets(
+        params_list, **_given(tol=config.tol, n_points=config.grid_points))
     write_state_file(state_file_path(config_path), offset, rule)
     resolved = {"sho_offset": offset, "radial_rule": rule}
     emit(config, render_checks(config, report, resolved))
@@ -479,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "audit":
             return cmd_audit(config, args.config)
     # LinAlgError subclasses ValueError but is a solver failure, not a usage error
-    except (ConvergenceError, LinAlgError) as exc:
+    except (ConvergenceError, LinAlgError, ResolutionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_FAIL
     except (ValueError, OSError) as exc:

@@ -438,7 +438,7 @@ def grid_intervals(n_per_axis: int) -> int:
 
 
 def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
-                  counts: dict, tol: float = 1e-8, starts: dict | None = None) -> dict:
+                  counts: dict, starts: dict | None = None) -> dict:
     """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
     ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  X2
@@ -471,7 +471,7 @@ def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
     n_half = n_per_axis // 2
     warm = {sector: u @ _x2_transfer(u.shape[1], n_half)
             for sector, u in (starts or {}).items()}
-    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol, starts=warm)
+    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, starts=warm)
 
 
 def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict) -> float:
@@ -490,7 +490,7 @@ def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict
     starts = {sector: _dvr_transfer(vectors.sum(axis=0), sector, m, m - 2)
               for sector, (_, _, vectors) in solved.items()}
     fewer = _solve(params, n_per_axis, m - 2, extent,
-                   {sector: len(vals) for sector, (vals, _, _) in solved.items()}, 1e-8,
+                   {sector: len(vals) for sector, (vals, _, _) in solved.items()},
                    starts=starts)
     return max(float(np.max(np.abs(fewer[sector][0] - vals)))
                for sector, (vals, _, _) in solved.items())
@@ -505,7 +505,7 @@ def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> flo
 
 
 def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
-           tol: float, states: int | None = None, starts: dict | None = None) -> dict:
+           states: int | None = None, starts: dict | None = None) -> dict:
     """solve_sectors with m DVR nodes per half-axis, for the lowest ``states``.
 
     A sector in ``starts`` starts from the vector given there, on this grid.
@@ -551,7 +551,7 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
         matvec, n = _build_operator(params.g1_squared, n_half, m, extent, sector, J)
         # a restart keeps up to wanted + 6 Ritz vectors; leave room for new ones
         vals, res, vectors = lanczos_lowest(
-            matvec, n, wanted, tol=tol, krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10),
+            matvec, n, wanted, krylov_dim=max(SECTOR_KRYLOV_DIM, 2 * wanted + 10),
             bound=None if states is None else partial(_kth_energy, states, earlier, mult),
             start=(starts or {}).get(sector))
         solved[sector] = vals, res, vectors.reshape(wanted, -1, n_half)
@@ -566,8 +566,7 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
     return solved
 
 
-def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
-                tol: float = 1e-8) -> GridLevels:
+def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int) -> GridLevels:
     """Lowest levels of the relative-motion operator on the 3D grid, each once.
 
     The grid is that of solve_sectors.  The ground level is simple in the
@@ -585,7 +584,7 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int,
     above_ground = k - SECTORS[GROUND_SECTOR]
     counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
               for sector, m in SECTORS.items()}
-    solved = _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, tol, k)
+    solved = _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, k)
     vals = np.concatenate([v for v, _, _ in solved.values()])
     sectors = [sector for sector, (v, _, _) in solved.items() for _ in v]
     vectors = [u for _, _, us in solved.values() for u in us]

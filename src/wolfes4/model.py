@@ -6,9 +6,9 @@ latter carrying the three-particle barrier.  Every energy is a linear
 function of the oscillator frequency ``omega`` and depends on the barrier
 strength only through the constant ``delta = sqrt(1/4 + g1_squared/3)``.
 
-Two printed formulas are kept in both their published form and a corrected
-candidate form; which one is right is decided numerically by the ``verify``
-module, never assumed here.
+Two printed constants, the SHO offset and the radial exponent rule, are
+kept as candidates, the printed one first; which one is right is decided
+numerically by the ``verify`` module, never assumed here.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 #: Admissible additive constants for the SHO level formula omega*(2n + offset + delta).
 SHO_OFFSET_CANDIDATES = (0.5, 1.0)
 
-#: Names of the two candidate exponent rules for the radial level formula.
-RADIAL_RULE_PUBLISHED = "published"
-RADIAL_RULE_CANDIDATE = "candidate"
+#: Candidate exponent rules for the radial level formula, the printed one
+#: first, by name: the coefficient a of s = (sqrt(a k^2 + 1) - 1)/2.
+RADIAL_RULES = {"published": 1.0, "candidate": 4.0}
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,16 @@ def delta_constant(params: ModelParams) -> float:
     return math.sqrt(0.25 + params.g1_squared / 3.0)
 
 
+def _nonnegative_ints(record) -> None:
+    """The __post_init__ of a quantum-number record: every field a nonnegative integer."""
+    for name in record.__dataclass_fields__:
+        v = getattr(record, name)
+        if type(v) is int and v >= 0:
+            continue
+        if not isinstance(v, numbers.Integral) or v < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+
+
 @dataclass(frozen=True, order=True)
 class QuantumTriple:
     """Quantum numbers (n1, n2, n3) of the separated HO + SHO + HO product states."""
@@ -56,13 +66,7 @@ class QuantumTriple:
     n2: int
     n3: int
 
-    def __post_init__(self) -> None:
-        for name in ("n1", "n2", "n3"):
-            v = getattr(self, name)
-            if type(v) is int and v >= 0:
-                continue
-            if not isinstance(v, numbers.Integral) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+    __post_init__ = _nonnegative_ints
 
     @property
     def total_quanta(self) -> int:
@@ -78,13 +82,7 @@ class SphericalQuantum:
     l: int
     m: int
 
-    def __post_init__(self) -> None:
-        for name in ("n_r", "l", "m"):
-            v = getattr(self, name)
-            if type(v) is int and v >= 0:
-                continue
-            if not isinstance(v, numbers.Integral) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+    __post_init__ = _nonnegative_ints
 
 
 def ho_energy(n: int, params: ModelParams) -> float:
@@ -92,17 +90,6 @@ def ho_energy(n: int, params: ModelParams) -> float:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return params.omega * (n + 0.5)
-
-
-def sho_energy_published(n: int, params: ModelParams) -> float:
-    """SHO level exactly as published: omega*(2n + 1/2 + delta).
-
-    Kept verbatim so the published constant can be compared against numerics;
-    use :func:`sho_energy_resolved` for actual spectra.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return params.omega * (2 * n + 0.5 + delta_constant(params))
 
 
 def sho_energy_resolved(n: int, params: ModelParams, offset: float) -> float:
@@ -126,43 +113,25 @@ def composite_energy(t: QuantumTriple, params: ModelParams, offset: float) -> fl
             + ho_energy(t.n3, params))
 
 
-def radial_energy_published(n: int, k_squared: float, params: ModelParams) -> float:
-    """Radial level omega*(2n + s + 3/2) with s = (sqrt(k^2 + 1) - 1)/2, as published."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k_squared < 0:
-        raise ValueError("k_squared must be nonnegative")
-    s = 0.5 * (math.sqrt(k_squared + 1.0) - 1.0)
-    return params.omega * (2 * n + s + 1.5)
-
-
-def radial_energy_candidate(n: int, k_squared: float, params: ModelParams) -> float:
-    """Radial level with the exponent from s(s+1) = k^2, i.e. s = (sqrt(4k^2 + 1) - 1)/2.
-
-    This is what the textbook reduction u = r*R of the radial operator gives;
-    at k^2 = 0 it coincides with the published form.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k_squared < 0:
-        raise ValueError("k_squared must be nonnegative")
-    s = 0.5 * (math.sqrt(4.0 * k_squared + 1.0) - 1.0)
-    return params.omega * (2 * n + s + 1.5)
-
-
 def radial_energy(n: int, k_squared: float, params: ModelParams, rule: str) -> float:
-    """Dispatch on the resolved radial rule name."""
-    if rule == RADIAL_RULE_PUBLISHED:
-        return radial_energy_published(n, k_squared, params)
-    if rule == RADIAL_RULE_CANDIDATE:
-        return radial_energy_candidate(n, k_squared, params)
-    raise ValueError(f"unknown radial rule {rule!r}")
+    """Radial level omega*(2n + s + 3/2) with s = (sqrt(a k^2 + 1) - 1)/2, a = RADIAL_RULES[rule].
+
+    The published rule has a = 1.  The candidate's a = 4 gives s(s+1) = k^2,
+    which the textbook reduction u = r*R of the radial operator gives; at
+    k^2 = 0 the two coincide.
+    """
+    if rule not in RADIAL_RULES:
+        raise ValueError(f"unknown radial rule {rule!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k_squared < 0:
+        raise ValueError("k_squared must be nonnegative")
+    s = 0.5 * (math.sqrt(RADIAL_RULES[rule] * k_squared + 1.0) - 1.0)
+    return params.omega * (2 * n + s + 1.5)
 
 
-def hf_derivative_closed_form(n2: int, params: ModelParams) -> float:
-    """dE_SHO/d(g1_squared) = omega / (6*delta); independent of n2 and of the offset."""
-    if n2 < 0:
-        raise ValueError("n2 must be nonnegative")
+def hf_derivative_closed_form(params: ModelParams) -> float:
+    """dE_SHO/d(g1_squared) = omega / (6*delta), the same for every level and offset."""
     return params.omega / (6.0 * delta_constant(params))
 
 

@@ -30,8 +30,7 @@ from .grid3d import (
 from .model import (
     ModelParams,
     QuantumTriple,
-    RADIAL_RULE_CANDIDATE,
-    RADIAL_RULE_PUBLISHED,
+    RADIAL_RULES,
     SHO_OFFSET_CANDIDATES,
     SphericalQuantum,
     composite_energy,
@@ -39,6 +38,7 @@ from .model import (
     enumerate_spectrum,
     hf_derivative_closed_form,
     radial_energy,
+    sho_energy_resolved,
 )
 from .numsolve import (
     ChannelKind,
@@ -135,53 +135,42 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
         raise ValueError("params_list must be nonempty")
 
     report = VerificationReport()
-    ns = np.arange(RESOLUTION_LEVELS)
-
+    sho_cases = [(p,) for p in params_list]
+    omegas = sorted({p.omega for p in params_list})
+    radial_cases = [(k2, ModelParams(omega=w, g1_squared=0.0))
+                    for w in omegas for k2 in STANDARD_RADIAL_KSQ]
     sho_spec = ChannelSpec(ChannelKind.SHO)
     sho_numeric = _pmap(
-        lambda p: solve_channel_extrapolated(sho_spec, p, n_points, RESOLUTION_LEVELS),
-        list(params_list))
-
-    sho_resid = {off: 0.0 for off in SHO_OFFSET_CANDIDATES}
-    table: dict = {"sho": {}, "radial": {}}
-    sho_printed = []  # residual of the printed offset 1/2, per parameter set
-    for p, e_num in zip(params_list, sho_numeric):
-        d = delta_constant(p)
-        for off in SHO_OFFSET_CANDIDATES:
-            closed = p.omega * (2 * ns + off + d)
-            r = float(np.max(np.abs(e_num - closed))) / p.omega
-            sho_resid[off] = max(sho_resid[off], r)
-            table["sho"][(p.g1_squared, off)] = r
-        sho_printed.append(table["sho"][(p.g1_squared, 0.5)])
-
-    omegas = sorted({p.omega for p in params_list})
-    rules = (RADIAL_RULE_PUBLISHED, RADIAL_RULE_CANDIDATE)
-    radial_resid = {rule: 0.0 for rule in rules}
-    radial_printed = []  # residual of the published rule, per radial case
-    radial_cases = [(w, k2) for w in omegas for k2 in STANDARD_RADIAL_KSQ]
+        lambda case: solve_channel_extrapolated(sho_spec, case[0], n_points, RESOLUTION_LEVELS),
+        sho_cases)
     radial_numeric = _pmap(
         lambda case: solve_channel_extrapolated(
-            ChannelSpec(ChannelKind.RADIAL, coefficient=case[1]),
-            ModelParams(omega=case[0], g1_squared=0.0), n_points, RESOLUTION_LEVELS),
+            ChannelSpec(ChannelKind.RADIAL, coefficient=case[0]), case[1], n_points,
+            RESOLUTION_LEVELS),
         radial_cases)
-    for (w, k2), e_num in zip(radial_cases, radial_numeric):
-        p = ModelParams(omega=w, g1_squared=0.0)
-        for rule in rules:
-            closed = np.array([radial_energy(int(n), k2, p, rule) for n in ns])
-            r = float(np.max(np.abs(e_num - closed))) / w
-            radial_resid[rule] = max(radial_resid[rule], r)
-            table["radial"][(w, k2, rule)] = r
-        radial_printed.append(table["radial"][(w, k2, RADIAL_RULE_PUBLISHED)])
 
-    sho_winners = [off for off in SHO_OFFSET_CANDIDATES if sho_resid[off] < tol]
-    radial_winners = [rule for rule in rules if radial_resid[rule] < tol]
-    if len(sho_winners) != 1 or len(radial_winners) != 1:
+    # A case holds the closed form's arguments before the candidate, its
+    # ModelParams last; table[family][i] is case i's residual by candidate.
+    table: dict = {}
+    worst: dict = {}
+    for family, cases, numeric, candidates, closed_form in (
+            ("sho", sho_cases, sho_numeric, SHO_OFFSET_CANDIDATES, sho_energy_resolved),
+            ("radial", radial_cases, radial_numeric, RADIAL_RULES, radial_energy)):
+        table[family] = []
+        for case, e_num in zip(cases, numeric):
+            by_candidate = {}
+            for c in candidates:
+                closed = np.array([closed_form(n, *case, c) for n in range(RESOLUTION_LEVELS)])
+                by_candidate[c] = float(np.max(np.abs(e_num - closed))) / case[-1].omega
+            table[family].append(by_candidate)
+        worst[family] = {c: max(r[c] for r in table[family]) for c in candidates}
+    winners = [[c for c, r in resid.items() if r < tol] for resid in worst.values()]
+    if any(len(w) != 1 for w in winners):
         raise ResolutionError(
             "formula resolution is ambiguous or matched nothing: "
-            f"sho residuals {sho_resid}, radial residuals {radial_resid}",
+            f"sho residuals {worst['sho']}, radial residuals {worst['radial']}",
             table=table)
-    offset = sho_winners[0]
-    rule = radial_winners[0]
+    (offset,), (rule,) = winners
 
     # analytically forced anchors
     zero_barrier = [p for p in params_list if p.g1_squared == 0.0]
@@ -190,27 +179,29 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
         ground = sho_numeric[list(params_list).index(p0)][0]
         report.add("sho-anchor[g1sq=0]", ground, 1.5 * p0.omega, ANCHOR_TOL * p0.omega,
                    "half-line Dirichlet oscillator forces omega*(2n + 3/2)")
-    e = radial_numeric[radial_cases.index((omegas[0], 2.0))][0]
-    report.add("radial-anchor[k2=2]", e, 2.5 * omegas[0], ANCHOR_TOL * omegas[0],
+    w = omegas[0]
+    e = radial_numeric[radial_cases.index((2.0, ModelParams(omega=w, g1_squared=0.0)))][0]
+    report.add("radial-anchor[k2=2]", e, 2.5 * w, ANCHOR_TOL * w,
                "k^2 = 2 is the l = 1 isotropic-oscillator channel, "
                "E = omega*(2n + l + 3/2)")
 
-    report.add("sho-offset-unique", sho_resid[offset], 0.0, tol,
-               f"selected offset {offset}; residuals by candidate: "
-               + ", ".join(f"{o} -> {sho_resid[o]:.3e}" for o in SHO_OFFSET_CANDIDATES))
-    report.add("radial-rule-unique", radial_resid[rule], 0.0, tol,
-               f"selected rule {rule}; residuals by candidate: "
-               + ", ".join(f"{r} -> {radial_resid[r]:.3e}" for r in rules))
+    for family, word, choice in (("sho", "offset", offset), ("radial", "rule", rule)):
+        report.add(f"{family}-{word}-unique", worst[family][choice], 0.0, tol,
+                   f"selected {word} {choice}; residuals by candidate: "
+                   + ", ".join(f"{c} -> {r:.3e}" for c, r in worst[family].items()))
 
-    # discrepancy table against the printed forms (informational, never gates)
-    for p, r in zip(params_list, sho_printed):
-        report.add(f"discrepancy-sho-printed[g1sq={p.g1_squared:g}]", r, 0.0,
-                   math.inf, "informational: residual of the printed "
-                   "omega*(2n + 1/2 + delta) against the numerics", ok=True)
-    for (w, k2), r in zip(radial_cases, radial_printed):
-        report.add(f"discrepancy-radial-printed[k2={k2:g},omega={w:g}]", r, 0.0,
-                   math.inf, "informational: residual of the printed "
-                   "s = (sqrt(k^2 + 1) - 1)/2 rule against the numerics", ok=True)
+    # discrepancy table against the printed forms, each family's first
+    # candidate (informational, never gates)
+    for family, labels, printed in (
+            ("sho", [f"g1sq={p.g1_squared:g}" for p in params_list],
+             "omega*(2n + 1/2 + delta)"),
+            ("radial", [f"k2={k2:g},omega={p.omega:g}" for k2, p in radial_cases],
+             "s = (sqrt(k^2 + 1) - 1)/2 rule")):
+        for label, by_candidate in zip(labels, table[family]):
+            report.add(f"discrepancy-{family}-printed[{label}]",
+                       next(iter(by_candidate.values())), 0.0, math.inf,
+                       f"informational: residual of the printed {printed} "
+                       "against the numerics", ok=True)
     return offset, rule, report
 
 
@@ -353,7 +344,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
     d_exp = float(richardson(vals[0], vals[1], 2.0 ** min(1.0, delta_constant(params))))
 
-    d_closed = hf_derivative_closed_form(n2, params)
+    d_closed = hf_derivative_closed_form(params)
 
     report.add("hf-fd-vs-closed", d_fd, d_closed, tol,
                f"central difference, step {delta_g2:g}")

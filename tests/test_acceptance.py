@@ -137,8 +137,8 @@ def test_criterion_06_scaling_law(resolution):
         e1 = solve_channel_extrapolated(spec, p1, 1001, 4)
         e2 = solve_channel_extrapolated(spec, p2, 1001, 4)
         numeric_dev = max(numeric_dev, float(np.max(np.abs(e2 - 2 * e1))))
-    g1 = solve_hd_3d(p1, 33, 7.0, k=2, tol=1e-9).eigenvalues
-    g2 = solve_hd_3d(p2, 33, 7.0, k=2, tol=1e-9).eigenvalues
+    g1 = solve_hd_3d(p1, 33, 7.0, k=2).eigenvalues
+    g2 = solve_hd_3d(p2, 33, 7.0, k=2).eigenvalues
     grid_dev = float(np.max(np.abs(g2 - 2 * g1)))
 
     ok = closed_dev <= 1e-12 and numeric_dev <= 2e-4 and grid_dev <= 1e-6

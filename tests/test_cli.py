@@ -105,6 +105,19 @@ class TestConfigFiles:
         assert parse_key_value_file(str(workdir / "state.txt")) == {
             "sho_offset": "1", "radial_rule": "candidate"}
 
+    @pytest.mark.parametrize("text", [
+        b"garbage\n", b"sho_offset = zz\nradial_rule = candidate\n",
+        b"sho_offset = 1\nradial_rule = bogus\n", b"sho_offset = 1\n",
+        b"sho_offset = \xff\nradial_rule = candidate\n"])
+    def test_unusable_state_file_counts_as_absent(self, workdir, capsys, text):
+        state = workdir / cli.STATE_FILE_NAME
+        for argv in (("spectrum",), ("verify", "jacobi", "--max-quanta", "2")):
+            state.write_bytes(text)
+            unusable = run_cli(capsys, *argv)
+            state.unlink()
+            assert unusable == run_cli(capsys, *argv)
+            assert unusable[0] == EXIT_PASS
+
     def test_malformed_line_rejected(self, workdir):
         cfg = workdir / "run.cfg"
         cfg.write_text("omega 2.0\n")
@@ -204,6 +217,25 @@ class TestReportBytes:
         code, out, err = run_cli(capsys, "spectrum", *argv)
         assert code == EXIT_PASS and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("argv, code, sha256", [
+        ((), EXIT_PASS, "5b5e4c7a3418fff0b41aa33436dbb64e9443c646fcf2c163e22d92bf2c37cb28"),
+        (("--format", "csv"), EXIT_PASS,
+         "140f622d2fc698fd0ae7ef9a2794802f2ee1f48d6687e7926f9b6312266ec39c"),
+        (("--g1sq", "0.3"), EXIT_PASS,
+         "109036e2ccd41fb293534e3ec6f0eddb5f392bcb1da53125d064492afe1be05e"),
+        (("--omega", "2.5"), EXIT_PASS,
+         "6fda3d5527c8bb3a9f2708864f1188c6c3394361d00674125a0e238290b3352a"),
+        (("--grid-points", "301", "--tol", "1e-15"), EXIT_FAIL,
+         "021b086c46e552442343925f7baafa5bc4215e423aa784c0d8bdbe3d642f9f51"),
+    ])
+    def test_resolve_report_bytes(self, workdir, capsys, argv, code, sha256):
+        # the report on stdout, or on failure the error line with every
+        # candidate's residual on stderr; the residuals hold to the last bit
+        # on one LAPACK build only, as do the Lanczos pins of test_grid3d
+        got, out, err = run_cli(capsys, "resolve", *argv)
+        assert got == code and (out == "") == (code == EXIT_FAIL)
+        assert hashlib.sha256((err if code else out).encode()).hexdigest() == sha256
 
     @staticmethod
     def _report():

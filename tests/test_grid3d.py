@@ -196,7 +196,7 @@ class TestDvrAxis:
 
 class TestSolver:
     def test_matches_tensor_sum_oracle(self):
-        res = solve_hd_3d(P, 16, 5.0, k=5, tol=1e-9)
+        res = solve_hd_3d(P, 16, 5.0, k=5)
         oracle = tensor_sum_oracle(P, *grid(16, 5.0), 5)
         assert states(res, 5) == pytest.approx(oracle, abs=1e-8)
 
@@ -225,25 +225,25 @@ class TestSolver:
     def test_second_order_convergence(self, g1_squared):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
         exact = 2.0 + np.sqrt(0.25 + g1_squared / 3.0)
-        coarse = solve_hd_3d(params, 21, 5.0, k=1, tol=1e-9).eigenvalues[0]
-        fine = solve_hd_3d(params, 43, 5.0, k=1, tol=1e-9).eigenvalues[0]
+        coarse = solve_hd_3d(params, 21, 5.0, k=1).eigenvalues[0]
+        fine = solve_hd_3d(params, 43, 5.0, k=1).eigenvalues[0]
         ratio = (coarse - exact) / (fine - exact)
         assert 3.3 <= ratio <= 4.7
 
     def test_deterministic(self):
-        a = solve_hd_3d(P, 18, 5.0, k=3, tol=1e-9)
-        b = solve_hd_3d(P, 18, 5.0, k=3, tol=1e-9)
+        a = solve_hd_3d(P, 18, 5.0, k=3)
+        b = solve_hd_3d(P, 18, 5.0, k=3)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_residual_bound_reported(self):
-        res = solve_hd_3d(P, 18, 5.0, k=3, tol=1e-9)
+        res = solve_hd_3d(P, 18, 5.0, k=3)
         assert 0.0 <= res.residual_bound <= 1e-8
 
     def test_omega_scaling_exact_on_grid(self):
         # the box is in oscillator lengths 1/sqrt(omega), which makes the
         # operator an exact multiple, so the spectra double to rounding
-        e1 = solve_hd_3d(ModelParams(1.0, 3.0), 18, 5.0, k=3, tol=1e-10).eigenvalues
-        e2 = solve_hd_3d(ModelParams(2.0, 3.0), 18, 5.0, k=3, tol=1e-10).eigenvalues
+        e1 = solve_hd_3d(ModelParams(1.0, 3.0), 18, 5.0, k=3).eigenvalues
+        e2 = solve_hd_3d(ModelParams(2.0, 3.0), 18, 5.0, k=3).eigenvalues
         assert e2 == pytest.approx(2.0 * e1, rel=1e-7)
 
     @pytest.mark.parametrize("g1_squared", [0.0, 0.3, 1.0, 3.0, 7.5, 100.0, 300.0])
@@ -667,7 +667,7 @@ class TestWarmStart:
                             or fewer[-1])
         grid3d.dvr_change(params, n_per_axis // 2, extent, partner)
         m = dvr_nodes(extent)
-        cold_fewer = real(params, n_per_axis // 2, m - 2, extent, counts, 1e-8)
+        cold_fewer = real(params, n_per_axis // 2, m - 2, extent, counts)
         for sector in counts:
             assert partner[sector][0] == pytest.approx(cold[sector][0], abs=1e-11)
             assert fewer[0][sector][0] == pytest.approx(cold_fewer[sector][0], abs=1e-11)

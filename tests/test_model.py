@@ -18,9 +18,7 @@ from wolfes4.model import (
     enumerate_spectrum,
     hf_derivative_closed_form,
     ho_energy,
-    radial_energy_candidate,
-    radial_energy_published,
-    sho_energy_published,
+    radial_energy,
     sho_energy_resolved,
 )
 
@@ -95,10 +93,10 @@ class TestHoEnergy:
 
 class TestShoEnergy:
     def test_published_examples(self):
-        assert sho_energy_published(0, P1) == pytest.approx(0.5 + math.sqrt(5) / 2,
-                                                            rel=1e-15)
-        assert sho_energy_published(0, P0) == 1.0
-        assert sho_energy_published(2, P0) == 5.0
+        assert sho_energy_resolved(0, P1, 0.5) == pytest.approx(0.5 + math.sqrt(5) / 2,
+                                                                rel=1e-15)
+        assert sho_energy_resolved(0, P0, 0.5) == 1.0
+        assert sho_energy_resolved(2, P0, 0.5) == 5.0
 
     def test_resolved_zero_coupling_forced(self):
         # the half-line Dirichlet oscillator has levels omega*(2n + 3/2)
@@ -130,37 +128,47 @@ class TestCompositeEnergy:
 
 class TestRadialEnergy:
     def test_published(self):
-        assert radial_energy_published(0, 0.0, P1) == 1.5
-        assert radial_energy_published(0, 2.0, P1) == pytest.approx(
+        assert radial_energy(0, 0.0, P1, "published") == 1.5
+        assert radial_energy(0, 2.0, P1, "published") == pytest.approx(
             1.5 + (math.sqrt(3) - 1) / 2, rel=1e-15)
-        assert radial_energy_published(1, 0.0, ModelParams(omega=2.0)) == 7.0
+        assert radial_energy(1, 0.0, ModelParams(omega=2.0), "published") == 7.0
 
     def test_candidate(self):
-        assert radial_energy_candidate(0, 0.0, P1) == 1.5
-        assert radial_energy_candidate(0, 2.0, P1) == 2.5
-        assert radial_energy_candidate(0, 6.0, P1) == 3.5
+        assert radial_energy(0, 0.0, P1, "candidate") == 1.5
+        assert radial_energy(0, 2.0, P1, "candidate") == 2.5
+        assert radial_energy(0, 6.0, P1, "candidate") == 3.5
 
     def test_coincide_only_at_zero(self):
-        assert radial_energy_published(2, 0.0, P1) == radial_energy_candidate(2, 0.0, P1)
+        assert radial_energy(2, 0.0, P1, "published") == radial_energy(2, 0.0, P1, "candidate")
         for k2 in (0.5, 2.0, 6.0, 11.3):
-            assert radial_energy_published(0, k2, P1) != radial_energy_candidate(0, k2, P1)
+            assert radial_energy(0, k2, P1, "published") != radial_energy(0, k2, P1, "candidate")
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ValueError, match="unknown radial rule"):
+            radial_energy(0, 2.0, P1, "textbook")
 
 
 class TestHfDerivative:
     def test_values(self):
-        assert hf_derivative_closed_form(0, P0) == pytest.approx(1 / 3, rel=1e-15)
-        assert hf_derivative_closed_form(0, P1) == pytest.approx(1 / (3 * math.sqrt(5)),
+        assert hf_derivative_closed_form(P0) == pytest.approx(1 / 3, rel=1e-15)
+        assert hf_derivative_closed_form(P1) == pytest.approx(1 / (3 * math.sqrt(5)),
                                                                  rel=1e-15)
-        assert hf_derivative_closed_form(0, ModelParams(omega=2.0, g1_squared=3.0)) \
+        assert hf_derivative_closed_form(ModelParams(omega=2.0, g1_squared=3.0)) \
             == pytest.approx(2 / (3 * math.sqrt(5)), rel=1e-15)
 
     def test_independent_of_level(self):
-        assert hf_derivative_closed_form(0, P1) == hf_derivative_closed_form(5, P1)
+        # every SHO level moves with g1^2 at the one rate the closed form gives
+        h = 1e-4
+        for n2 in (0, 5):
+            up, down = (sho_energy_resolved(n2, ModelParams(g1_squared=3.0 + s), 1.0)
+                        for s in (h, -h))
+            assert (up - down) / (2 * h) == pytest.approx(hf_derivative_closed_form(P1),
+                                                          rel=1e-7)
 
     def test_always_positive(self):
         for g in (0.0, 0.3, 1.0, 3.0, 7.5, 100.0):
             for w in (0.5, 1.0, 2.0):
-                assert hf_derivative_closed_form(0, ModelParams(w, g)) > 0.0
+                assert hf_derivative_closed_form(ModelParams(w, g)) > 0.0
 
 
 class TestScaling:
@@ -177,13 +185,15 @@ class TestScaling:
         scaled = ModelParams(omega=omega, g1_squared=3.0)
         cases = [
             (ho_energy(2, unit), ho_energy(2, scaled)),
-            (sho_energy_published(1, unit), sho_energy_published(1, scaled)),
+            (sho_energy_resolved(1, unit, 0.5), sho_energy_resolved(1, scaled, 0.5)),
             (sho_energy_resolved(1, unit, 1.0), sho_energy_resolved(1, scaled, 1.0)),
             (composite_energy(QuantumTriple(1, 1, 0), unit, 1.0),
              composite_energy(QuantumTriple(1, 1, 0), scaled, 1.0)),
-            (radial_energy_published(1, 2.0, unit), radial_energy_published(1, 2.0, scaled)),
-            (radial_energy_candidate(1, 2.0, unit), radial_energy_candidate(1, 2.0, scaled)),
-            (hf_derivative_closed_form(0, unit), hf_derivative_closed_form(0, scaled)),
+            (radial_energy(1, 2.0, unit, "published"),
+             radial_energy(1, 2.0, scaled, "published")),
+            (radial_energy(1, 2.0, unit, "candidate"),
+             radial_energy(1, 2.0, scaled, "candidate")),
+            (hf_derivative_closed_form(unit), hf_derivative_closed_form(scaled)),
         ]
         for at_unit, at_omega in cases:
             assert at_omega == pytest.approx(omega * at_unit, rel=1e-12)
@@ -194,7 +204,8 @@ class TestMonotonicity:
         for n in range(6):
             assert ho_energy(n + 1, P1) > ho_energy(n, P1)
             assert sho_energy_resolved(n + 1, P1, 1.0) > sho_energy_resolved(n, P1, 1.0)
-            assert radial_energy_candidate(n + 1, 2.0, P1) > radial_energy_candidate(n, 2.0, P1)
+            assert (radial_energy(n + 1, 2.0, P1, "candidate")
+                    > radial_energy(n, 2.0, P1, "candidate"))
 
     def test_nondecreasing_in_coupling(self):
         gs = [0.0, 0.5, 1.0, 3.0, 7.5]

@@ -373,7 +373,7 @@ class TestExpectation:
     def test_barrier_expectation_matches_derivative(self, sho_ground):
         v, grid = sho_ground
         got = expectation(v, lambda x: 1.0 / (6.0 * x**2), grid)
-        assert got == pytest.approx(hf_derivative_closed_form(0, P), abs=1e-5)
+        assert got == pytest.approx(hf_derivative_closed_form(P), abs=1e-5)
 
     def test_nonfinite_observable_rejected(self, sho_ground):
         v, grid = sho_ground

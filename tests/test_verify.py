@@ -1,5 +1,6 @@
 """Formula resolution, route equivalence, Hellmann-Feynman, audit, 3D check."""
 
+import ast
 import math
 import re
 
@@ -77,6 +78,33 @@ class TestResolution:
         with pytest.raises(ResolutionError) as err:
             resolve_formula_offsets(n_points=301, tol=1e-15)
         assert err.value.table  # residual table attached
+
+    def test_a_coupling_repeated_at_two_omegas_keeps_both_cases(self):
+        sweep = [ModelParams(1.0, 3.0), ModelParams(2.0, 3.0), ModelParams(1.0, 0.0)]
+
+        def residuals(params_list):
+            # at tol 0 nothing fits, and the error gives each family's worst
+            # residual by candidate
+            with pytest.raises(ResolutionError) as err:
+                resolve_formula_offsets(params_list, n_points=1001, tol=0.0)
+            return [ast.literal_eval(d) for d in re.findall(r"\{[^}]*\}", str(err.value))]
+
+        singles = [residuals([p]) for p in sweep]
+        fits = residuals(sweep)
+        assert len(fits) == 2
+        for family, worst in enumerate(fits):
+            assert worst == {c: max(s[family][c] for s in singles) for c in worst}
+
+        def printed(report, family):
+            return [(c.name, c.measured) for c in report.checks
+                    if c.name.startswith(f"discrepancy-{family}")]
+
+        reports = [resolve_formula_offsets([p], n_points=1001)[2] for p in sweep]
+        _, _, report = resolve_formula_offsets(sweep, n_points=1001)
+        # each case keeps its own entry, both g1^2 = 3 ones among them
+        assert printed(report, "sho") == [e for r in reports for e in printed(r, "sho")]
+        assert printed(report, "radial") == printed(reports[0], "radial") + printed(
+            reports[1], "radial")
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError):
