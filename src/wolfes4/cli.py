@@ -54,8 +54,9 @@ STATE_FILE_NAME = "resolved_constants.txt"
 #: Largest --max-quanta.  The triples grow as the cube of it: 60 gives ~20k
 #: and a 1.2 MB spectrum report.
 MAX_QUANTA = 60
-#: Largest --g1sq.  The 1D routes pass to 3e4; from 5e4 the ground state's
-#: peak nears the half-line box edge.  The 3D grid takes less.
+#: Largest --g1sq.  Every 1D command passes at it at --max-quanta 60; their
+#: boxes follow the levels, so `verify jacobi` there passes to 1e6 too.  The
+#: 3D grid takes less.
 MAX_G1SQ = 1e4
 #: Largest 1D --grid-points.  Rounding in the 1/h^2 entries grows as n^2 and
 #: the discretization error falls as n^-2; from 5e4 points hf-check fails.
@@ -275,14 +276,15 @@ def write_state_file(path: str, offset: float, rule: str) -> None:
 
 
 def load_state_file(path: str) -> tuple[float, str] | None:
-    """The stored (offset, rule), or None when the file is absent or holds no usable pair."""
+    """The stored (offset, rule), or None when the file is absent, unreadable or
+    holds no usable pair."""
     if not os.path.exists(path):
         return None
     try:
         raw = parse_key_value_file(path)
         offset = float(raw["sho_offset"])
         rule = raw["radial_rule"]
-    except (KeyError, ValueError):
+    except (KeyError, ValueError, OSError):
         return None
     if offset not in SHO_OFFSET_CANDIDATES or rule not in RADIAL_RULES:
         return None

@@ -1,11 +1,14 @@
 """Finite-difference eigensolvers for the five 1D operator channels.
 
 Every channel is a Dirichlet problem on a uniform grid with the standard
-3-point stencil.  A channel's kind fixes its domain (``recommended_grid``:
-(-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for the angular kinds),
-so ``solve_channel`` takes only a point count and returns the grid with its
-result; ``n_points`` and ``2 * n_points + 1`` give the same domain at half
-the spacing.
+3-point stencil.  A channel's kind fixes its spacing (``recommended_grid``:
+n_points nodes on (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for
+the angular kinds), so ``solve_channel`` takes a point count and returns the
+grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
+domain at half the spacing.  The levels fix the box: the Richardson pair of
+an oscillator kind (``solve_channel_extrapolated``) solves its fine grid
+only out to where its highest level has decayed, and on a longer box at the
+same spacing where the default one is too short.
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -308,11 +311,12 @@ def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> Tri
 
 
 def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
-                  want_vectors: bool = False) -> EigenResult:
+                  want_vectors: bool = False, nodes: int | None = None) -> EigenResult:
     """Lowest k eigenvalues of the channel on its ``recommended_grid`` of n_points nodes.
 
-    The channel's kind fixes the domain, so the point count is all a caller
-    chooses; the result carries the grid for integrals over its vectors.
+    The channel's kind and the point count fix the spacing; ``nodes`` keeps
+    that spacing on a box of ``nodes`` nodes instead (``recommended_grid``).
+    The result carries the grid for integrals over its vectors.
     A kind of ``MIRROR_KINDS`` solves as its even and odd half-problems
     (``_solve_mirror``: ceil(k/2) even and floor(k/2) odd levels, interleaved
     by the oscillation theorem; the residual of the unfolded vectors is
@@ -322,7 +326,7 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
     k^2 (symmetric-operator eigenvalues minus 1/4) for ANGULAR_THETA, whose
     vectors are those of the symmetrized substitution w = sqrt(sin)*Theta.
     """
-    grid = recommended_grid(spec.kind, params, n_points)
+    grid = recommended_grid(spec.kind, params, n_points, nodes)
     T = channel_tridiag(spec, params, grid)
     if spec.kind in MIRROR_KINDS:
         res = _solve_mirror(T, k, want_vectors)
@@ -338,25 +342,43 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
                        residual_bound=res.residual_bound, grid=grid)
 
 
-#: Half-width of the HO box in units of 1/sqrt(omega); truncation error < 1e-12.
+#: Half-width of the default HO box in units of 1/sqrt(omega).
 HO_EXTENT = 12.0
 #: Extra margin for the half-line channels, whose states reach farther out.
 HALF_LINE_MARGIN = 2.0
+#: Kinds whose box ``solve_channel_extrapolated`` fits to the levels it solves.
+OSCILLATOR_KINDS = frozenset({ChannelKind.HO, ChannelKind.SHO, ChannelKind.RADIAL})
+#: WKB decay at which a pair's box ends: exp(-20) of the amplitude at the
+#: highest level's outer turning point, so the wall shifts it by about exp(-40).
+BOX_DECAY = 20.0
 
 
-def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int) -> Grid1D:
-    """Default solve domain for a channel, scaled with 1/sqrt(omega).
+def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
+                     nodes: int | None = None) -> Grid1D:
+    """Solve domain of a channel: the spacing of n_points nodes on the kind's default box.
 
-    Scaling the box with 1/sqrt(omega) makes the discrete operators at
-    different omega exact multiples of each other, so the scaling law holds
-    on the grid and not just in the limit.
+    The default boxes are (-L, L) for HO and (0, L + margin) for SHO and
+    RADIAL, with L = ``HO_EXTENT`` / sqrt(omega), and (0, pi) for the
+    angular kinds.  ``nodes`` keeps that spacing on the box scaled about 0 to
+    hold ``nodes`` nodes: symmetric for HO, from the wall at 0 for SHO and
+    RADIAL; the angular kinds keep (0, pi).  Scaling the box with
+    1/sqrt(omega) makes the discrete operators at different omega exact
+    multiples of each other, so the scaling law holds on the grid and not
+    just in the limit.
     """
+    if kind not in OSCILLATOR_KINDS:
+        if nodes is not None:
+            raise ValueError(f"the {kind.value} channel keeps its box (0, pi)")
+        return Grid1D(0.0, math.pi, n_points)
     scale = 1.0 / math.sqrt(params.omega)
     if kind is ChannelKind.HO:
-        return Grid1D(-HO_EXTENT * scale, HO_EXTENT * scale, n_points)
-    if kind in (ChannelKind.SHO, ChannelKind.RADIAL):
-        return Grid1D(0.0, (HO_EXTENT + HALF_LINE_MARGIN) * scale, n_points)
-    return Grid1D(0.0, math.pi, n_points)
+        lower, upper = -HO_EXTENT * scale, HO_EXTENT * scale
+    else:
+        lower, upper = 0.0, (HO_EXTENT + HALF_LINE_MARGIN) * scale
+    if nodes is None:
+        return Grid1D(lower, upper, n_points)
+    stretch = (nodes + 1) / (n_points + 1)
+    return Grid1D(lower * stretch, upper * stretch, nodes)
 
 
 def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray, ratio: float = 2.0):
@@ -365,11 +387,53 @@ def richardson(e_h: float | np.ndarray, e_half: float | np.ndarray, ratio: float
     return (r2 * e_half - e_h) / (r2 - 1.0)
 
 
+def _box_nodes(spec: ChannelSpec, params: ModelParams, n_points: int, nodes: int,
+               level: float) -> int | None:
+    """Nodes of the box whose wall lies where ``level`` has decayed by exp(-BOX_DECAY).
+
+    Both counts are at the spacing of n_points nodes on the default box; the
+    search runs over the box of ``nodes`` nodes and gives None if the decay
+    does not reach BOX_DECAY inside it.  The decay is the WKB integral of
+    sqrt(2 (V - level)) outward from the outer turning point, with V read
+    from the assembled diagonal, 1/h^2 + V.
+    """
+    grid = recommended_grid(spec.kind, params, n_points, nodes)
+    h = grid.spacing
+    excess = channel_tridiag(spec, params, grid).diag - 1.0 / h**2 - level
+    allowed = np.flatnonzero(excess <= 0.0)
+    turn = allowed[-1] + 1 if len(allowed) else 0
+    decay = np.cumsum(np.sqrt(2.0 * excess[turn:])) * h
+    edge = int(np.searchsorted(decay, BOX_DECAY))
+    if edge == len(decay):
+        return None
+    cut = nodes - int(turn + edge)  # nodes from the wall outward, cut at the upper end
+    return nodes - (2 * cut if spec.kind is ChannelKind.HO else cut)
+
+
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
                                k: int) -> np.ndarray:
-    """Eigenvalues Richardson-extrapolated from n_points and 2 n_points + 1 (h and h/2)."""
+    """Eigenvalues Richardson-extrapolated from n_points and 2 n_points + 1 (h and h/2).
+
+    An ``OSCILLATOR_KINDS`` pair solves the fine grid only out to where its
+    highest coarse level has decayed (``_box_nodes``), as a node subset of
+    the 2 n_points + 1 grid at exactly h/2, and never on fewer nodes than
+    levels.  Where that edge lies beyond the default box, the coarse grid is
+    first solved again on the longer box at the same spacing.  The angular
+    kinds keep (0, pi).
+    """
     e_h = solve_channel(spec, params, n_points, k).eigenvalues
-    e_half = solve_channel(spec, params, 2 * n_points + 1, k).eigenvalues
+    if spec.kind not in OSCILLATOR_KINDS:
+        return richardson(e_h, solve_channel(spec, params, 2 * n_points + 1, k).eigenvalues)
+    reach = n_points
+    while (box := _box_nodes(spec, params, n_points, reach, e_h[-1])) is None:
+        # look farther out; an odd factor keeps HO's node parity, so the longer
+        # box holds the default nodes and, by interlacing, no higher levels
+        reach *= 3
+    if box > n_points:
+        e_h = solve_channel(spec, params, n_points, k, nodes=box).eigenvalues
+        box = _box_nodes(spec, params, n_points, reach, e_h[-1])
+    box = max(box, k // 2, 1)
+    e_half = solve_channel(spec, params, 2 * n_points + 1, k, nodes=2 * box + 1).eigenvalues
     return richardson(e_h, e_half)
 
 

@@ -193,7 +193,7 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     # discrepancy table against the printed forms, each family's first
     # candidate (informational, never gates)
     for family, labels, printed in (
-            ("sho", [f"g1sq={p.g1_squared:g}" for p in params_list],
+            ("sho", [f"g1sq={p.g1_squared:g},omega={p.omega:g}" for p in params_list],
              "omega*(2n + 1/2 + delta)"),
             ("radial", [f"k2={k2:g},omega={p.omega:g}" for k2, p in radial_cases],
              "s = (sqrt(k^2 + 1) - 1)/2 rule")):

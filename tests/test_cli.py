@@ -118,6 +118,16 @@ class TestConfigFiles:
             assert unusable == run_cli(capsys, *argv)
             assert unusable[0] == EXIT_PASS
 
+    def test_unreadable_state_file_counts_as_absent(self, workdir, capsys):
+        # a directory in its place: spectrum and verify go on as without
+        # one, and only resolve, which must write it, fails
+        argvs = (("spectrum",), ("verify", "jacobi", "--max-quanta", "2"))
+        absent = [run_cli(capsys, *argv) for argv in argvs]
+        (workdir / cli.STATE_FILE_NAME).mkdir()
+        assert [run_cli(capsys, *argv) for argv in argvs] == absent
+        code, out, err = run_cli(capsys, "resolve")
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+
     def test_malformed_line_rejected(self, workdir):
         cfg = workdir / "run.cfg"
         cfg.write_text("omega 2.0\n")
@@ -219,15 +229,21 @@ class TestReportBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv, code, sha256", [
-        ((), EXIT_PASS, "5b5e4c7a3418fff0b41aa33436dbb64e9443c646fcf2c163e22d92bf2c37cb28"),
-        (("--format", "csv"), EXIT_PASS,
-         "140f622d2fc698fd0ae7ef9a2794802f2ee1f48d6687e7926f9b6312266ec39c"),
-        (("--g1sq", "0.3"), EXIT_PASS,
-         "109036e2ccd41fb293534e3ec6f0eddb5f392bcb1da53125d064492afe1be05e"),
-        (("--omega", "2.5"), EXIT_PASS,
-         "6fda3d5527c8bb3a9f2708864f1188c6c3394361d00674125a0e238290b3352a"),
-        (("--grid-points", "301", "--tol", "1e-15"), EXIT_FAIL,
-         "021b086c46e552442343925f7baafa5bc4215e423aa784c0d8bdbe3d642f9f51"),
+        pytest.param((), EXIT_PASS,
+                     "bce47bf52f9df74c96d8a295655f8cbabeeb7c0163d5b544539e9b61ca80b983",
+                     id="sweep"),
+        pytest.param(("--format", "csv"), EXIT_PASS,
+                     "7fc03281d9816b4b6b1cb627de7aa41b3f487459ff9766c71e5e157aad75a81c",
+                     id="sweep-csv"),
+        pytest.param(("--g1sq", "0.3"), EXIT_PASS,
+                     "ed695a7a0775d9c89c0844d468ed4045b9fe7ce17427b81ffdb855dc541cd4e6",
+                     id="g1sq-0.3"),
+        pytest.param(("--omega", "2.5"), EXIT_PASS,
+                     "3698c9e574bfaebdc8fa199c188ba12929140f90cbd7364a1f64c3cdcf30f01b",
+                     id="omega-2.5"),
+        pytest.param(("--grid-points", "301", "--tol", "1e-15"), EXIT_FAIL,
+                     "d95f9fdd3f6ee4af85fdf3068405244c140c59f19c8962978b186caa60a674d1",
+                     id="ambiguous"),
     ])
     def test_resolve_report_bytes(self, workdir, capsys, argv, code, sha256):
         # the report on stdout, or on failure the error line with every
@@ -570,6 +586,17 @@ class TestCouplingRange:
         # b = 58, where the exact-local-power diagonal would put the jacobi
         # ground level at -269443 and end audit in an internal error
         code, out, _ = run_cli(capsys, *argv, "--g1sq", "1e4")
+        assert code == EXIT_PASS
+        assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("g1sq, quanta", [("3", "60"), ("3000", "60"), ("1e4", "60"),
+                                              ("1e4", "40")])
+    def test_jacobi_route_passes_at_the_top_of_the_quanta(self, workdir, capsys, g1sq, quanta):
+        # fixed boxes of half-width 12 (HO) and 14 (half line) cut the top
+        # levels here: N = 59 and 60 at g1sq = 3, from N = 54 at 3000 and
+        # from N = 34 at 1e4, where the error reached 3.2
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        code, out, _ = run_cli(capsys, "verify", "jacobi", "--g1sq", g1sq, "--max-quanta", quanta)
         assert code == EXIT_PASS
         assert all(c["status"] == "pass" for c in json.loads(out)["checks"])
 

@@ -354,6 +354,91 @@ class TestRichardson:
         assert abs(r01 / r12) == pytest.approx(16.0, rel=0.5)
 
 
+OSCILLATOR_SPECS = [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.SHO),
+                    ChannelSpec(ChannelKind.RADIAL, 2.0), ChannelSpec(ChannelKind.RADIAL, 6.0)]
+
+
+def default_box_pair(spec, params, n, k):
+    return richardson(solve_channel(spec, params, n, k).eigenvalues,
+                      solve_channel(spec, params, 2 * n + 1, k).eigenvalues)
+
+
+def solve_calls(monkeypatch):
+    """The (n_points, k, grid) of every solve the extrapolated pair makes."""
+    calls = []
+
+    def spy(spec, params, n_points, k, want_vectors=False, nodes=None):
+        res = solve_channel(spec, params, n_points, k, want_vectors, nodes)
+        calls.append((n_points, k, res.grid))
+        return res
+
+    monkeypatch.setattr(numsolve, "solve_channel", spy)
+    return calls
+
+
+class TestFittedBox:
+    """The oscillator pairs solve their fine grid out to where their levels have decayed."""
+
+    @pytest.mark.parametrize("g1sq, tol", [(0.0, 2e-10), (0.3, 2e-10), (3.0, 2e-10),
+                                           (7.5, 2e-10), (1e4, 1e-7)])
+    def test_matches_the_default_box_pair(self, g1sq, tol):
+        # the box moves the levels by about exp(-40); what is left is
+        # bisection noise, eps * max|T|, which the barrier raises at 1e4
+        p = ModelParams(omega=1.0, g1_squared=g1sq)
+        for spec in OSCILLATOR_SPECS:
+            for k in (1, 6):
+                fitted = solve_channel_extrapolated(spec, p, 2001, k)
+                assert np.max(np.abs(fitted - default_box_pair(spec, p, 2001, k))) <= tol
+        for spec in (ChannelSpec(ChannelKind.ANGULAR_PHI, g1sq / 3.0),
+                     ChannelSpec(ChannelKind.ANGULAR_THETA, 4.0)):
+            assert np.array_equal(solve_channel_extrapolated(spec, p, 2001, 6),
+                                  default_box_pair(spec, p, 2001, 6))
+
+    @pytest.mark.parametrize("spec", OSCILLATOR_SPECS, ids=lambda spec: spec.kind.value)
+    def test_fine_grid_is_a_node_subset_at_half_the_spacing(self, monkeypatch, spec):
+        calls = solve_calls(monkeypatch)
+        for omega in (1.0, 2.5):
+            p = ModelParams(omega=omega, g1_squared=3.0)
+            calls.clear()
+            solve_channel_extrapolated(spec, p, 2001, 6)
+            (_, _, coarse), (n_fine, _, fine) = calls
+            assert n_fine == 4003 and 6 <= fine.n_points < 4003
+            assert fine.spacing == pytest.approx(coarse.spacing / 2, rel=1e-14)
+            full = recommended_grid(spec.kind, p, 4003).nodes()
+            start = int(np.argmin(np.abs(full - fine.nodes()[0])))
+            assert fine.nodes() == pytest.approx(full[start:start + fine.n_points],
+                                                 rel=0, abs=1e-12)
+            if spec.kind is ChannelKind.HO:
+                assert fine.n_points % 2 == 1 and fine.lower == -fine.upper
+            else:
+                assert start == 0 and fine.lower == 0.0
+
+    def test_box_grows_only_when_the_coarse_level_needs_it(self, monkeypatch):
+        calls = solve_calls(monkeypatch)
+        spec = ChannelSpec(ChannelKind.HO)
+        for k, grows in ((6, False), (30, False), (40, True), (61, True)):
+            calls.clear()
+            e = solve_channel_extrapolated(spec, P, 2001, k)
+            assert len(calls) == (3 if grows else 2)
+            assert calls[0][2] == recommended_grid(ChannelKind.HO, P, 2001)
+            if grows:
+                longer = calls[1][2]
+                assert (calls[1][0], longer.spacing) == (2001, pytest.approx(calls[0][2].spacing))
+                assert longer.n_points > 2001 and longer.n_points % 2 == 1
+            # n + 1/2 to the closed-form accuracy of the pair
+            assert np.max(np.abs(e - (np.arange(k) + 0.5))) < 1e-5
+
+    def test_never_fewer_nodes_than_levels(self, monkeypatch):
+        calls = solve_calls(monkeypatch)
+        solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), P, 21, 21)
+        assert calls[-1][2].n_points >= 21
+
+    def test_angular_kinds_keep_their_box(self):
+        for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
+            with pytest.raises(ValueError):
+                recommended_grid(kind, P, 101, 51)
+
+
 @pytest.fixture(scope="module")
 def sho_ground():
     res = solve_channel(ChannelSpec(ChannelKind.SHO), P, 2001, 1, want_vectors=True)

@@ -69,7 +69,7 @@ class TestResolution:
         assert len(sho_rows) == 4 and len(radial_rows) == 2
         # the printed SHO constant misses by its offset error (0.5 at g=0)
         by_name = {c.name: c for c in report.checks}
-        assert by_name["discrepancy-sho-printed[g1sq=0]"].measured \
+        assert by_name["discrepancy-sho-printed[g1sq=0,omega=1]"].measured \
             == pytest.approx(0.5, abs=1e-3)
         assert by_name["discrepancy-radial-printed[k2=2,omega=1]"].measured \
             == pytest.approx(1.0 - (math.sqrt(3) - 1) / 2, abs=1e-3)
@@ -101,8 +101,10 @@ class TestResolution:
 
         reports = [resolve_formula_offsets([p], n_points=1001)[2] for p in sweep]
         _, _, report = resolve_formula_offsets(sweep, n_points=1001)
-        # each case keeps its own entry, both g1^2 = 3 ones among them
+        # each case keeps its own entry, both g1^2 = 3 ones among them, by its own name
         assert printed(report, "sho") == [e for r in reports for e in printed(r, "sho")]
+        names = [c.name for c in report.checks]
+        assert len(set(names)) == len(names)
         assert printed(report, "radial") == printed(reports[0], "radial") + printed(
             reports[1], "radial")
 
