@@ -12,7 +12,7 @@ X3 carry a sinc-DVR whose node count the extent fixes.  The coarse grid
 has half the X2 points and the same DVR, solves only the levels the fine
 one holds, each paired with the fine level of the same rank in its sector,
 and the pair is extrapolated at the X2 spacing ratio: the pairing of
-`verify 3d`, through the same function.  What the pair leaves, the DVR
+`verify 3d`, through the same functions.  What the pair leaves, the DVR
 error, is measured by solving the coarse grid again with 4 DVR nodes fewer.
 
 The fine grid's Lanczos solves start cold; the coarse grid starts each
@@ -24,9 +24,9 @@ Run:  python demos/grid3d_check.py      (about a second)
 """
 
 from wolfes4 import grid3d
-from wolfes4.grid3d import dvr_change, dvr_nodes
+from wolfes4.grid3d import dvr_change, grid_intervals, solve_hd_3d, solve_partner
 from wolfes4.model import ModelParams, delta_constant
-from wolfes4.verify import grid3d_richardson_pair
+from wolfes4.numsolve import richardson
 
 
 def count_matvecs(solves: list) -> None:
@@ -57,12 +57,16 @@ def main() -> None:
 
     # the coarse grid has 61 // 2 = 30 X2 points; an X2 spacing is
     # extent / (n // 2 + 1), so the ratio is 31/16, not 2
-    fine, coarse, ratio, extrap, partner = grid3d_richardson_pair(params, n_points, extent, k)
+    fine = solve_hd_3d(params, n_points, extent, k)
+    partner = solve_partner(fine, n_points // 2)
+    coarse = partner.eigenvalues
+    ratio = grid_intervals(n_points) / grid_intervals(n_points // 2)
+    extrap = richardson(coarse, fine.eigenvalues, ratio)
 
     print(f"closed-form ground: {exact_ground:.6f}; "
           f"the lowest {k} states in {len(fine.eigenvalues)} levels")
     print(f"X2: {n_points // 2} and {n_points // 4} stencil nodes; "
-          f"X1, X3: {2 * dvr_nodes(extent) + 1} DVR nodes on both grids\n")
+          f"X1, X3: {2 * fine.dvr_nodes + 1} DVR nodes on both grids\n")
     print(f"  {'level':>5} {'sector':>12} {'states':>6} {'coarse':>10} {'fine':>10} "
           f"{'extrapolated':>13}")
     for i, (sector, mult) in enumerate(zip(fine.sectors, fine.multiplicities)):
@@ -72,7 +76,7 @@ def main() -> None:
     print(f"\nspacing ratio {ratio:.6g}; "
           f"extrapolated ground error: {extrap[0] - exact_ground:+.2e}")
     paired = len(solves)
-    dvr = dvr_change(params, n_points // 2, extent, partner)
+    dvr = dvr_change(partner)
     print(f"grid3d-dvr-error (coarse levels with 4 DVR nodes fewer): {dvr:.1e}")
     print(f"largest Ritz residual of the fine levels: {fine.residual_bound:.1e}")
     cold = sum(matvecs for warm, matvecs in solves[:paired] if not warm)

@@ -7,7 +7,7 @@ where the particle potential (omega^2/8) sum_{i<j} (x_i - x_j)^2 is
 evaluated.  J is orthogonal, so the kinetic term stays
 -(1/2) (d2/dX1^2 + d2/dX2^2 + d2/dX3^2), and c = J @ coords.BARRIER_FORM lies
 along X2, so the barrier g1^2 / (x1 + x2 - 2 x3)^2 is g1^2 / (c2 X2)^2;
-solve_sectors checks both.  The barrier makes the particles impenetrable:
+every solve checks both.  The barrier makes the particles impenetrable:
 the half-spaces X2 > 0 and X2 < 0 never couple and are mirror images, so the
 grid holds X2 > 0 only, behind a Dirichlet plane at X2 = 0, and every level
 counts twice.
@@ -25,19 +25,19 @@ smooth oscillator, and the DVR's error falls faster than any power of
 h_dvr, so both grids of a pair share one DVR and dvr_change measures what
 it leaves.
 
-Only the first grid of a check starts cold.  Each extra grid solves levels
-the grid before it has just converged, on grids that differ on one axis
-set, so its Lanczos solves start from the earlier grid's Ritz vectors:
-the Richardson partner from the fine grid's, carried to its X2 nodes by
-linear interpolation (solve_sectors), and dvr_change from the partner's,
-carried to the coarser DVR by sinc interpolation (_dvr_transfer).  Such a
-start holds the levels sought almost alone, and lanczos_lowest blends
-1e-6 of its cold start vector in, so that a lower level it has all but
-lost is still found.
+Every solve returns a GridLevels, with the grid it was solved on.  Only the
+first grid of a check starts cold (solve_hd_3d).  Each extra grid re-solves
+its levels, by sector and rank, on a grid that differs on one axis set, from
+its Ritz vectors: the Richardson partner (solve_partner) the fine grid's,
+carried to its X2 nodes by linear interpolation (_x2_transfer), and
+dvr_change the partner's, carried to the coarser DVR by sinc interpolation
+(_dvr_transfer).  Such a start holds the levels sought almost alone, and
+lanczos_lowest blends 1e-6 of its cold start vector in, so that a lower
+level it has all but lost is still found.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
-each solved by solve_sectors for the levels asked of it, with a
+each solved for the levels asked of it (_solve), with a
 matrix-free thick-restart Lanczos iteration and selective
 reorthogonalization against its kept Ritz vectors; solve_hd_3d lets a level
 stop short of converging once it is bounded above the lowest k states.  The
@@ -54,7 +54,7 @@ where the operator does not depend on omega.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -147,28 +147,37 @@ def dvr_nodes(extent: float) -> int:
     return min(max(math.ceil(extent / DVR_SPACING) - 1, low), high)
 
 
+def _kept(m: int, parity: int) -> np.ndarray:
+    """The nodes 0 <= a <= m an axis of one parity keeps: a = 0 only if even."""
+    return np.arange(0 if parity > 0 else 1, m + 1)
+
+
+def _parity_fold(f: Callable, b: np.ndarray, a: np.ndarray, parity: int) -> np.ndarray:
+    """An axis matrix f(b - a) of the node offsets in the orthonormal basis
+    (delta_a + parity delta_-a) / sqrt(2), delta_0 alone, of one parity:
+    f(b - a) + parity f(b + a) on the kept rows b and columns a, its x = 0 row
+    and column divided by sqrt(2)."""
+    folded = f(b[:, None] - a) + parity * f(b[:, None] + a)
+    if parity > 0:
+        folded[0] /= _SQRT2
+        folded[:, 0] /= _SQRT2
+    return folded
+
+
 def _dvr_axis(m: int, h: float, parity: int):
     """One DVR axis of a reflection sector: kept nodes and the axis kinetic matrix.
 
     Colbert-Miller on the nodes j * h, |j| <= m: T(0) = pi^2 / (6 h^2) and
-    T(d) = (-1)^d / (h^2 d^2).  Kept are the nodes a * h, a <= m, from 0 for
-    an even function and from 1 for an odd one, in the orthonormal basis
-    (delta_a + parity delta_-a) / sqrt(2), with delta_0 alone: the folded
-    matrix is T(a - b) + parity T(a + b), its x = 0 row and column divided
-    by sqrt(2).
+    T(d) = (-1)^d / (h^2 d^2), folded to the sector's parity (_parity_fold).
     """
-    a = np.arange(0 if parity > 0 else 1, m + 1)
+    a = _kept(m, parity)
 
     def colbert_miller(d):
         sq = d * d
         return np.where(sq == 0, math.pi**2 / 6.0,
                         (1 - 2 * (d % 2)) / np.maximum(sq, 1)) / h**2
 
-    kinetic = colbert_miller(a[:, None] - a) + parity * colbert_miller(a[:, None] + a)
-    if parity > 0:
-        kinetic[0] /= _SQRT2
-        kinetic[:, 0] /= _SQRT2
-    return h * a, kinetic
+    return h * a, _parity_fold(colbert_miller, a, a, parity)
 
 
 def _x2_axis(n_half: int, h: float):
@@ -265,19 +274,11 @@ def _sinc_transfer(m_from: int, m_to: int, parity: int) -> np.ndarray:
 
     A Colbert-Miller basis function is sinc((x - x_a) / h), so values at the
     nodes a * h, |a| <= m_from, h = extent / (m_from + 1), are carried to the
-    nodes b * h', |b| <= m_to, by sinc((b h' - a h) / h).  Folded as
-    _dvr_axis folds the kinetic matrix, the (kept b, kept a) matrix is
-    sinc(b' - a) + parity sinc(b' + a), b' = b h' / h, its x = 0 row and
-    column divided by sqrt(2).
+    nodes b * h', |b| <= m_to, by sinc((b h' - a h) / h) = sinc(b' - a), b' =
+    b h' / h, folded to the parity as the kinetic matrix is (_parity_fold).
     """
-    first = 0 if parity > 0 else 1
-    b = np.arange(first, m_to + 1)[:, None] * ((m_from + 1) / (m_to + 1))
-    a = np.arange(first, m_from + 1)
-    W = np.sinc(b - a) + parity * np.sinc(b + a)
-    if parity > 0:
-        W[0] /= _SQRT2
-        W[:, 0] /= _SQRT2
-    return W
+    return _parity_fold(np.sinc, _kept(m_to, parity) * ((m_from + 1) / (m_to + 1)),
+                        _kept(m_from, parity), parity)
 
 
 def _dvr_transfer(u: np.ndarray, sector: tuple, m_from: int, m_to: int) -> np.ndarray:
@@ -413,18 +414,34 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
 
 @dataclass(frozen=True)
 class GridLevels:
-    """Levels of the 3D grid, ascending, each once, with the sector it lies in.
+    """Levels of one 3D grid, each once, with the sector it lies in.
 
-    ``residual_bound`` is the largest Lanczos residual of the levels returned;
-    a sector's levels above them may be bounded only (see _solve), with
-    residuals that are not quoted.  ``vectors`` holds each level's Ritz
-    vector in its sector's layout, plane states by X2 nodes, unit norm.
+    The grid is solve_hd_3d's at ``params``, ``n_per_axis`` points and
+    ``extent``, with ``dvr_nodes`` DVR nodes per half-axis.  ``levels`` and
+    their Lanczos ``residuals`` are in units of omega, where the grid is
+    solved; ``vectors`` holds each level's Ritz vector in its sector's
+    layout, plane states by X2 nodes, unit norm.  solve_hd_3d returns the
+    levels ascending, a re-solve (solve_partner, dvr_change) in the order of
+    the levels it re-solves.
     """
 
-    eigenvalues: np.ndarray
+    params: ModelParams
+    n_per_axis: int
+    extent: float
+    dvr_nodes: int
+    levels: np.ndarray
+    residuals: np.ndarray
     sectors: list[tuple[int, int, int]]
-    residual_bound: float
     vectors: list[np.ndarray]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.params.omega * self.levels
+
+    @property
+    def residual_bound(self) -> float:
+        """The largest Lanczos residual of the levels, times omega."""
+        return self.params.omega * float(np.max(self.residuals))
 
     @property
     def multiplicities(self) -> np.ndarray:
@@ -437,65 +454,6 @@ def grid_intervals(n_per_axis: int) -> int:
     return n_per_axis // 2 + 1
 
 
-def solve_sectors(params: ModelParams, n_per_axis: int, extent: float,
-                  counts: dict, starts: dict | None = None) -> dict:
-    """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
-
-    ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  X2
-    carries the n_half = n_per_axis // 2 nodes j * h, 1 <= j <= n_half, h =
-    extent / grid_intervals(n_per_axis); X1 and X3 the 2 m + 1 DVR nodes,
-    m = dvr_nodes(extent), whatever n_per_axis is.  Eigenvalues converge at
-    O(h^2) on X2, so a run paired with one of fewer points over the same
-    extent can be extrapolated.
-
-    Returns {sector: (levels, residuals, vectors)} in SECTORS order, the
-    first two in units of omega, for every sector with a positive count; the
-    others are not solved.  ``vectors`` holds the levels' Ritz vectors, an
-    array of plane states by X2 nodes for each.  A sector in ``starts``
-    starts its Lanczos solve from the vector given there, plane states by
-    the X2 nodes of another grid with the same DVR over the same extent (the
-    fine grid of a Richardson pair), carried to this grid's X2 nodes by
-    linear interpolation (_x2_transfer); the others start cold.  In units of
-    omega the operator is the one at omega = 1,
-    H(omega; h / sqrt(omega)) = omega H(1; h), so the absolute breakdown
-    and convergence thresholds of lanczos_lowest mean the same at every
-    omega.  Raises ConvergenceError when a sector does not converge,
-    or when one returns a level at or below GROUND_SECTOR's, which
-    Perron-Frobenius rules out in the continuum.  Raises ValueError when
-    n_per_axis exceeds MAX_POINTS_PER_AXIS or g1^2 exceeds MAX_G1_SQUARED,
-    and when J = coords.jacobi_matrix() is not orthogonal to 1e-14 (the
-    kinetic term would not be -1/2 Laplacian) or c = J @ coords.BARRIER_FORM
-    has an X1, X3 or Xcm component above 1e-14 of its X2 one (the barrier
-    would not depend on X2 alone).
-    """
-    n_half = n_per_axis // 2
-    warm = {sector: u @ _x2_transfer(u.shape[1], n_half)
-            for sector, u in (starts or {}).items()}
-    return _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, starts=warm)
-
-
-def dvr_change(params: ModelParams, n_per_axis: int, extent: float, solved: dict) -> float:
-    """How far the levels of ``solved`` move with 4 DVR nodes fewer, in units of omega.
-
-    ``solved`` is solve_sectors at the same arguments; the same sector
-    levels are solved again with dvr_nodes(extent) - 2 nodes per half-axis
-    over the same extent, and the largest change is returned.  The DVR
-    converges faster than any power of its spacing, so this bounds the X1
-    and X3 error of ``solved``, which the Richardson pair of X2 grids does
-    not cancel.  Each sector's solve starts from the sum of its vectors in
-    ``solved``, carried to the coarser DVR by sinc interpolation on X1 and
-    X3 (_dvr_transfer).  Raises as solve_sectors does.
-    """
-    m = dvr_nodes(extent)
-    starts = {sector: _dvr_transfer(vectors.sum(axis=0), sector, m, m - 2)
-              for sector, (_, _, vectors) in solved.items()}
-    fewer = _solve(params, n_per_axis, m - 2, extent,
-                   {sector: len(vals) for sector, (vals, _, _) in solved.items()},
-                   starts=starts)
-    return max(float(np.max(np.abs(fewer[sector][0] - vals)))
-               for sector, (vals, _, _) in solved.items())
-
-
 def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> float:
     """The k-th lowest of the state energies ``earlier`` and the Ritz values
     ``ritz``, each of these counted ``mult`` times; inf when there are fewer
@@ -505,10 +463,17 @@ def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> flo
 
 
 def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
-           states: int | None = None, starts: dict | None = None) -> dict:
-    """solve_sectors with m DVR nodes per half-axis, for the lowest ``states``.
+           states: int | None = None, starts: dict | None = None) -> GridLevels:
+    """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
 
-    A sector in ``starts`` starts from the vector given there, on this grid.
+    The grid is solve_hd_3d's at n_per_axis points over ``extent``, with m
+    DVR nodes per half-axis.  The levels come back sector by sector in
+    SECTORS order, ascending within each, for every sector with a positive
+    count; the others are not solved.  A sector in ``starts`` starts its
+    Lanczos solve from the vector given there, on this grid; the others
+    start cold.  In units of omega the operator is the one at omega = 1,
+    H(omega; h / sqrt(omega)) = omega H(1; h), so the absolute thresholds of
+    lanczos_lowest mean the same at every omega.
 
     Without ``states`` every level asked for converges.  With it, a sector's
     solve stops once each level asked of it is converged or bounded
@@ -527,6 +492,13 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
     sector's i-th eigenvalue.  The sectors solved later only add values,
     which lowers the k-th state energy, so the fewest lowest levels that
     cover k states (solve_hd_3d) hold converged levels only.
+
+    Raises ConvergenceError when a sector does not converge, or when one
+    returns a level at or below GROUND_SECTOR's, which Perron-Frobenius rules
+    out in the continuum.  Raises ValueError above MAX_POINTS_PER_AXIS or
+    MAX_G1_SQUARED, and unless J = coords.jacobi_matrix() is orthogonal to
+    1e-14 (the kinetic term -1/2 Laplacian) and c = J @ coords.BARRIER_FORM
+    lies along X2 to 1e-14 (the barrier a function of X2 alone).
     """
     if n_per_axis > MAX_POINTS_PER_AXIS:
         raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
@@ -563,21 +535,38 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
                 raise ConvergenceError(
                     f"sector {sector} has a level {float(vals[0])} at or below the ground "
                     f"level {float(ground)}, which Perron-Frobenius rules out", residuals=res)
-    return solved
+    return GridLevels(params, n_per_axis, extent, m,
+                      levels=np.concatenate([vals for vals, _, _ in solved.values()]),
+                      residuals=np.concatenate([res for _, res, _ in solved.values()]),
+                      sectors=[sector for sector, (vals, _, _) in solved.items() for _ in vals],
+                      vectors=[u for _, _, us in solved.values() for u in us])
+
+
+def _pick(solved: GridLevels, order) -> GridLevels:
+    """The levels ``order`` of ``solved``, in that order."""
+    return replace(solved, levels=solved.levels[order], residuals=solved.residuals[order],
+                   sectors=[solved.sectors[i] for i in order],
+                   vectors=[solved.vectors[i] for i in order])
 
 
 def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int) -> GridLevels:
     """Lowest levels of the relative-motion operator on the 3D grid, each once.
 
-    The grid is that of solve_sectors.  The ground level is simple in the
-    half-space and lies in GROUND_SECTOR (see there), so that sector
-    is solved for ceil(k / 2) levels and every other sector of SECTORS, m
-    its multiplicity, for ceil((k - 2) / m), its part of the k - 2 states
-    above the ground level; a sector with none (k <= 2) is not solved.  A
-    level need not converge when it is bounded above the k-th state (see
-    _solve).  The fewest merged levels whose multiplicities cover the lowest
-    k states are returned, all converged, with the largest residual among
-    them.  Raises as solve_sectors does, and ValueError when k < 1.
+    ``extent`` is the box half-width in oscillator lengths 1/sqrt(omega).  X2
+    carries the n_half = n_per_axis // 2 nodes j * h, 1 <= j <= n_half, h =
+    extent / grid_intervals(n_per_axis); X1 and X3 the 2 m + 1 DVR nodes,
+    m = dvr_nodes(extent), whatever n_per_axis is.  Eigenvalues converge at
+    O(h^2) on X2, so a run paired with one of fewer points over the same
+    extent (solve_partner) can be extrapolated.
+
+    The ground level is simple in the half-space and lies in GROUND_SECTOR
+    (see there), so that sector is solved for ceil(k / 2) levels and every
+    other sector of SECTORS, m its multiplicity, for ceil((k - 2) / m), its
+    part of the k - 2 states above the ground level; a sector with none
+    (k <= 2) is not solved.  A level need not converge when it is bounded
+    above the k-th state (see _solve).  The fewest merged levels whose
+    multiplicities cover the lowest k states are returned, ascending, all
+    converged.  Raises as _solve does, and ValueError when k < 1.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -585,15 +574,50 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int) -> 
     counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
               for sector, m in SECTORS.items()}
     solved = _solve(params, n_per_axis, dvr_nodes(extent), extent, counts, k)
-    vals = np.concatenate([v for v, _, _ in solved.values()])
-    sectors = [sector for sector, (v, _, _) in solved.items() for _ in v]
-    vectors = [u for _, _, us in solved.values() for u in us]
-    mults = np.array([SECTORS[s] for s in sectors])
     # near-degenerate pairs may come back equal to rounding; order ties stably
-    order = np.argsort(vals, kind="stable")
-    order = order[:np.searchsorted(np.cumsum(mults[order]), k) + 1]
-    residual = float(np.max(np.concatenate([r for _, r, _ in solved.values()])[order]))
-    return GridLevels(eigenvalues=params.omega * vals[order],
-                      sectors=[sectors[i] for i in order],
-                      residual_bound=params.omega * residual,
-                      vectors=[vectors[i] for i in order])
+    order = np.argsort(solved.levels, kind="stable")
+    return _pick(solved, order[:np.searchsorted(
+        np.cumsum(solved.multiplicities[order]), k) + 1])
+
+
+def _resolve(solved: GridLevels, n_per_axis: int, m: int,
+             transfer: Callable[[tuple, np.ndarray], np.ndarray]) -> GridLevels:
+    """The levels of ``solved``, each converged, on n_per_axis points and m DVR
+    nodes per half-axis over the same extent.  Each sector starts from the sum
+    of its Ritz vectors in ``solved``, carried by ``transfer(sector, vector)``.
+    Level i is the one of the sector and rank of level i of ``solved``, which
+    holds a pair to one state when levels of other sectors cross it."""
+    starts: dict = {}
+    for sector, vector in zip(solved.sectors, solved.vectors):
+        starts[sector] = starts.get(sector, 0.0) + vector
+    fresh = _solve(solved.params, n_per_axis, m, solved.extent,
+                   {sector: solved.sectors.count(sector) for sector in starts},
+                   starts={sector: transfer(sector, u) for sector, u in starts.items()})
+    # fresh holds each sector's levels together, by rank
+    return _pick(fresh, [fresh.sectors.index(s) + solved.sectors[:i].count(s)
+                         for i, s in enumerate(solved.sectors)])
+
+
+def solve_partner(fine: GridLevels, n_per_axis: int) -> GridLevels:
+    """The levels of ``fine`` on n_per_axis points over the same extent and DVR,
+    from its vectors carried to these X2 nodes (_x2_transfer).  The grids
+    differ on X2 only, so level i of both is a Richardson pair.  Raises as
+    _solve does."""
+    n_half = n_per_axis // 2
+    return _resolve(fine, n_per_axis, fine.dvr_nodes,
+                    lambda sector, u: u @ _x2_transfer(u.shape[1], n_half))
+
+
+def dvr_change(solved: GridLevels) -> float:
+    """How far the levels of ``solved`` move with 4 DVR nodes fewer, in units of omega.
+
+    They are solved again with 2 DVR nodes fewer per half-axis, from their
+    vectors carried by sinc interpolation (_dvr_transfer).  The DVR converges
+    faster than any power of its spacing, so this bounds the X1 and X3 error
+    of ``solved``, which the Richardson pair of X2 grids does not cancel.
+    Raises as _solve does.
+    """
+    m = solved.dvr_nodes
+    fewer = _resolve(solved, solved.n_per_axis, m - 2,
+                     lambda sector, u: _dvr_transfer(u, sector, m, m - 2))
+    return float(np.max(np.abs(fewer.levels - solved.levels)))

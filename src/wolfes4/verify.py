@@ -11,7 +11,6 @@ every gating entry passes.  Energies scale with omega; so do their tolerances.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -22,10 +21,9 @@ from .grid3d import (
     MAX_POINTS_PER_AXIS,
     MIN_POINTS_PER_AXIS,
     dvr_change,
-    dvr_nodes,
     grid_intervals,
     solve_hd_3d,
-    solve_sectors,
+    solve_partner,
 )
 from .model import (
     ModelParams,
@@ -399,48 +397,21 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
     return report
 
 
-def grid3d_richardson_pair(params: ModelParams, n_per_axis: int, extent: float, k: int):
-    """The lowest k states of the 3D grid, each level paired and extrapolated.
-
-    Returns (fine, coarse, ratio, extrapolated, partner): ``fine`` is
-    solve_hd_3d at ``n_per_axis`` points, and ``coarse[i]`` the level of the
-    same rank in the same sector as fine level i on its partner grid of
-    ``n_per_axis // 2`` points over the same extent, which solves no other
-    level; ``partner`` is that grid's solve_sectors result.  The two grids
-    differ on X2 only, so ``extrapolated``, the Richardson value of each
-    pair at their X2 spacing ratio ``ratio``, cancels the X2 error.  A pair
-    within one sector stays the same state when levels of different sectors
-    cross between the grids.  Each partner sector solve starts from the sum
-    of the fine grid's Ritz vectors of that sector, the ranks it pairs,
-    carried to the partner's X2 nodes (solve_sectors); ``partner`` holds the
-    partner's own vectors, from which grid3d.dvr_change starts in turn.
-    """
-    fine = solve_hd_3d(params, n_per_axis, extent, k)
-    rank = [fine.sectors[:i].count(s) for i, s in enumerate(fine.sectors)]
-    starts: dict = {}
-    for sector, vector in zip(fine.sectors, fine.vectors):
-        starts[sector] = starts.get(sector, 0.0) + vector
-    partner = solve_sectors(params, n_per_axis // 2, extent, Counter(fine.sectors),
-                            starts=starts)
-    coarse = params.omega * np.array([partner[s][0][r] for s, r in zip(fine.sectors, rank)])
-    ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
-    return fine, coarse, ratio, richardson(coarse, fine.eigenvalues, ratio), partner
-
-
 def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D_TOL,
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
     Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` X2 points over the
-    same extent (in oscillator lengths) are paired within their sector and
-    Richardson-extrapolated (grid3d_richardson_pair).  Each class (both
-    mirror half-spaces) takes grid levels until their multiplicities reach
-    its degeneracy; every class within the lowest k states checks its worst
-    level and its degeneracy.  The provenance quotes that level's fine and
-    coarse grid values and the largest Lanczos residual of the levels each
-    grid returns, in units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
-    does not cancel: the partner levels' largest move with 4 DVR nodes
-    fewer (grid3d.dvr_change), within tol / 100.
+    same extent (in oscillator lengths) and DVR are paired by sector and rank
+    (grid3d.solve_partner) and Richardson-extrapolated at the X2 spacing
+    ratio, which cancels the X2 error.  Each class (both mirror half-spaces)
+    takes grid levels until their multiplicities reach its degeneracy; every
+    class within the lowest k states checks its worst level and its
+    degeneracy.  The provenance quotes that level's fine and coarse grid
+    values and the largest Lanczos residual of the levels each grid returns,
+    in units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
+    does not cancel: the partner levels' largest move with 4 DVR nodes fewer
+    (grid3d.dvr_change), within tol / 100.
     """
     if k < 2:
         raise ValueError("k must be at least 2, the states of the ground class")
@@ -451,11 +422,14 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     if not low <= extent <= high:
         raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
-    fine, coarse, ratio, extrap, partner = grid3d_richardson_pair(params, n_per_axis, extent, k)
+    fine = solve_hd_3d(params, n_per_axis, extent, k)
+    partner = solve_partner(fine, n_per_axis // 2)
+    ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
+    extrap = richardson(partner.eigenvalues, fine.eigenvalues, ratio)
     mults = fine.multiplicities
     m = len(mults)
-    residuals = (f"largest Lanczos residual: fine grid {fine.residual_bound / params.omega:.1e}, "
-                 f"coarse {max(float(np.max(r)) for _, r, _ in partner.values()):.1e}")
+    residuals = (f"largest Lanczos residual: fine grid {np.max(fine.residuals):.1e}, "
+                 f"coarse {np.max(partner.residuals):.1e}")
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
@@ -469,15 +443,13 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
             i += 1
         worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
         report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
-                   f"worst of {i - first} levels: fine grid "
-                   f"{fine.eigenvalues[worst] / params.omega:.6f}, coarse "
-                   f"{coarse[worst] / params.omega:.6f}, Richardson pair at "
+                   f"worst of {i - first} levels: fine grid {fine.levels[worst]:.6f}, "
+                   f"coarse {partner.levels[worst]:.6f}, Richardson pair at "
                    f"spacing ratio {ratio:.6g}; {residuals}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")
-    nodes = 2 * dvr_nodes(extent) + 1
-    report.add("grid3d-dvr-error",
-               params.omega * dvr_change(params, n_per_axis // 2, extent, partner),
+    nodes = 2 * partner.dvr_nodes + 1
+    report.add("grid3d-dvr-error", params.omega * dvr_change(partner),
                0.0, tol / 100.0 * params.omega,
                f"largest move of the coarse grid's levels when its X1/X3 DVR of "
                f"{nodes} nodes has {nodes - 4} over the same extent")

@@ -253,6 +253,34 @@ class TestReportBytes:
         assert got == code and (out == "") == (code == EXIT_FAIL)
         assert hashlib.sha256((err if code else out).encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("argv, code, sha256", [
+        pytest.param(("--grid-points", "41", "--domain-extent", "5.5", "--g1sq", "3"),
+                     EXIT_PASS,
+                     "075fd6a0a43e2d331abc46a6a4457ddd39e4a80be4eabc3bc8b93c0e3ab9f021",
+                     id="benchmark-g1sq-3"),
+        pytest.param(("--grid-points", "41", "--domain-extent", "5.5", "--g1sq", "1"),
+                     EXIT_PASS,
+                     "0be58e66e4a069b1e25a64b961d13e796219068af0cb99ef091e917738c72fd3",
+                     id="benchmark-g1sq-1"),
+        pytest.param(("--format", "csv"), EXIT_PASS,
+                     "5f4e1101337d5285a4eb643f291ec37537bc952612f704bdbd405bc14a0b4ab0",
+                     id="defaults-csv"),
+        pytest.param(("--grid-points", "41", "--domain-extent", "5.5", "--omega", "2.5",
+                      "--g1sq", "0.3"), EXIT_PASS,
+                     "247c445d3925090c1f655536241e193a34374caea334fb51b838067a94b32bea",
+                     id="omega-2.5-g1sq-0.3"),
+        pytest.param(("--grid-points", "16", "--domain-extent", "1"), EXIT_FAIL,
+                     "c52fb4893c54268412ca602192bc5ad9439a5618e17576aa278db0de674faba9",
+                     id="box-too-small"),
+    ])
+    def test_verify_3d_report_bytes(self, workdir, capsys, argv, code, sha256):
+        # the report on stdout, failing checks included; the grid levels hold
+        # to the last bit on one LAPACK build only, as do the Lanczos pins of
+        # test_grid3d
+        got, out, err = run_cli(capsys, "verify", "3d", *argv)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     @staticmethod
     def _report():
         report = VerificationReport()

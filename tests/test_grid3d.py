@@ -26,11 +26,11 @@ from wolfes4.grid3d import (
     dvr_nodes,
     lanczos_lowest,
     solve_hd_3d,
-    solve_sectors,
+    solve_partner,
 )
 from wolfes4.model import ModelParams
 from wolfes4.numsolve import richardson
-from wolfes4.verify import grid3d_richardson_pair, verify_3d
+from wolfes4.verify import verify_3d
 
 P = ModelParams(omega=1.0, g1_squared=3.0)
 J = jacobi_matrix()
@@ -85,6 +85,11 @@ def tensor_sum_oracle(params, n_half, m, extent, k):
 def states(res, k):
     """The lowest k states of a solve, each level repeated by its multiplicity."""
     return np.repeat(res.eigenvalues, res.multiplicities)[:k]
+
+
+def sector_levels(res, sector):
+    """The levels of a solve in one sector, in the solve's order."""
+    return [value for value, s in zip(res.levels, res.sectors) if s == sector]
 
 
 class TestAxisLayout:
@@ -328,13 +333,12 @@ class TestSolver:
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
         counts = {GROUND_SECTOR: 2, (1, -1, 0): 1, (-1, -1, 1): 0}
-        solved = solve_sectors(P, 20, 5.0, counts)
+        solved = grid3d._solve(P, 20, dvr_nodes(5.0), 5.0, counts)
         # in SECTORS order, whatever the order of the counts
-        assert list(solved) == [(1, -1, 0), GROUND_SECTOR] and asked == [1, 2]
-        assert [len(vals) for vals, _, _ in solved.values()] == [1, 2]
+        assert solved.sectors == [(1, -1, 0), GROUND_SECTOR, GROUND_SECTOR] and asked == [1, 2]
         # the lowest level of each, as the full solve at k = 6 finds them
         full = solve_hd_3d(P, 20, 5.0, k=6)
-        assert [solved[sector][0][0] for sector in full.sectors] == pytest.approx(
+        assert [sector_levels(solved, sector)[0] for sector in full.sectors] == pytest.approx(
             full.eigenvalues, abs=1e-10)
 
     def test_level_below_the_ground_sector_raises_when_solved_before_it(self, monkeypatch):
@@ -357,7 +361,7 @@ class TestSolver:
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", lowering)
         with pytest.raises(ConvergenceError, match="Perron-Frobenius"):
-            solve_sectors(P, 16, 5.0, {GROUND_SECTOR: 2, (-1, -1, -1): 1})
+            grid3d._solve(P, 16, dvr_nodes(5.0), 5.0, {GROUND_SECTOR: 2, (-1, -1, -1): 1})
 
     def test_levels_above_the_lowest_k_are_bounded_not_converged(self, monkeypatch):
         # at k = 6 the ground sector's N = 2 pair and every level of the three
@@ -393,11 +397,16 @@ class TestSolver:
             return lanczos_lowest(matvec, n, k, **kwargs)
 
         monkeypatch.setattr(grid3d, "lanczos_lowest", recording)
-        solved = solve_sectors(P, 20, 5.0, dict.fromkeys(SECTORS, 3))
-        grid3d.dvr_change(P, 20, 5.0, solved)
-        assert bounds == [None] * 10
-        for vals, res, _ in solved.values():
-            assert np.all(res <= 1e-8 * np.maximum(1.0, np.abs(vals)))
+        solved = grid3d._solve(P, 20, dvr_nodes(5.0), 5.0, dict.fromkeys(SECTORS, 3))
+        assert bounds == [None] * 5
+        assert np.all(solved.residuals <= 1e-8 * np.maximum(1.0, np.abs(solved.levels)))
+        fine = solve_hd_3d(P, 40, 5.0, k=20)
+        del bounds[:]
+        partner = solve_partner(fine, 20)
+        grid3d.dvr_change(partner)
+        # four sectors hold the 20 states, two solves each
+        assert bounds == [None] * 8
+        assert np.all(partner.residuals <= 1e-8 * np.maximum(1.0, np.abs(partner.levels)))
 
     # a sector solve ran out of Lanczos restarts in 8 of these 18 while
     # every level asked for had to converge, those above the lowest k states
@@ -658,33 +667,52 @@ class TestWarmStart:
     def test_warm_levels_equal_the_cold_ones(self, g1_squared, n_per_axis, extent, k,
                                              monkeypatch):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
-        _, _, _, _, partner = grid3d_richardson_pair(params, n_per_axis, extent, k)
-        counts = {sector: len(vals) for sector, (vals, _, _) in partner.items()}
-        cold = solve_sectors(params, n_per_axis // 2, extent, counts)
+        partner = solve_partner(solve_hd_3d(params, n_per_axis, extent, k), n_per_axis // 2)
+        counts = {sector: partner.sectors.count(sector) for sector in partner.sectors}
+        m = dvr_nodes(extent)
+        cold = grid3d._solve(params, n_per_axis // 2, m, extent, counts)
         real, fewer = grid3d._solve, []
         monkeypatch.setattr(grid3d, "_solve",
                             lambda *args, **kwargs: fewer.append(real(*args, **kwargs))
                             or fewer[-1])
-        grid3d.dvr_change(params, n_per_axis // 2, extent, partner)
-        m = dvr_nodes(extent)
+        grid3d.dvr_change(partner)
         cold_fewer = real(params, n_per_axis // 2, m - 2, extent, counts)
         for sector in counts:
-            assert partner[sector][0] == pytest.approx(cold[sector][0], abs=1e-11)
-            assert fewer[0][sector][0] == pytest.approx(cold_fewer[sector][0], abs=1e-11)
+            assert sector_levels(partner, sector) == pytest.approx(sector_levels(cold, sector),
+                                                                   abs=1e-11)
+            assert sector_levels(fewer[0], sector) == pytest.approx(
+                sector_levels(cold_fewer, sector), abs=1e-11)
+
+    def test_later_levels_of_a_sector_pair_by_rank(self):
+        # at k = 14 the ground sector holds three of the six fine levels, so
+        # its second and third levels pair too; each partner level is the
+        # cold partner solve's level of the same sector and rank
+        fine = solve_hd_3d(P, 41, 5.5, 14)
+        assert fine.sectors == [(1, 1, 1), (1, -1, 0), (1, 1, 1), (-1, -1, 1), (1, 1, 1),
+                                (1, 1, -1)]
+        partner = solve_partner(fine, 20)
+        assert (partner.n_per_axis, partner.extent, partner.dvr_nodes) == (20, 5.5, 11)
+        assert partner.sectors == fine.sectors
+        counts = {sector: fine.sectors.count(sector) for sector in fine.sectors}
+        cold = grid3d._solve(P, 20, dvr_nodes(5.5), 5.5, counts)
+        for i, sector in enumerate(fine.sectors):
+            rank = fine.sectors[:i].count(sector)
+            assert partner.levels[i] == pytest.approx(sector_levels(cold, sector)[rank],
+                                                      abs=1e-11)
 
     def test_a_higher_level_start_still_finds_the_lowest(self, monkeypatch):
         # the ground sector's third level on the 61-point grid, carried to its
         # partner, is nearly orthogonal to the partner's lowest level
-        fine = solve_sectors(P, 61, 7.0, {GROUND_SECTOR: 3})
-        starts = {GROUND_SECTOR: fine[GROUND_SECTOR][2][2]}
-        cold = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1})[GROUND_SECTOR][0]
-        warm = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1}, starts=starts)[GROUND_SECTOR][0]
+        m = dvr_nodes(7.0)
+        fine = grid3d._solve(P, 61, m, 7.0, {GROUND_SECTOR: 3})
+        starts = {GROUND_SECTOR: fine.vectors[2] @ _x2_transfer(30, 15)}
+        cold = grid3d._solve(P, 30, m, 7.0, {GROUND_SECTOR: 1}).levels
+        warm = grid3d._solve(P, 30, m, 7.0, {GROUND_SECTOR: 1}, starts=starts).levels
         assert warm == pytest.approx(cold, abs=1e-11)
         # without the 1e-6 blend of _start_vector the solve stops at the
         # higher level in its first cycle and takes it for the lowest
         monkeypatch.setattr(grid3d, "_start_vector", np.zeros)
-        unblended = solve_sectors(P, 30, 7.0, {GROUND_SECTOR: 1},
-                                  starts=starts)[GROUND_SECTOR][0]
+        unblended = grid3d._solve(P, 30, m, 7.0, {GROUND_SECTOR: 1}, starts=starts).levels
         assert unblended[0] > cold[0] + 1.0
 
     def test_fine_levels_carry_their_ritz_vectors(self):

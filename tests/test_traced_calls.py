@@ -1,0 +1,44 @@
+"""The benchmark's tracer, loaded as it ships, sees every 3D solve it wraps."""
+
+import importlib.util
+import pathlib
+import sys
+from collections import Counter
+
+from wolfes4 import cli, grid3d, verify
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_tracing(monkeypatch):
+    # registered while it runs, as its dataclasses need, under a name of its own
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_3d_solves_run_inside_their_spans(tmp_path, monkeypatch, capsys):
+    # the tracer wraps verify.solve_hd_3d and grid3d.lanczos_lowest where
+    # their callers look them up; a 3D solve that bypassed either would drop
+    # out of grid3d.solve_s or grid3d.lanczos_s
+    monkeypatch.chdir(tmp_path)
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = cli.main(["verify", "3d", "--grid-points", "41", "--domain-extent", "5.5"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == cli.EXIT_PASS
+    assert verify.solve_hd_3d is grid3d.solve_hd_3d
+    names = Counter(span.name for span in tracer.spans)
+    # five fine sectors, the partner's two and the partner's two again with
+    # 4 DVR nodes fewer
+    assert names["grid3d.solve_hd_3d"] == 1 and names["grid3d.lanczos_lowest"] == 9
+    (solve,) = [span for span in tracer.spans if span.name == "grid3d.solve_hd_3d"]
+    assert sum(span.parent == solve.id for span in tracer.spans
+               if span.name == "grid3d.lanczos_lowest") == 5
