@@ -1,9 +1,10 @@
 """Finite-difference channel solves against their exact limits.
 
 Each 1D channel (oscillator, barrier oscillator, radial, and the two angular
-operators) is solved on a pair of grids (h, h/2); the Richardson extrapolant
-lands on the analytic eigenvalues to ~1e-9, and the raw error ratio of 4
-confirms the second-order stencil.
+operators) is solved on a pair of grids (h, h/2), the oscillators' fine grid
+on the box their levels need; the Richardson extrapolant lands on the
+analytic eigenvalues to ~1e-9, and the raw error ratio of 4 confirms the
+second-order stencil.
 
 Run:  python demos/channel_oracles.py
 """
@@ -11,19 +12,18 @@ Run:  python demos/channel_oracles.py
 import numpy as np
 
 from wolfes4.model import ModelParams, delta_constant, sho_energy_resolved
-from wolfes4.numsolve import ChannelKind, ChannelSpec, richardson, solve_channel
+from wolfes4.numsolve import ChannelKind, ChannelSpec, solve_channel_extrapolated
 
 
 def show(title, spec, params, exact, levels=4):
-    e_h = solve_channel(spec, params, 1500, levels).eigenvalues
-    e_half = solve_channel(spec, params, 3001, levels).eigenvalues
-    extrap = richardson(e_h, e_half)
+    pair = solve_channel_extrapolated(spec, params, 1500, levels)
+    e_h, e_half = pair.coarse.eigenvalues, pair.fine.eigenvalues
     exact = np.asarray(exact, float)
     ratio = (e_h - exact) / (e_half - exact)
     print(f"{title}")
     print(f"  exact      : {np.array2string(exact, precision=6)}")
     print(f"  h          : {np.array2string(e_h, precision=6)}")
-    print(f"  richardson : {np.array2string(extrap, precision=10)}")
+    print(f"  richardson : {np.array2string(pair.values, precision=10)}")
     print(f"  error ratio h->h/2: {np.array2string(ratio, precision=2)}\n")
 
 
@@ -53,8 +53,7 @@ def main() -> None:
 
     print("polar self-test at f^2 = 0 (Legendre limit l(l+1)):")
     spec = ChannelSpec(ChannelKind.ANGULAR_THETA, 0.0)
-    e = richardson(solve_channel(spec, params, 1500, 5).eigenvalues,
-                   solve_channel(spec, params, 3001, 5).eigenvalues)
+    e = solve_channel_extrapolated(spec, params, 1500, 5).values
     print(f"  {np.array2string(e, precision=8)}  vs  0, 2, 6, 12, 20")
 
 

@@ -19,19 +19,19 @@ def main() -> None:
 
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, params.g1_squared / 3.0),
-        params, 2001, 3)
+        params, 2001, 3).values
     print("azimuthal eigenvalues f^2_m:", np.round(f2, 6))
 
     print("\npolar separation constants k^2_{lm}:")
     for m, f2m in enumerate(f2):
         k2 = solve_channel_extrapolated(
-            ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2m)), params, 2001, 3)
+            ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2m)), params, 2001, 3).values
         print(f"  m={m}: {np.round(k2, 6)}")
 
     k2_00 = solve_channel_extrapolated(
-        ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2[0])), params, 2001, 1)[0]
+        ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2[0])), params, 2001, 1).values[0]
     e = solve_channel_extrapolated(
-        ChannelSpec(ChannelKind.RADIAL, float(k2_00)), params, 2001, 3)
+        ChannelSpec(ChannelKind.RADIAL, float(k2_00)), params, 2001, 3).values
     print(f"\nradial energies for k^2_00 = {k2_00:.6f}: {np.round(e, 6)}")
     print("(the lowest must equal the separated-route ground 2 + delta)")
 

@@ -60,8 +60,9 @@ MAX_QUANTA = 60
 MAX_G1SQ = 1e4
 #: Largest 1D --grid-points.  Rounding in the 1/h^2 entries grows as n^2 and
 #: the discretization error falls as n^-2: here the 1D commands pass with the
-#: worst gating check at 0.43 of its tolerance (README), while at 50001
-#: hf-check fails at omega 1e-3 and 2.5 with g1^2 <= 0.3, and passes at 1.
+#: worst gating check at 0.43 of its tolerance, and hf-check's expectation
+#: pair below 0.01 (README), while at 50001 hf-check fails at omega 1e-3 and
+#: 2.5 with g1^2 <= 0.3, and passes at 1.
 MAX_GRID_POINTS = 20001
 
 

@@ -5,10 +5,12 @@ Every channel is a Dirichlet problem on a uniform grid with the standard
 n_points nodes on (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for
 the angular kinds), so ``solve_channel`` takes a point count and returns the
 grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
-domain at half the spacing.  The levels fix the box: the Richardson pair of
-an oscillator kind (``solve_channel_extrapolated``) solves its fine grid
-only out to where its highest level has decayed, and on a longer box at the
-same spacing where the default one is too short.
+domain at half the spacing.  Every Richardson pair comes from
+``solve_channel_extrapolated``, which returns both solves, each with its
+grid, and their extrapolant (``ChannelPair``).  The levels fix the box: the
+pair of an oscillator kind solves its fine grid only out to where its
+highest level has decayed, and on a longer box at the same spacing where the
+default one is too short.
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -98,14 +100,12 @@ class EigenResult:
     Vectors from ``solve_channel`` are trapezoid-normalized on ``grid``, the
     grid it solved on (sum v_i^2 * spacing = 1); those from ``eigen_tridiag``,
     which has no grid, carry unit Euclidean norm.  ``residual_bound`` is the
-    pairs' largest ||T v - lambda v||; without vectors it is eps * (max|d| +
-    2 max|e|), an estimate and not a bound: on small matrices a level errs by
-    up to 1.23x it from stebz, and by up to 2.5x from the mirror blocks.
+    eigenpairs' largest ||T v - lambda v||, None without vectors.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None
-    residual_bound: float
+    residual_bound: float | None
     grid: Grid1D | None = None
 
     def __post_init__(self) -> None:
@@ -152,9 +152,7 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
     eigenvalue to an absolute accuracy of about eps * max|T|, so its last
     bits depend on k: asking the same matrix for fewer levels moved a
     polar-channel level at 4003 points by up to 9.2e-9 for g1^2 <= 7.5 and
-    2.2e-8 at g1^2 = 100, each under eps * max|T|.  Without vectors the
-    returned ``residual_bound`` is that accuracy, not a bound: stebz exceeds
-    it by up to 1.23x on small matrices.
+    2.2e-8 at g1^2 = 100, each under eps * max|T|.
 
     ``solve_channel`` sends the SHO and RADIAL matrices here whole and each
     mirror kind's matrix as its even and odd blocks (``_solve_mirror``).
@@ -162,12 +160,10 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
     n = T.dimension
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    scale = float(np.max(np.abs(T.diag)) + 2.0 * (np.max(np.abs(T.offdiag)) if n > 1 else 0.0))
     out = eigh_tridiagonal(T.diag, T.offdiag, eigvals_only=not want_vectors, select="i",
                            select_range=(0, k - 1), lapack_driver="stebz")
     if not want_vectors:
-        return EigenResult(eigenvalues=out, eigenvectors=None,
-                           residual_bound=np.finfo(float).eps * scale)
+        return EigenResult(eigenvalues=out, eigenvectors=None, residual_bound=None)
     vals, vecs = out
     vecs = vecs.T  # one eigenvector per row
     return EigenResult(eigenvalues=vals, eigenvectors=vecs,
@@ -223,9 +219,7 @@ def _solve_mirror(T: TridiagonalMatrix, k: int, want_vectors: bool) -> EigenResu
     that rounding put out of order, one split by less than the bisection
     accuracy, such as the edge-localized top levels of a grid of a dozen
     points solved for all its levels.  Vectors are unfolded onto all rows of
-    T and ``residual_bound`` is their largest residual on T itself; without
-    vectors it is the larger block's bisection accuracy, which the blocks'
-    levels exceed by up to 2.5x on small matrices, so it is not a bound.
+    T and ``residual_bound`` is their largest residual on T itself.
     """
     parts = [(sign, eigen_tridiag(_mirror_block(T, sign), count, want_vectors))
              for sign, count in ((1.0, (k + 1) // 2), (-1.0, k // 2)) if count]
@@ -237,8 +231,7 @@ def _solve_mirror(T: TridiagonalMatrix, k: int, want_vectors: bool) -> EigenResu
             vecs[start::2] = _unfold(res.eigenvectors, T.dimension, sign)
     order = np.argsort(vals, kind="stable")
     if not want_vectors:
-        return EigenResult(eigenvalues=vals[order], eigenvectors=None,
-                           residual_bound=max(res.residual_bound for _, res in parts))
+        return EigenResult(eigenvalues=vals[order], eigenvectors=None, residual_bound=None)
     vals, vecs = vals[order], vecs[order]
     return EigenResult(eigenvalues=vals, eigenvectors=vecs,
                        residual_bound=_residual(T, vals, vecs))
@@ -410,31 +403,44 @@ def _box_nodes(spec: ChannelSpec, params: ModelParams, n_points: int, nodes: int
     return nodes - (2 * cut if spec.kind is ChannelKind.HO else cut)
 
 
+@dataclass(frozen=True)
+class ChannelPair:
+    """A channel's Richardson pair: its solves at spacings h and h/2, and their extrapolant.
+
+    ``coarse`` and ``fine`` each carry the grid they were solved on.
+    """
+
+    coarse: EigenResult
+    fine: EigenResult
+    values: np.ndarray
+
+
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
-                               k: int) -> np.ndarray:
-    """Eigenvalues Richardson-extrapolated from n_points and 2 n_points + 1 (h and h/2).
+                               k: int, want_vectors: bool = False) -> ChannelPair:
+    """The pair at n_points and 2 n_points + 1 (h and h/2), Richardson-extrapolated.
 
     An ``OSCILLATOR_KINDS`` pair solves the fine grid only out to where its
     highest coarse level has decayed (``_box_nodes``), as a node subset of
     the 2 n_points + 1 grid at exactly h/2, and never on fewer nodes than
     levels.  Where that edge lies beyond the default box, the coarse grid is
     first solved again on the longer box at the same spacing.  The angular
-    kinds keep (0, pi).
+    kinds keep (0, pi).  ``want_vectors`` goes to every solve of the pair.
     """
-    e_h = solve_channel(spec, params, n_points, k).eigenvalues
-    if spec.kind not in OSCILLATOR_KINDS:
-        return richardson(e_h, solve_channel(spec, params, 2 * n_points + 1, k).eigenvalues)
-    reach = n_points
-    while (box := _box_nodes(spec, params, n_points, reach, e_h[-1])) is None:
-        # look farther out; an odd factor keeps HO's node parity, so the longer
-        # box holds the default nodes and, by interlacing, no higher levels
-        reach *= 3
-    if box > n_points:
-        e_h = solve_channel(spec, params, n_points, k, nodes=box).eigenvalues
-        box = _box_nodes(spec, params, n_points, reach, e_h[-1])
-    box = max(box, k // 2, 1)
-    e_half = solve_channel(spec, params, 2 * n_points + 1, k, nodes=2 * box + 1).eigenvalues
-    return richardson(e_h, e_half)
+    coarse = solve_channel(spec, params, n_points, k, want_vectors)
+    nodes = None
+    if spec.kind in OSCILLATOR_KINDS:
+        reach = n_points
+        while (box := _box_nodes(spec, params, n_points, reach,
+                                 coarse.eigenvalues[-1])) is None:
+            # look farther out; an odd factor keeps HO's node parity, so the longer
+            # box holds the default nodes and, by interlacing, no higher levels
+            reach *= 3
+        if box > n_points:
+            coarse = solve_channel(spec, params, n_points, k, want_vectors, nodes=box)
+            box = _box_nodes(spec, params, n_points, reach, coarse.eigenvalues[-1])
+        nodes = 2 * max(box, k // 2, 1) + 1
+    fine = solve_channel(spec, params, 2 * n_points + 1, k, want_vectors, nodes=nodes)
+    return ChannelPair(coarse, fine, richardson(coarse.eigenvalues, fine.eigenvalues))
 
 
 def expectation(v: np.ndarray, observable: Callable[[np.ndarray], np.ndarray],

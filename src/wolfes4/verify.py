@@ -42,7 +42,7 @@ from .numsolve import (
     ChannelKind,
     ChannelSpec,
     richardson,
-    solve_channel,
+    solve_channel,  # not called here; perfbench/tracing.py wraps it by name
     solve_channel_extrapolated,
     expectation,
 )
@@ -139,12 +139,13 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
                     for w in omegas for k2 in STANDARD_RADIAL_KSQ]
     sho_spec = ChannelSpec(ChannelKind.SHO)
     sho_numeric = _pmap(
-        lambda case: solve_channel_extrapolated(sho_spec, case[0], n_points, RESOLUTION_LEVELS),
+        lambda case: solve_channel_extrapolated(sho_spec, case[0], n_points,
+                                                RESOLUTION_LEVELS).values,
         sho_cases)
     radial_numeric = _pmap(
         lambda case: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=case[0]), case[1], n_points,
-            RESOLUTION_LEVELS),
+            RESOLUTION_LEVELS).values,
         radial_cases)
 
     # A case holds the closed form's arguments before the candidate, its
@@ -211,9 +212,9 @@ def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
     bitwise-equal energies, so the sort names the first of them.
     """
     e_ho = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), params,
-                                      n_points, cutoff + 1)
+                                      n_points, cutoff + 1).values
     e_sho = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), params,
-                                       n_points, cutoff // 2 + 1)
+                                       n_points, cutoff // 2 + 1).values
     out = []
     for n2 in range(cutoff // 2 + 1):
         for n1 in range(cutoff - 2 * n2 + 1):
@@ -256,17 +257,17 @@ def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
     """
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
-        params, n_points, n_cap + 1)
+        params, n_points, n_cap + 1).values
     k2_rows = _pmap(
         lambda m: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2[m])),
-            params, n_points, n_cap - m + 1),
+            params, n_points, n_cap - m + 1).values,
         range(n_cap + 1))
     cases = [(l, m) for m in range(n_cap + 1) for l in range(n_cap - m + 1)]
     radial_rows = _pmap(
         lambda lm: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=float(k2_rows[lm[1]][lm[0]])),
-            params, n_points, (n_cap - lm[0] - lm[1]) // 2 + 1),
+            params, n_points, (n_cap - lm[0] - lm[1]) // 2 + 1).values,
         cases)
     return {SphericalQuantum(n_r=n, l=l, m=m): float(e)
             for (l, m), row in zip(cases, radial_rows) for n, e in enumerate(row)}
@@ -309,9 +310,10 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     """Three-way derivative comparison dE/d(g1^2) on one SHO level.
 
     Compares the central finite difference of the numeric eigenvalue (step
-    1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), and the
-    closed form omega/(6 delta); all three must agree pairwise within ``tol``
-    and be strictly positive.  Raises ValueError below g1^2 = 1e-3, where
+    1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), taken on
+    each grid of the channel's Richardson pair, and the closed form
+    omega/(6 delta); all three must agree pairwise within ``tol`` and be
+    strictly positive.  Raises ValueError below g1^2 = 1e-3, where
     g1^2 - step would leave the coupling range.
     """
     delta_g2 = 1e-3 * max(1.0, params.g1_squared)
@@ -325,7 +327,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
 
     def level(g: float) -> float:
         p = replace(params, g1_squared=g)
-        return float(solve_channel_extrapolated(spec, p, n_points, n2 + 1)[n2])
+        return float(solve_channel_extrapolated(spec, p, n_points, n2 + 1).values[n2])
 
     def central(step: float) -> float:
         return (level(params.g1_squared + step) - level(params.g1_squared - step)) / (2 * step)
@@ -333,14 +335,13 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     d_fd = central(delta_g2)
     d_fd_half = central(delta_g2 / 2.0)
 
-    vals = []
-    for n in (n_points, 2 * n_points + 1):
-        res = solve_channel(spec, params, n, n2 + 1, want_vectors=True)
-        vals.append(expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), res.grid))
+    pair = solve_channel_extrapolated(spec, params, n_points, n2 + 1, want_vectors=True)
+    coarse, fine = (expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), res.grid)
+                    for res in (pair.coarse, pair.fine))
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
     # goes as x^(2b - 2) and its trapezoid error as h^(2b - 1) (Navot 1961):
     # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
-    d_exp = float(richardson(vals[0], vals[1], 2.0 ** min(1.0, delta_constant(params))))
+    d_exp = float(richardson(coarse, fine, 2.0 ** min(1.0, delta_constant(params))))
 
     d_closed = hf_derivative_closed_form(params)
 
@@ -372,8 +373,8 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
     report = VerificationReport()
     sho = ChannelSpec(ChannelKind.SHO)
 
-    g_here = float(solve_channel_extrapolated(sho, params, n_points, 1)[0])
-    g_there = float(solve_channel_extrapolated(sho, other, n_points, 1)[0])
+    g_here = float(solve_channel_extrapolated(sho, params, n_points, 1).values[0])
+    g_there = float(solve_channel_extrapolated(sho, other, n_points, 1).values[0])
     predicted = params.omega * (delta_constant(params) - delta_constant(other))
     report.add("audit-spectrum-depends-on-g1", g_here - g_there, predicted, tol * params.omega,
                f"numeric ground levels at g1^2 = {params.g1_squared:g} vs "
@@ -381,7 +382,7 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
-        params, n_points, 2)
+        params, n_points, 2).values
     claimed = params.g1_squared / 3.0 + 0.25
     report.add("audit-f2-not-all-equal", float(f2[1] - f2[0]), 0.0, math.inf,
                f"f^2_0 = {f2[0]:.6f}, f^2_1 = {f2[1]:.6f}; the audited claim is "
@@ -390,7 +391,7 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
     k2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2[0])),
-        params, n_points, 1)
+        params, n_points, 1).values
     report.add("audit-k2-not-l(l+1)", float(k2[0]), 0.0, math.inf,
                "k^2 for l = 0, m = 0; the audited claim pins it to l(l+1) = 0",
                ok=abs(float(k2[0])) > 1.0)

@@ -134,8 +134,8 @@ def test_criterion_06_scaling_law(resolution):
     numeric_dev = 0.0
     for spec in (ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.SHO),
                  ChannelSpec(ChannelKind.RADIAL, 2.0)):
-        e1 = solve_channel_extrapolated(spec, p1, 1001, 4)
-        e2 = solve_channel_extrapolated(spec, p2, 1001, 4)
+        e1 = solve_channel_extrapolated(spec, p1, 1001, 4).values
+        e2 = solve_channel_extrapolated(spec, p2, 1001, 4).values
         numeric_dev = max(numeric_dev, float(np.max(np.abs(e2 - 2 * e1))))
     g1 = solve_hd_3d(p1, 33, 7.0, k=2).eigenvalues
     g2 = solve_hd_3d(p2, 33, 7.0, k=2).eigenvalues

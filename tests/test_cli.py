@@ -253,6 +253,44 @@ class TestReportBytes:
         assert got == code and (out == "") == (code == EXIT_FAIL)
         assert hashlib.sha256((err if code else out).encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("argv, sha256", [
+        pytest.param(("verify", "jacobi", "--g1sq", "3"),
+                     "8985aeeeb3885cc96c0ffd042850ddd92c2fb490c71122a4a3e8f661c8697413",
+                     id="jacobi-g1sq-3"),
+        pytest.param(("verify", "spherical", "--g1sq", "3"),
+                     "bdb2578da29f3fe5b6e2f0fa2b882e6657b04ef413e11a6d52dc9c8ae0ec528d",
+                     id="spherical-g1sq-3"),
+        pytest.param(("hf-check", "--g1sq", "3"),
+                     "d4347f8316a94443eca624bbf493f5602b6b8e76f7d88da1fb8d5eb136098c5c",
+                     id="hf-check-g1sq-3"),
+        pytest.param(("audit", "--g1sq", "3"),
+                     "bdb748f0e0feb5316e2329096bea80a26876d80e57196a0b85c6a50237f1eaa5",
+                     id="audit-g1sq-3"),
+        pytest.param(("verify", "jacobi", "--g1sq", "0.3"),
+                     "7d2e3ef89b2b1a647e81cb679ecfc3072311685d2e241d6ee566f510fec13b99",
+                     id="jacobi-g1sq-0.3"),
+        pytest.param(("verify", "spherical", "--g1sq", "0.3"),
+                     "f9cc7d87bf79017b5956ac64259d8e870986dcab4e697161cac109f21f6e56e5",
+                     id="spherical-g1sq-0.3"),
+        pytest.param(("hf-check", "--g1sq", "0.3"),
+                     "6b13329b88f53fd267ebbb0e42d094a5ec788517fefc83ccff2c3fc937fe9d20",
+                     id="hf-check-g1sq-0.3"),
+        pytest.param(("audit", "--g1sq", "0.3"),
+                     "ccfae2f890c2690e11a2bdc6794fb102834af42b2ee9313e60952286c03d52ed",
+                     id="audit-g1sq-0.3"),
+        pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3"),
+                     "15ae88777aa8a6087abeec2cdf64140bc9fff01df0fb978240ba4475fb1c518e",
+                     id="hf-check-omega-2.5-g1sq-1e-3"),
+    ])
+    def test_route_1d_report_bytes(self, workdir, capsys, argv, sha256):
+        # the 1D commands of the routes-1d benchmark, after the state file
+        # `resolve` writes at the standard sweep; the levels hold to the last
+        # bit on one LAPACK build only, as do the resolve pins
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_PASS, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("argv, code, sha256", [
         pytest.param(("--grid-points", "41", "--domain-extent", "5.5", "--g1sq", "3"),
                      EXIT_PASS,

@@ -152,7 +152,7 @@ class TestChannels:
         assert res.eigenvalues == pytest.approx([0.5, 1.5, 2.5, 3.5], abs=5e-4)
 
     def test_ho_oracle_after_richardson(self):
-        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), P, 2001, 8)
+        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), P, 2001, 8).values
         assert e == pytest.approx(np.arange(8) + 0.5, abs=1e-6)
 
     def test_azimuthal_zero_coupling(self):
@@ -160,19 +160,19 @@ class TestChannels:
         res = solve_channel(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0), p0, 2000, 3)
         assert res.eigenvalues == pytest.approx([1.0, 4.0, 9.0], abs=1e-3)
         e = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0),
-                                       p0, 2001, 5)
+                                       p0, 2001, 5).values
         assert e == pytest.approx((np.arange(5) + 1.0) ** 2, abs=1e-5)
 
     def test_polar_legendre_probe(self):
         # f^2 = 0 probe: pure Legendre eigenvalues l(l+1)
         e = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_THETA, 0.0),
-                                       P, 2001, 5)
+                                       P, 2001, 5).values
         l = np.arange(5)
         assert e == pytest.approx(l * (l + 1), abs=1e-5)
 
     @pytest.mark.parametrize("k2,l", [(0.0, 0), (2.0, 1), (6.0, 2)])
     def test_radial_isotropic_oscillator(self, k2, l):
-        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.RADIAL, k2), P, 2001, 3)
+        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.RADIAL, k2), P, 2001, 3).values
         assert e == pytest.approx(2 * np.arange(3) + l + 1.5, abs=1e-5)
 
     def test_radial_k2_2_lowest_two(self):
@@ -182,7 +182,7 @@ class TestChannels:
     def test_sho_matches_resolved_formula(self):
         for g in (0.0, 1.0, 3.0, 7.5):
             p = ModelParams(omega=1.0, g1_squared=g)
-            e = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), p, 2001, 4)
+            e = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), p, 2001, 4).values
             ref = [sho_energy_resolved(n, p, 1.0) for n in range(4)]
             assert e == pytest.approx(ref, abs=1e-6)
 
@@ -190,12 +190,12 @@ class TestChannels:
         # eigenvalues (f + l)(f + l + 1) for coupling f^2
         f = 0.5 + delta_constant(P)
         e = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_THETA, f * f),
-                                       P, 2001, 4)
+                                       P, 2001, 4).values
         l = np.arange(4)
         assert e == pytest.approx((f + l) * (f + l + 1), abs=1e-5)
 
     def test_strictly_ascending(self):
-        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), P, 1001, 6)
+        e = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), P, 1001, 6).values
         assert np.all(np.diff(e) > 0)
 
     def test_kind_fixes_domain(self):
@@ -221,11 +221,20 @@ class TestChannels:
                                       ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0)],
                              ids=lambda spec: spec.kind.value)
     def test_vectors_leave_the_eigenvalues_unchanged(self, spec):
-        # hf-check takes its levels from value-only solves and its expectation
-        # from a vector solve; both must be the same eigenvalues
+        # hf-check takes its levels from value-only pairs and its expectation
+        # from a vector pair; both must be the same eigenvalues, on the same
+        # boxes (HO's grows at k = 40)
         values = solve_channel(spec, P, 2001, 4).eigenvalues
         with_vectors = solve_channel(spec, P, 2001, 4, want_vectors=True).eigenvalues
         assert np.array_equal(values, with_vectors)
+        for k in (4, 40) if spec.kind is ChannelKind.HO else (4,):
+            pair = solve_channel_extrapolated(spec, P, 2001, k)
+            vector_pair = solve_channel_extrapolated(spec, P, 2001, k, want_vectors=True)
+            assert np.array_equal(pair.values, vector_pair.values)
+            for res, vector_res in ((pair.coarse, vector_pair.coarse),
+                                    (pair.fine, vector_pair.fine)):
+                assert res.grid == vector_res.grid
+                assert vector_res.eigenvectors.shape == (k, vector_res.grid.n_points)
 
     def test_result_carries_its_grid(self):
         for kind in ChannelKind:
@@ -241,6 +250,11 @@ class TestChannels:
 
 MIRROR_SPECS = [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0),
                 ChannelSpec(ChannelKind.ANGULAR_THETA, 1.0)]
+
+
+def bisection_accuracy(T):
+    """eps * (max|d| + 2 max|e|), about how closely stebz places each level of T."""
+    return np.finfo(float).eps * (np.max(np.abs(T.diag)) + 2.0 * np.max(np.abs(T.offdiag)))
 
 
 def mirror_case(kind, g1sq, omega):
@@ -269,9 +283,9 @@ class TestMirrorFold:
             # the fold reads the left half only; by Weyl's inequality dropping
             # the diagonal's rounding asymmetry moves no eigenvalue by more
             asymmetry = np.max(np.abs(T.diag - T.diag[::-1]))
+            tol = 2.0 * bisection_accuracy(T) + asymmetry
             for k in range(1, min(n, 8) + 1):
                 fold = solve_channel(spec, p, n, k)
-                tol = full.residual_bound + fold.residual_bound + asymmetry
                 assert np.max(np.abs(fold.eigenvalues + shift - full.eigenvalues[:k])) <= tol
                 # strictly ascending wherever the levels are resolved at all:
                 # the top even/odd pair of a 6-point grid at g1^2 = 1e4 is split
@@ -290,11 +304,13 @@ class TestMirrorFold:
         for n in range(8, 41):
             T = channel_tridiag(spec, P, recommended_grid(ChannelKind.HO, P, n))
             full = eigen_tridiag(T, n)
+            accuracy = bisection_accuracy(T)
             for want_vectors in (False, True):
                 fold = solve_channel(spec, P, n, n, want_vectors=want_vectors)
                 assert np.all(np.diff(fold.eigenvalues) >= 0.0)
-                tol = (full.residual_bound + fold.residual_bound
-                       + np.max(np.abs(T.diag - T.diag[::-1])))
+                # a vector's residual bounds its level's error
+                fold_error = fold.residual_bound if want_vectors else accuracy
+                tol = accuracy + fold_error + np.max(np.abs(T.diag - T.diag[::-1]))
                 assert np.max(np.abs(fold.eigenvalues - full.eigenvalues)) <= tol
 
     @pytest.mark.parametrize("n", [2000, 2001, 4003])
@@ -387,11 +403,11 @@ class TestFittedBox:
         p = ModelParams(omega=1.0, g1_squared=g1sq)
         for spec in OSCILLATOR_SPECS:
             for k in (1, 6):
-                fitted = solve_channel_extrapolated(spec, p, 2001, k)
+                fitted = solve_channel_extrapolated(spec, p, 2001, k).values
                 assert np.max(np.abs(fitted - default_box_pair(spec, p, 2001, k))) <= tol
         for spec in (ChannelSpec(ChannelKind.ANGULAR_PHI, g1sq / 3.0),
                      ChannelSpec(ChannelKind.ANGULAR_THETA, 4.0)):
-            assert np.array_equal(solve_channel_extrapolated(spec, p, 2001, 6),
+            assert np.array_equal(solve_channel_extrapolated(spec, p, 2001, 6).values,
                                   default_box_pair(spec, p, 2001, 6))
 
     @pytest.mark.parametrize("spec", OSCILLATOR_SPECS, ids=lambda spec: spec.kind.value)
@@ -418,7 +434,7 @@ class TestFittedBox:
         spec = ChannelSpec(ChannelKind.HO)
         for k, grows in ((6, False), (30, False), (40, True), (61, True)):
             calls.clear()
-            e = solve_channel_extrapolated(spec, P, 2001, k)
+            e = solve_channel_extrapolated(spec, P, 2001, k).values
             assert len(calls) == (3 if grows else 2)
             assert calls[0][2] == recommended_grid(ChannelKind.HO, P, 2001)
             if grows:

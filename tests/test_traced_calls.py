@@ -1,4 +1,4 @@
-"""The benchmark's tracer, loaded as it ships, sees every 3D solve it wraps."""
+"""The benchmark's tracer, loaded as it ships, sees every 3D and 1D solve it wraps."""
 
 import importlib.util
 import pathlib
@@ -42,3 +42,25 @@ def test_verify_3d_solves_run_inside_their_spans(tmp_path, monkeypatch, capsys):
     (solve,) = [span for span in tracer.spans if span.name == "grid3d.solve_hd_3d"]
     assert sum(span.parent == solve.id for span in tracer.spans
                if span.name == "grid3d.lanczos_lowest") == 5
+
+
+def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, capsys):
+    # the tracer wraps verify.solve_channel_extrapolated and solve_channel
+    # where verify and numsolve look them up; hf-check's four levels and its
+    # expectation are five Richardson pairs, and no solve runs outside one
+    monkeypatch.chdir(tmp_path)
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = cli.main(["hf-check", "--g1sq", "0.3"])
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert code == cli.EXIT_PASS
+    pairs = {span.id for span in tracer.spans
+             if span.name == "numsolve.solve_channel_extrapolated"}
+    solves = [span for span in tracer.spans if span.name == "numsolve.solve_channel"]
+    # two grids a pair; at one level no box grows
+    assert (len(pairs), len(solves)) == (5, 10)
+    assert all(span.parent in pairs for span in solves)

@@ -195,13 +195,13 @@ class TestSphericalRoute:
         # forced chain: f^2_0 = 1 -> k^2_00 = 2 -> E_000 = 2.5
         p0 = ModelParams(omega=1.0, g1_squared=0.0)
         f2 = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_PHI, 0.0),
-                                        p0, 2001, 1)
+                                        p0, 2001, 1).values
         assert f2[0] == pytest.approx(1.0, abs=1e-6)
         k2 = solve_channel_extrapolated(
-            ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2[0])), p0, 2001, 1)
+            ChannelSpec(ChannelKind.ANGULAR_THETA, float(f2[0])), p0, 2001, 1).values
         assert k2[0] == pytest.approx(2.0, abs=1e-5)
         e = solve_channel_extrapolated(
-            ChannelSpec(ChannelKind.RADIAL, float(k2[0])), p0, 2001, 1)
+            ChannelSpec(ChannelKind.RADIAL, float(k2[0])), p0, 2001, 1).values
         assert e[0] == pytest.approx(2.5, abs=1e-5)
 
     @pytest.mark.parametrize("ranges", [(4, 4, 2), (5, 4, 3)])
@@ -237,7 +237,7 @@ class TestSphericalRoute:
 
         def solve(kind, coefficient, k):
             return solve_channel_extrapolated(ChannelSpec(kind, float(coefficient)),
-                                              p, n_points, k)
+                                              p, n_points, k).values
 
         f2 = solve(ChannelKind.ANGULAR_PHI, g1_squared / 3.0, n_cap + 1)
         full = {}
@@ -457,7 +457,7 @@ class TestMonotoneCoupling:
         # quantitative form of the positivity of dE/d(g1^2), on the numerics
         sweep = [0.0, 1.0, 3.0, 7.5]
         levels = [solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO),
-                                             ModelParams(1.0, g), 1001, 3)
+                                             ModelParams(1.0, g), 1001, 3).values
                   for g in sweep]
         for lo, hi in zip(levels, levels[1:]):
             assert np.all(hi > lo)
