@@ -24,9 +24,8 @@ Run:  python demos/grid3d_check.py      (about a second)
 """
 
 from wolfes4 import grid3d
-from wolfes4.grid3d import dvr_change, grid_intervals, solve_hd_3d, solve_partner
+from wolfes4.grid3d import dvr_change, solve_hd_3d, solve_partner
 from wolfes4.model import ModelParams, delta_constant
-from wolfes4.numsolve import richardson
 
 
 def count_matvecs(solves: list) -> None:
@@ -56,12 +55,9 @@ def main() -> None:
     k, n_points, extent = 6, 61, 7.0
 
     # the coarse grid has 61 // 2 = 30 X2 points; an X2 spacing is
-    # extent / (n // 2 + 1), so the ratio is 31/16, not 2
-    fine = solve_hd_3d(params, n_points, extent, k)
-    partner = solve_partner(fine, n_points // 2)
-    coarse = partner.eigenvalues
-    ratio = grid_intervals(n_points) / grid_intervals(n_points // 2)
-    extrap = richardson(coarse, fine.eigenvalues, ratio)
+    # extent / (n // 2 + 1), so the pair's ratio is 31/16, not 2
+    pair = solve_partner(solve_hd_3d(params, n_points, extent, k))
+    fine, coarse, extrap, ratio = pair.fine, pair.coarse.eigenvalues, pair.values, pair.ratio
 
     print(f"closed-form ground: {exact_ground:.6f}; "
           f"the lowest {k} states in {len(fine.eigenvalues)} levels")
@@ -76,7 +72,7 @@ def main() -> None:
     print(f"\nspacing ratio {ratio:.6g}; "
           f"extrapolated ground error: {extrap[0] - exact_ground:+.2e}")
     paired = len(solves)
-    dvr = dvr_change(partner)
+    dvr = dvr_change(pair.coarse)
     print(f"grid3d-dvr-error (coarse levels with 4 DVR nodes fewer): {dvr:.1e}")
     print(f"largest Ritz residual of the fine levels: {fine.residual_bound:.1e}")
     cold = sum(matvecs for warm, matvecs in solves[:paired] if not warm)

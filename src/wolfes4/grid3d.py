@@ -28,12 +28,13 @@ it leaves.
 Every solve returns a GridLevels, with the grid it was solved on.  Only the
 first grid of a check starts cold (solve_hd_3d).  Each extra grid re-solves
 its levels, by sector and rank, on a grid that differs on one axis set, from
-its Ritz vectors: the Richardson partner (solve_partner) the fine grid's,
-carried to its X2 nodes by linear interpolation (_x2_transfer), and
-dvr_change the partner's, carried to the coarser DVR by sinc interpolation
-(_dvr_transfer).  Such a start holds the levels sought almost alone, and
-lanczos_lowest blends 1e-6 of its cold start vector in, so that a lower
-level it has all but lost is still found.
+its Ritz vectors: the Richardson partner the fine grid's, carried to its X2
+nodes by linear interpolation (_x2_transfer), and returned with it as a
+numsolve.RichardsonPair (solve_partner), and dvr_change the partner's,
+carried to the coarser DVR by sinc interpolation (_dvr_transfer).  Such a
+start holds the levels sought almost alone, and lanczos_lowest blends 1e-6
+of its cold start vector in, so that a lower level it has all but lost is
+still found.
 
 X1 -> -X1, X3 -> -X3 and X1 <-> X3 generate the dihedral group D4, which
 commutes with the operator, so the half-space splits into sectors (SECTORS),
@@ -62,7 +63,7 @@ import numpy as np
 
 from .coords import BARRIER_FORM, jacobi_matrix, potential_particle
 from .model import ModelParams
-from .numsolve import inverse_square_diag
+from .numsolve import RichardsonPair, inverse_square_diag
 
 
 class ConvergenceError(RuntimeError):
@@ -556,8 +557,8 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int) -> 
     carries the n_half = n_per_axis // 2 nodes j * h, 1 <= j <= n_half, h =
     extent / grid_intervals(n_per_axis); X1 and X3 the 2 m + 1 DVR nodes,
     m = dvr_nodes(extent), whatever n_per_axis is.  Eigenvalues converge at
-    O(h^2) on X2, so a run paired with one of fewer points over the same
-    extent (solve_partner) can be extrapolated.
+    O(h^2) on X2, so solve_partner pairs the result with half the points
+    over the same extent, for extrapolation.
 
     The ground level is simple in the half-space and lies in GROUND_SECTOR
     (see there), so that sector is solved for ceil(k / 2) levels and every
@@ -598,14 +599,15 @@ def _resolve(solved: GridLevels, n_per_axis: int, m: int,
                          for i, s in enumerate(solved.sectors)])
 
 
-def solve_partner(fine: GridLevels, n_per_axis: int) -> GridLevels:
-    """The levels of ``fine`` on n_per_axis points over the same extent and DVR,
-    from its vectors carried to these X2 nodes (_x2_transfer).  The grids
-    differ on X2 only, so level i of both is a Richardson pair.  Raises as
-    _solve does."""
-    n_half = n_per_axis // 2
-    return _resolve(fine, n_per_axis, fine.dvr_nodes,
-                    lambda sector, u: u @ _x2_transfer(u.shape[1], n_half))
+def solve_partner(fine: GridLevels) -> RichardsonPair:
+    """The Richardson pair of ``fine``: its levels on fine.n_per_axis // 2 points
+    over the same extent and DVR, from its vectors carried to those X2 nodes
+    (_x2_transfer), at the ratio of the two X2 spacings.  The grids differ on X2
+    only, so level i of both is a pair.  Raises as _solve does."""
+    n = fine.n_per_axis // 2
+    coarse = _resolve(fine, n, fine.dvr_nodes,
+                      lambda sector, u: u @ _x2_transfer(u.shape[1], n // 2))
+    return RichardsonPair(coarse, fine, grid_intervals(fine.n_per_axis) / grid_intervals(n))
 
 
 def dvr_change(solved: GridLevels) -> float:

@@ -6,11 +6,11 @@ n_points nodes on (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for
 the angular kinds), so ``solve_channel`` takes a point count and returns the
 grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
 domain at half the spacing.  Every Richardson pair comes from
-``solve_channel_extrapolated``, which returns both solves, each with its
-grid, and their extrapolant (``ChannelPair``).  The levels fix the box: the
-pair of an oscillator kind solves its fine grid only out to where its
-highest level has decayed, and on a longer box at the same spacing where the
-default one is too short.
+``solve_channel_extrapolated``, which returns both solves, each with its grid,
+and their extrapolant (``RichardsonPair``, as ``grid3d.solve_partner`` does
+for 3D).  The levels fix the box: the pair of an oscillator kind solves its
+fine grid only out to where its highest level has decayed, and on a longer
+box at the same spacing where the default one is too short.
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -404,19 +404,24 @@ def _box_nodes(spec: ChannelSpec, params: ModelParams, n_points: int, nodes: int
 
 
 @dataclass(frozen=True)
-class ChannelPair:
-    """A channel's Richardson pair: its solves at spacings h and h/2, and their extrapolant.
+class RichardsonPair:
+    """Solves at spacings h and h / ``ratio``, and their extrapolant ``values``.
 
-    ``coarse`` and ``fine`` each carry the grid they were solved on.
+    ``coarse`` and ``fine`` are a channel's EigenResults or grid3d's GridLevels.
     """
 
     coarse: EigenResult
     fine: EigenResult
-    values: np.ndarray
+    ratio: float
+    values: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", richardson(
+            self.coarse.eigenvalues, self.fine.eigenvalues, self.ratio))
 
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
-                               k: int, want_vectors: bool = False) -> ChannelPair:
+                               k: int, want_vectors: bool = False) -> RichardsonPair:
     """The pair at n_points and 2 n_points + 1 (h and h/2), Richardson-extrapolated.
 
     An ``OSCILLATOR_KINDS`` pair solves the fine grid only out to where its
@@ -440,7 +445,7 @@ def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points:
             box = _box_nodes(spec, params, n_points, reach, coarse.eigenvalues[-1])
         nodes = 2 * max(box, k // 2, 1) + 1
     fine = solve_channel(spec, params, 2 * n_points + 1, k, want_vectors, nodes=nodes)
-    return ChannelPair(coarse, fine, richardson(coarse.eigenvalues, fine.eigenvalues))
+    return RichardsonPair(coarse, fine, 2.0)
 
 
 def expectation(v: np.ndarray, observable: Callable[[np.ndarray], np.ndarray],

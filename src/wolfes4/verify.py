@@ -21,7 +21,6 @@ from .grid3d import (
     MAX_POINTS_PER_AXIS,
     MIN_POINTS_PER_AXIS,
     dvr_change,
-    grid_intervals,
     solve_hd_3d,
     solve_partner,
 )
@@ -58,6 +57,8 @@ STANDARD_SWEEP = (0.0, 1.0, 3.0, 7.5)
 STANDARD_RADIAL_KSQ = (2.0, 6.0)
 #: Lowest levels of each channel compared against the candidate formulas.
 RESOLUTION_LEVELS = 6
+#: Default point count of the 1D channel checks, each pair's coarse grid.
+CHANNEL_POINTS = 2001
 #: Bound on the Richardson-extrapolated 3D grid levels against the closed forms.
 GRID3D_TOL = 5e-3
 
@@ -116,7 +117,7 @@ def _pmap(fn: Callable, items: Sequence) -> list:
 
 
 def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
-                            n_points: int = 2001, tol: float = RESOLUTION_TOL,
+                            n_points: int = CHANNEL_POINTS, tol: float = RESOLUTION_TOL,
                             ) -> tuple[float, str, VerificationReport]:
     """Select the SHO offset and the radial exponent rule that match the numerics.
 
@@ -227,7 +228,7 @@ def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
 
 def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
                         tol: float = RESOLUTION_TOL,
-                        n_points: int = 2001) -> VerificationReport:
+                        n_points: int = CHANNEL_POINTS) -> VerificationReport:
     """Check that summed 1D channel numerics reproduce the closed-form table."""
     report = VerificationReport()
     numeric = _jacobi_numeric_levels(params, cutoff, n_points)
@@ -275,7 +276,7 @@ def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
 
 def verify_spherical_route(params: ModelParams, n_cap: int, *,
                            offset: float, tol: float = RESOLUTION_TOL,
-                           n_points: int = 2001) -> VerificationReport:
+                           n_points: int = CHANNEL_POINTS) -> VerificationReport:
     """Check the chained spherical solve against the separated route, as multisets.
 
     Both routes are enumerated completely up to the total-quanta class
@@ -306,7 +307,7 @@ def verify_spherical_route(params: ModelParams, n_cap: int, *,
 
 
 def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION_TOL,
-                           n_points: int = 2001) -> VerificationReport:
+                           n_points: int = CHANNEL_POINTS) -> VerificationReport:
     """Three-way derivative comparison dE/d(g1^2) on one SHO level.
 
     Compares the central finite difference of the numeric eigenvalue (step
@@ -341,7 +342,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
     # goes as x^(2b - 2) and its trapezoid error as h^(2b - 1) (Navot 1961):
     # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
-    d_exp = float(richardson(coarse, fine, 2.0 ** min(1.0, delta_constant(params))))
+    d_exp = float(richardson(coarse, fine, pair.ratio ** min(1.0, delta_constant(params))))
 
     d_closed = hf_derivative_closed_form(params)
 
@@ -360,7 +361,7 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
 
 
 def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
-             n_points: int = 2001) -> VerificationReport:
+             n_points: int = CHANNEL_POINTS) -> VerificationReport:
     """Measure the three claims of the earlier spherical-coordinate treatment.
 
     The audited claims: the spectrum does not depend on the barrier strength;
@@ -402,10 +403,10 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
               n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
-    Grid levels at ``n_per_axis`` and ``n_per_axis // 2`` X2 points over the
-    same extent (in oscillator lengths) and DVR are paired by sector and rank
-    (grid3d.solve_partner) and Richardson-extrapolated at the X2 spacing
-    ratio, which cancels the X2 error.  Each class (both mirror half-spaces)
+    The grid of ``n_per_axis`` points, n_per_axis // 2 X2 nodes, and its
+    partner of n_per_axis // 4 X2 nodes over the same extent (in oscillator
+    lengths) and DVR come paired by sector and rank and extrapolated at their
+    X2 spacing ratio (grid3d.solve_partner).  Each class (both mirror half-spaces)
     takes grid levels until their multiplicities reach its degeneracy; every
     class within the lowest k states checks its worst level and its
     degeneracy.  The provenance quotes that level's fine and coarse grid
@@ -423,14 +424,11 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     if not low <= extent <= high:
         raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
     report = VerificationReport()
-    fine = solve_hd_3d(params, n_per_axis, extent, k)
-    partner = solve_partner(fine, n_per_axis // 2)
-    ratio = grid_intervals(n_per_axis) / grid_intervals(n_per_axis // 2)
-    extrap = richardson(partner.eigenvalues, fine.eigenvalues, ratio)
-    mults = fine.multiplicities
+    pair = solve_partner(solve_hd_3d(params, n_per_axis, extent, k))
+    mults = pair.fine.multiplicities
     m = len(mults)
-    residuals = (f"largest Lanczos residual: fine grid {np.max(fine.residuals):.1e}, "
-                 f"coarse {np.max(partner.residuals):.1e}")
+    residuals = (f"largest Lanczos residual: fine grid {np.max(pair.fine.residuals):.1e}, "
+                 f"coarse {np.max(pair.coarse.residuals):.1e}")
 
     i = covered = 0
     # every class holds at least one triple, twice, so (k + 1) // 2 classes suffice
@@ -442,15 +440,15 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
         while states < level.degeneracy and i < m:
             states += int(mults[i])
             i += 1
-        worst = max(range(first, i), key=lambda j: abs(extrap[j] - level.value))
-        report.add(f"grid3d-level[N={n}]", extrap[worst], level.value, tol * params.omega,
-                   f"worst of {i - first} levels: fine grid {fine.levels[worst]:.6f}, "
-                   f"coarse {partner.levels[worst]:.6f}, Richardson pair at "
-                   f"spacing ratio {ratio:.6g}; {residuals}")
+        worst = max(range(first, i), key=lambda j: abs(pair.values[j] - level.value))
+        report.add(f"grid3d-level[N={n}]", pair.values[worst], level.value, tol * params.omega,
+                   f"worst of {i - first} levels: fine grid {pair.fine.levels[worst]:.6f}, "
+                   f"coarse {pair.coarse.levels[worst]:.6f}, Richardson pair at "
+                   f"spacing ratio {pair.ratio:.6g}; {residuals}")
         report.add(f"grid3d-degeneracy[N={n}]", states, level.degeneracy, 0.0,
                    "states the class's grid levels stand for, by sector multiplicity")
-    nodes = 2 * partner.dvr_nodes + 1
-    report.add("grid3d-dvr-error", params.omega * dvr_change(partner),
+    nodes = 2 * pair.coarse.dvr_nodes + 1
+    report.add("grid3d-dvr-error", params.omega * dvr_change(pair.coarse),
                0.0, tol / 100.0 * params.omega,
                f"largest move of the coarse grid's levels when its X1/X3 DVR of "
                f"{nodes} nodes has {nodes - 4} over the same extent")

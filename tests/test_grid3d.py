@@ -402,7 +402,7 @@ class TestSolver:
         assert np.all(solved.residuals <= 1e-8 * np.maximum(1.0, np.abs(solved.levels)))
         fine = solve_hd_3d(P, 40, 5.0, k=20)
         del bounds[:]
-        partner = solve_partner(fine, 20)
+        partner = solve_partner(fine).coarse
         grid3d.dvr_change(partner)
         # four sectors hold the 20 states, two solves each
         assert bounds == [None] * 8
@@ -505,10 +505,10 @@ class TestReduction:
 class TestRichardsonPair:
     @pytest.mark.parametrize("n_per_axis", [16, 24, 41])
     def test_levels_extrapolate_the_oracle_pair(self, n_per_axis):
-        # verify_3d pairs the grid with n_per_axis // 2 X2 points on the same
-        # extent and the same DVR; its level entries must be the extrapolation
-        # of the two oracle spectra at their X2 spacing ratio (1.8, 1.44 and
-        # 1.909 here)
+        # solve_partner pairs the grid with n_per_axis // 2 points on the same
+        # extent and the same DVR; the pair's values and verify_3d's level
+        # entries must be the extrapolation of the two oracle spectra at their
+        # X2 spacing ratio (1.8, 1.44 and 1.909 here)
         n_half, m, extent = grid(n_per_axis, 5.0)
         n_coarse = (n_per_axis // 2) // 2
         fine = tensor_sum_oracle(P, n_half, m, extent, 6)
@@ -519,6 +519,10 @@ class TestRichardsonPair:
         # the ground class is state 0, the N = 1 class the image quartet 2-5
         assert levels == pytest.approx(expected[[0, 2]], abs=1e-8)
         assert expected[2:6] == pytest.approx(expected[2], abs=1e-8)
+        pair = solve_partner(solve_hd_3d(P, n_per_axis, extent, 6))
+        assert pair.coarse.n_per_axis == n_per_axis // 2
+        assert pair.ratio == (n_half + 1) / (n_coarse + 1)
+        assert pair.values == pytest.approx(expected[[0, 2]], abs=1e-8)
 
 
 class TestSectors:
@@ -667,7 +671,7 @@ class TestWarmStart:
     def test_warm_levels_equal_the_cold_ones(self, g1_squared, n_per_axis, extent, k,
                                              monkeypatch):
         params = ModelParams(omega=1.0, g1_squared=g1_squared)
-        partner = solve_partner(solve_hd_3d(params, n_per_axis, extent, k), n_per_axis // 2)
+        partner = solve_partner(solve_hd_3d(params, n_per_axis, extent, k)).coarse
         counts = {sector: partner.sectors.count(sector) for sector in partner.sectors}
         m = dvr_nodes(extent)
         cold = grid3d._solve(params, n_per_axis // 2, m, extent, counts)
@@ -690,7 +694,7 @@ class TestWarmStart:
         fine = solve_hd_3d(P, 41, 5.5, 14)
         assert fine.sectors == [(1, 1, 1), (1, -1, 0), (1, 1, 1), (-1, -1, 1), (1, 1, 1),
                                 (1, 1, -1)]
-        partner = solve_partner(fine, 20)
+        partner = solve_partner(fine).coarse
         assert (partner.n_per_axis, partner.extent, partner.dvr_nodes) == (20, 5.5, 11)
         assert partner.sectors == fine.sectors
         counts = {sector: fine.sectors.count(sector) for sector in fine.sectors}

@@ -42,6 +42,11 @@ def test_verify_3d_solves_run_inside_their_spans(tmp_path, monkeypatch, capsys):
     (solve,) = [span for span in tracer.spans if span.name == "grid3d.solve_hd_3d"]
     assert sum(span.parent == solve.id for span in tracer.spans
                if span.name == "grid3d.lanczos_lowest") == 5
+    # the 3D pair's one extrapolation, wherever it is computed, counts in
+    # numsolve.richardson_pairs; the others are the in-memory resolution's
+    (check,) = [span for span in tracer.spans if span.name == "verify.verify_3d"]
+    assert sum(span.parent == check.id for span in tracer.spans
+               if span.name == "numsolve.richardson") == 1
 
 
 def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, capsys):
