@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from numpy.linalg import LinAlgError
 
-from .grid3d import (
-    ConvergenceError,
-    GRID3D_EXTENT_RANGE,
-    MAX_G1_SQUARED,
-    MAX_POINTS_PER_AXIS,
-    MIN_POINTS_PER_AXIS,
-)
+from .grid3d import ConvergenceError, check_grid
 from .model import (
     ModelParams,
     RADIAL_RULES,
@@ -33,7 +27,8 @@ from .model import (
     enumerate_spectrum,
 )
 from .verify import (
-    RESOLUTION_LEVELS,
+    GRID3D_EXTENT,
+    GRID3D_POINTS,
     STANDARD_SWEEP,
     ResolutionError,
     VerificationReport,
@@ -56,7 +51,7 @@ STATE_FILE_NAME = "resolved_constants.txt"
 MAX_QUANTA = 60
 #: Largest --g1sq.  Every 1D command passes at it at --max-quanta 60; their
 #: boxes follow the levels, so `verify jacobi` there passes to 1e6 too.  The
-#: 3D grid takes less.
+#: 3D grid takes less (grid3d.check_grid).
 MAX_G1SQ = 1e4
 #: Largest 1D --grid-points.  Rounding in the 1/h^2 entries grows as n^2 and
 #: the discretization error falls as n^-2: here the 1D commands pass with the
@@ -112,10 +107,6 @@ class RunConfig:
             raise ValueError(f"grid-points must be at most {MAX_GRID_POINTS}: past it, "
                              "rounding in the 1/h^2 entries grows past the "
                              f"discretization error, got {self.grid_points}")
-        low, high = GRID3D_EXTENT_RANGE
-        if self.domain_extent is not None and not low <= self.domain_extent <= high:
-            raise ValueError(f"domain-extent must lie in [{low:g}, {high:g}], "
-                             f"got {self.domain_extent:g}")
         # in units of omega: at 1 a level would pass for its neighbour class
         if self.tol is not None and not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
@@ -339,16 +330,6 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _require_grid_points(config: RunConfig, least: int, where: str,
-                         most: int | None = None) -> None:
-    """Reject a --grid-points value the command cannot use, before any solve runs."""
-    n = config.grid_points
-    if n is None or least <= n and (most is None or n <= most):
-        return
-    bound = f"at least {least}" if most is None else f"in [{least}, {most}]"
-    raise ValueError(f"--grid-points must be {bound} for {where}, got {n}")
-
-
 def _resolution(config_path: str | None) -> tuple[float, str]:
     """Stored resolution if present, otherwise computed in memory."""
     stored = load_state_file(state_file_path(config_path))
@@ -392,17 +373,11 @@ def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
 
 def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
     n_cap = min(config.max_quanta, 4)
-    # a 1D leg asks a channel for one level more than the largest class it checks
-    if which == "jacobi":
-        _require_grid_points(config, config.max_quanta + 1, "verify jacobi")
-    if which == "spherical":
-        _require_grid_points(config, n_cap + 1, "verify spherical")
+    # the 3D grid unset takes verify_3d's defaults; checked before `verify all`'s 1D legs
+    grid = {"n_per_axis": GRID3D_POINTS, "extent": GRID3D_EXTENT,
+            **_given(n_per_axis=config.grid_points, extent=config.domain_extent)}
     if which in ("3d", "all"):
-        _require_grid_points(config, MIN_POINTS_PER_AXIS, "the 3D grid",
-                             MAX_POINTS_PER_AXIS)
-        if config.g1_squared > MAX_G1_SQUARED:
-            raise ValueError(f"--g1sq must be at most {MAX_G1_SQUARED:g} for the 3D grid, "
-                             f"got {config.g1_squared:g}")
+        check_grid(config.params, **grid)
     offset, rule = _resolution(config_path)
     resolved = {"sho_offset": offset, "radial_rule": rule}
     report = VerificationReport()
@@ -417,9 +392,8 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
         report.extend(verify_spherical_route(config.params, n_cap, offset=offset,
                                              **channel))
     if which in ("3d", "all"):
-        report.extend(verify_3d(config.params, k=6, offset=offset,
-                                **_given(tol=config.tol, n_per_axis=config.grid_points,
-                                         extent=config.domain_extent)))
+        report.extend(verify_3d(config.params, k=6, offset=offset, **grid,
+                                **_given(tol=config.tol)))
     emit(config, render_checks(config, report, resolved))
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -433,16 +407,14 @@ def cmd_hf_check(config: RunConfig, config_path: str | None) -> int:
 
 def cmd_resolve(config: RunConfig, config_path: str | None,
                 explicit_g1sq: bool) -> int:
-    _require_grid_points(config, RESOLUTION_LEVELS, "resolve")
-    if explicit_g1sq:
+    sweep = (config.g1_squared,) if explicit_g1sq else STANDARD_SWEEP
+    offset, rule, report = resolve_formula_offsets(
+        [replace(config.params, g1_squared=g) for g in sweep],
+        **_given(tol=config.tol, n_points=config.grid_points))
+    if explicit_g1sq:  # once the sweep has run: a rejected input stays one error line
         sys.stderr.write(
             "warning: resolution run on a reduced sweep (single g1sq value); "
             "the standard sweep spans g1sq in {0, 1, 3, 7.5}\n")
-        params_list = [config.params]
-    else:
-        params_list = [replace(config.params, g1_squared=g) for g in STANDARD_SWEEP]
-    offset, rule, report = resolve_formula_offsets(
-        params_list, **_given(tol=config.tol, n_points=config.grid_points))
     write_state_file(state_file_path(config_path), offset, rule)
     resolved = {"sho_offset": offset, "radial_rule": rule}
     emit(config, render_checks(config, report, resolved))

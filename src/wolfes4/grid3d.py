@@ -74,16 +74,16 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-#: Points that verify_3d accepts, counted as a full X2 axis would hold them:
-#: the half-axis keeps n_per_axis // 2.  solve_hd_3d takes any count up to the
-#: largest, where the biggest sector at the DVR's largest count is 930 plane
-#: states by 60 X2 nodes, 55,800 unknowns, with a 6.9 MB dense plane matrix
-#: and an 11 MB Lanczos basis.
+#: Points per axis a check may run on (check_grid), counted as a full X2 axis
+#: would hold them: the half-axis keeps n_per_axis // 2.  solve_hd_3d takes
+#: any count up to the largest, where the biggest sector at the DVR's largest
+#: count is 930 plane states by 60 X2 nodes, 55,800 unknowns, with a 6.9 MB
+#: dense plane matrix and an 11 MB Lanczos basis.
 MIN_POINTS_PER_AXIS = 16
 MAX_POINTS_PER_AXIS = 121
-#: Box half-widths that verify_3d accepts, in oscillator lengths 1/sqrt(omega):
-#: a box below 1 cuts into the ground state's Gaussian, and 100 is past any
-#: box the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
+#: Box half-widths every solve takes, in oscillator lengths 1/sqrt(omega): a
+#: box below 1 cuts into the ground state's Gaussian, and 100 is past any box
+#: the largest grid resolves; the bounds also keep h^2 and 1/h^2 finite.
 GRID3D_EXTENT_RANGE = (1.0, 100.0)
 
 #: Largest spacing of the X1 and X3 DVR, in oscillator lengths: 23 nodes over
@@ -125,7 +125,7 @@ GROUND_SECTOR = (1, 1, 1)
 #: with 1000, where 24 converges.
 SECTOR_KRYLOV_DIM = 24
 
-#: Largest g1^2 the grid takes, below the CLI's range until the X2 window
+#: Largest g1^2 every solve takes, below the CLI's range until the X2 window
 #: follows the barrier: its diagonal at the first X2 node widens the
 #: spectrum.  Grids of 61 to 121 points over 7 (checked in steps of 10)
 #: converge and pass at 1000: the level pair that ran out of restarts there
@@ -409,8 +409,8 @@ def lanczos_lowest(matvec: Callable[[np.ndarray], np.ndarray], n: int, k: int,
         locked_vals = lam[:kk]
         locked_links = beta * S[m - 1, :kk]
     raise ConvergenceError(
-        f"Lanczos did not converge within {max_restarts} restarts; "
-        f"residuals {res[:k]}", residuals=res[:k])
+        f"Lanczos did not converge within {max_restarts} restarts; residuals "
+        + ", ".join(f"{r:.2e}" for r in res[:k]), residuals=res[:k])
 
 
 @dataclass(frozen=True)
@@ -463,6 +463,39 @@ def _kth_energy(k: int, earlier: np.ndarray, mult: int, ritz: np.ndarray) -> flo
     return float(energies[k - 1]) if energies.size >= k else math.inf
 
 
+def _check_solve(params: ModelParams, n_per_axis: int, extent: float) -> None:
+    """Raise ValueError unless a solve of this grid does bounded work on the operator
+    derived above: J = coords.jacobi_matrix() orthogonal to 1e-14 (a -1/2 Laplacian)
+    and c = J @ coords.BARRIER_FORM along X2 to 1e-14 (a barrier in X2 alone)."""
+    if n_per_axis > MAX_POINTS_PER_AXIS:
+        raise ValueError(f"the 3D grid's points per axis must be at most "
+                         f"{MAX_POINTS_PER_AXIS}, got {n_per_axis}")
+    low, high = GRID3D_EXTENT_RANGE
+    if not low <= extent <= high:
+        raise ValueError(f"the 3D grid's box half-width must lie in [{low:g}, {high:g}] "
+                         f"oscillator lengths, got {extent:g}")
+    if params.g1_squared > MAX_G1_SQUARED:
+        raise ValueError(f"the 3D grid's g1^2 must be at most {MAX_G1_SQUARED:g}, "
+                         f"got {params.g1_squared:g}")
+    J = jacobi_matrix()
+    if np.max(np.abs(J.T @ J - np.eye(4))) > 1e-14:
+        raise ValueError("the Jacobi map J is not orthogonal: J^T J differs from I "
+                         "by more than 1e-14")
+    c = J @ BARRIER_FORM
+    if np.max(np.abs(c[[0, 2, 3]])) > 1e-14 * abs(c[1]):
+        raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
+                         f"J @ BARRIER_FORM = {c}")
+
+
+def check_grid(params: ModelParams, n_per_axis: int, extent: float) -> None:
+    """Raise ValueError unless a check may run on this grid: at least MIN_POINTS_PER_AXIS
+    points, a partner (solve_partner) of 4 X2 nodes, and _check_solve's bounds."""
+    if n_per_axis < MIN_POINTS_PER_AXIS:
+        raise ValueError(f"the 3D grid's points per axis must be at least "
+                         f"{MIN_POINTS_PER_AXIS}, got {n_per_axis}")
+    _check_solve(params, n_per_axis, extent)
+
+
 def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: dict,
            states: int | None = None, starts: dict | None = None) -> GridLevels:
     """The lowest ``counts[sector]`` levels of each sector of SECTORS on the 3D grid.
@@ -496,24 +529,10 @@ def _solve(params: ModelParams, n_per_axis: int, m: int, extent: float, counts: 
 
     Raises ConvergenceError when a sector does not converge, or when one
     returns a level at or below GROUND_SECTOR's, which Perron-Frobenius rules
-    out in the continuum.  Raises ValueError above MAX_POINTS_PER_AXIS or
-    MAX_G1_SQUARED, and unless J = coords.jacobi_matrix() is orthogonal to
-    1e-14 (the kinetic term -1/2 Laplacian) and c = J @ coords.BARRIER_FORM
-    lies along X2 to 1e-14 (the barrier a function of X2 alone).
+    out in the continuum.  It checks no input: the grid is solve_hd_3d's, which
+    checked it (_check_solve), or a re-solve of one.
     """
-    if n_per_axis > MAX_POINTS_PER_AXIS:
-        raise ValueError(f"n_per_axis must be at most {MAX_POINTS_PER_AXIS}, "
-                         f"got {n_per_axis}")
-    if params.g1_squared > MAX_G1_SQUARED:
-        raise ValueError(f"g1^2 must be at most {MAX_G1_SQUARED:g}, got {params.g1_squared:g}")
     J = jacobi_matrix()
-    if np.max(np.abs(J.T @ J - np.eye(4))) > 1e-14:
-        raise ValueError("the Jacobi map J is not orthogonal: J^T J differs from I "
-                         "by more than 1e-14")
-    c = J @ BARRIER_FORM
-    if np.max(np.abs(c[[0, 2, 3]])) > 1e-14 * abs(c[1]):
-        raise ValueError(f"the barrier plane x1 + x2 - 2*x3 = 0 is not X2 = 0: "
-                         f"J @ BARRIER_FORM = {c}")
     solved = {}
     earlier = np.zeros(0)  # the state energies of the sectors solved so far
     n_half = n_per_axis // 2
@@ -567,10 +586,12 @@ def solve_hd_3d(params: ModelParams, n_per_axis: int, extent: float, k: int) -> 
     (k <= 2) is not solved.  A level need not converge when it is bounded
     above the k-th state (see _solve).  The fewest merged levels whose
     multiplicities cover the lowest k states are returned, ascending, all
-    converged.  Raises as _solve does, and ValueError when k < 1.
+    converged.  Raises as _solve does, and ValueError when k < 1 or the grid
+    fails _check_solve, before any operator is built.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    _check_solve(params, n_per_axis, extent)
     above_ground = k - SECTORS[GROUND_SECTOR]
     counts = {sector: -(-k // m) if sector == GROUND_SECTOR else -(-above_ground // m)
               for sector, m in SECTORS.items()}

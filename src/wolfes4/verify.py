@@ -16,14 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid3d import (
-    GRID3D_EXTENT_RANGE,
-    MAX_POINTS_PER_AXIS,
-    MIN_POINTS_PER_AXIS,
-    dvr_change,
-    solve_hd_3d,
-    solve_partner,
-)
+from .grid3d import check_grid, dvr_change, solve_hd_3d, solve_partner
 from .model import (
     ModelParams,
     QuantumTriple,
@@ -59,6 +52,9 @@ STANDARD_RADIAL_KSQ = (2.0, 6.0)
 RESOLUTION_LEVELS = 6
 #: Default point count of the 1D channel checks, each pair's coarse grid.
 CHANNEL_POINTS = 2001
+#: Default grid of the 3D check: points per axis, box half-width in oscillator lengths.
+GRID3D_POINTS = 61
+GRID3D_EXTENT = 7.0
 #: Bound on the Richardson-extrapolated 3D grid levels against the closed forms.
 GRID3D_TOL = 5e-3
 
@@ -107,6 +103,14 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
 
+def _require_points(n_points: int, levels: int, route: str) -> None:
+    """Reject, before any solve, a channel grid of fewer points than the most
+    levels ``route`` asks of one channel."""
+    if n_points < levels:
+        raise ValueError(f"{route} asks a channel for {levels} levels, so it needs "
+                         f"at least {levels} grid points, got {n_points}")
+
+
 def _pmap(fn: Callable, items: Sequence) -> list:
     """Map in order over independent channel solves.
 
@@ -127,11 +131,14 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     STANDARD_RADIAL_KSQ) against both printed and corrected exponent rules.
     Exactly one candidate per family must fit within ``tol`` uniformly, in
     units of omega; anything else raises ResolutionError with the residuals.
+    Raises ValueError for an empty ``params_list`` or fewer ``n_points`` than
+    RESOLUTION_LEVELS.
     """
     if params_list is None:
         params_list = [ModelParams(omega=1.0, g1_squared=g) for g in STANDARD_SWEEP]
     if not params_list:
         raise ValueError("params_list must be nonempty")
+    _require_points(n_points, RESOLUTION_LEVELS, "resolution")
 
     report = VerificationReport()
     sho_cases = [(p,) for p in params_list]
@@ -229,7 +236,9 @@ def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
 def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
                         tol: float = RESOLUTION_TOL,
                         n_points: int = CHANNEL_POINTS) -> VerificationReport:
-    """Check that summed 1D channel numerics reproduce the closed-form table."""
+    """Check that summed 1D channel numerics reproduce the closed-form table, on
+    at least cutoff + 1 ``n_points``, the HO levels it asks for."""
+    _require_points(n_points, cutoff + 1, "the Jacobi route")
     report = VerificationReport()
     numeric = _jacobi_numeric_levels(params, cutoff, n_points)
     closed = enumerate_spectrum(params, cutoff, offset, sector_multiplicity=1)
@@ -282,8 +291,9 @@ def verify_spherical_route(params: ModelParams, n_cap: int, *,
     Both routes are enumerated completely up to the total-quanta class
     ``n_cap``: the chain solves exactly the (n, l, m) with 2n + l + m <= n_cap.
     The two sorted energy multisets are paired greedily; the first unpaired
-    level is named.
+    level is named.  Needs at least n_cap + 1 ``n_points``, the f^2 levels asked.
     """
+    _require_points(n_points, n_cap + 1, "the spherical route")
     tol = tol * params.omega
     report = VerificationReport()
 
@@ -400,7 +410,8 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
 
 def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D_TOL,
-              n_per_axis: int = 61, extent: float = 7.0) -> VerificationReport:
+              n_per_axis: int = GRID3D_POINTS, extent: float = GRID3D_EXTENT,
+              ) -> VerificationReport:
     """Compare direct 3D diagonalization with the resolved closed-form classes.
 
     The grid of ``n_per_axis`` points, n_per_axis // 2 X2 nodes, and its
@@ -413,16 +424,12 @@ def verify_3d(params: ModelParams, k: int, *, offset: float, tol: float = GRID3D
     values and the largest Lanczos residual of the levels each grid returns,
     in units of omega.  ``grid3d-dvr-error`` checks the X1/X3 error the pair
     does not cancel: the partner levels' largest move with 4 DVR nodes fewer
-    (grid3d.dvr_change), within tol / 100.
+    (grid3d.dvr_change), within tol / 100.  Raises ValueError for k < 2 and
+    for a grid that grid3d.check_grid rejects.
     """
     if k < 2:
         raise ValueError("k must be at least 2, the states of the ground class")
-    if not MIN_POINTS_PER_AXIS <= n_per_axis <= MAX_POINTS_PER_AXIS:
-        raise ValueError(f"n_per_axis must lie in [{MIN_POINTS_PER_AXIS}, "
-                         f"{MAX_POINTS_PER_AXIS}], got {n_per_axis}")
-    low, high = GRID3D_EXTENT_RANGE
-    if not low <= extent <= high:
-        raise ValueError(f"extent must lie in [{low:g}, {high:g}], got {extent:g}")
+    check_grid(params, n_per_axis, extent)
     report = VerificationReport()
     pair = solve_partner(solve_hd_3d(params, n_per_axis, extent, k))
     mults = pair.fine.multiplicities

@@ -543,7 +543,8 @@ class TestVerifyCommand:
                                 ran.append(name) or VerificationReport())
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE and out == "" and ran == []
-        assert "--grid-points must be in [16, 121] for the 3D grid" in err
+        bound = "at least 16" if int(argv[2]) < 16 else "at most 121"
+        assert f"the 3D grid's points per axis must be {bound}, got {argv[2]}" in err
 
     def test_all_grid_points_size_the_3d_grid_only(self, workdir, capsys):
         # no 1D leg passes on a channel of the 16 to 121 points the 3D grid
@@ -574,7 +575,7 @@ class TestVerifyCommand:
             code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE and out == "" and ran == []
         assert err.count("\n") == 1
-        assert "--g1sq must be at most 1000 for the 3D grid" in err
+        assert "the 3D grid's g1^2 must be at most 1000" in err
 
     def test_3d_strong_barrier_passes(self, workdir, capsys):
         # b = 10.5, where the barrier is sampled: the exact-local-power
@@ -740,7 +741,7 @@ class TestExitCodes:
     def test_too_few_grid_points_is_usage_error(self, workdir, capsys, argv, least):
         code, out, err = run_cli(capsys, *argv, "--grid-points", str(least - 1))
         assert code == EXIT_USAGE and out == ""
-        assert f"--grid-points must be at least {least} for" in err
+        assert f"needs at least {least} grid points, got {least - 1}" in err
         # the least value runs: too coarse to pass, but no usage error
         assert main([*argv, "--grid-points", str(least)]) != EXIT_USAGE
 

@@ -165,7 +165,7 @@ class TestAxisLayout:
     def test_too_small_rejected(self):
         # verify_3d bounds the points and the box; solve_hd_3d bounds its work
         for n_per_axis, extent in ((15, 5.0), (122, 5.0), (30, -1.0), (30, float("nan"))):
-            with pytest.raises(ValueError, match="must lie in"):
+            with pytest.raises(ValueError, match="^the 3D grid's "):
                 verify_3d(P, k=2, offset=1.0, n_per_axis=n_per_axis, extent=extent)
         with pytest.raises(ValueError, match="at most 121"):
             solve_hd_3d(P, 122, 5.0, k=1)
@@ -746,6 +746,16 @@ class TestLanczos:
             lanczos_lowest(matvec, n, k=4, krylov_dim=8, max_restarts=1, tol=1e-12)
         assert err.value.residuals is not None
         assert np.all(np.asarray(err.value.residuals) > 0)
+        # the residuals print as one line of plain numbers, however many there are
+        A = np.random.default_rng(5).standard_normal((300, 300))
+        with pytest.raises(ConvergenceError) as many:
+            lanczos_lowest(lambda v: (A + A.T) @ v, 300, k=10, max_restarts=1)
+        with pytest.raises(ConvergenceError) as strong:
+            solve_hd_3d(ModelParams(1.0, 800.0), 41, 7.0, 20)
+        assert [len(e.value.residuals) for e in (err, many, strong)] == [4, 10, 5]
+        for error in (err, many, strong):
+            message = str(error.value)
+            assert "\n" not in message and "np.float64" not in message
 
     def test_small_dense_matrix_cross_check(self):
         rng = np.random.default_rng(3)

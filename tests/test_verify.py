@@ -120,6 +120,27 @@ class TestResolution:
         assert report.passed
 
 
+@pytest.mark.parametrize("route, least", [
+    (lambda n: verify_jacobi_route(P3, 6, offset=1.0, n_points=n), 7),
+    (lambda n: verify_spherical_route(P3, 4, offset=1.0, n_points=n), 5),
+    (lambda n: resolve_formula_offsets(n_points=n), 6)],
+    ids=["jacobi", "spherical", "resolution"])
+def test_too_few_channel_points_rejected_before_any_solve(monkeypatch, route, least):
+    # each route needs as many points as the most levels it asks of one channel
+    with monkeypatch.context() as patched:
+        solved = []
+        patched.setattr(verify, "solve_channel_extrapolated", lambda *a, **kw: solved.append(a))
+        with pytest.raises(ValueError, match=f"needs at least {least} grid points, "
+                                             f"got {least - 1}$"):
+            route(least - 1)
+        assert solved == []
+    # the least count runs: too coarse to pass, or to resolve, but solved
+    try:
+        assert not route(least).passed
+    except ResolutionError:
+        pass
+
+
 class TestJacobiRoute:
     def test_standard_case(self):
         report = verify_jacobi_route(P3, cutoff=4, tol=1e-4, offset=1.0)
