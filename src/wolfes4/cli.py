@@ -53,12 +53,6 @@ MAX_QUANTA = 60
 #: boxes follow the levels, so `verify jacobi` there passes to 1e6 too.  The
 #: 3D grid takes less (grid3d.check_grid).
 MAX_G1SQ = 1e4
-#: Largest 1D --grid-points.  Rounding in the 1/h^2 entries grows as n^2 and
-#: the discretization error falls as n^-2: here the 1D commands pass with the
-#: worst gating check at 0.43 of its tolerance, and hf-check's expectation
-#: pair below 0.01 (README), while at 50001 hf-check fails at omega 1e-3 and
-#: 2.5 with g1^2 <= 0.3, and passes at 1.
-MAX_GRID_POINTS = 20001
 
 
 def _setting(flag: str, default=None, type=str, choices=None):
@@ -78,7 +72,8 @@ class RunConfig:
     the config file sets them; the check a command calls then keeps its own
     default, which differs between the 1D channels and the 3D grid.  Under
     ``verify all`` a set ``grid_points`` goes to the 3D grid only, and the
-    1D legs keep their default.
+    1D legs keep their default.  Each grid is admitted by the solver it
+    sizes; ``spectrum``, which solves none, ignores both.
     ``params``, the ModelParams of ``omega`` and ``g1_squared``, is built
     once at construction and validates them.
     """
@@ -101,12 +96,6 @@ class RunConfig:
         if not 0 <= self.max_quanta <= MAX_QUANTA:
             raise ValueError(f"max-quanta must lie in [0, {MAX_QUANTA}], "
                              f"got {self.max_quanta}")
-        if self.grid_points is not None and self.grid_points < 3:
-            raise ValueError("grid-points must be at least 3")
-        if self.grid_points is not None and self.grid_points > MAX_GRID_POINTS:
-            raise ValueError(f"grid-points must be at most {MAX_GRID_POINTS}: past it, "
-                             "rounding in the 1/h^2 entries grows past the "
-                             f"discretization error, got {self.grid_points}")
         # in units of omega: at 1 a level would pass for its neighbour class
         if self.tol is not None and not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol:g}")
@@ -414,7 +403,8 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
     if explicit_g1sq:  # once the sweep has run: a rejected input stays one error line
         sys.stderr.write(
             "warning: resolution run on a reduced sweep (single g1sq value); "
-            "the standard sweep spans g1sq in {0, 1, 3, 7.5}\n")
+            "the standard sweep spans g1sq in {"
+            + ", ".join(f"{g:g}" for g in STANDARD_SWEEP) + "}\n")
     write_state_file(state_file_path(config_path), offset, rule)
     resolved = {"sho_offset": offset, "radial_rule": rule}
     emit(config, render_checks(config, report, resolved))

@@ -76,7 +76,7 @@ class ConvergenceError(RuntimeError):
 
 #: Points per axis a check may run on (check_grid), counted as a full X2 axis
 #: would hold them: the half-axis keeps n_per_axis // 2.  solve_hd_3d takes
-#: any count up to the largest, where the biggest sector at the DVR's largest
+#: any count from 2 to the largest, where the biggest sector at the DVR's largest
 #: count is 930 plane states by 60 X2 nodes, 55,800 unknowns, with a 6.9 MB
 #: dense plane matrix and an 11 MB Lanczos basis.
 MIN_POINTS_PER_AXIS = 16
@@ -467,6 +467,8 @@ def _check_solve(params: ModelParams, n_per_axis: int, extent: float) -> None:
     """Raise ValueError unless a solve of this grid does bounded work on the operator
     derived above: J = coords.jacobi_matrix() orthogonal to 1e-14 (a -1/2 Laplacian)
     and c = J @ coords.BARRIER_FORM along X2 to 1e-14 (a barrier in X2 alone)."""
+    if n_per_axis < 2:  # no X2 node
+        raise ValueError(f"the 3D grid's points per axis must be at least 2, got {n_per_axis}")
     if n_per_axis > MAX_POINTS_PER_AXIS:
         raise ValueError(f"the 3D grid's points per axis must be at most "
                          f"{MAX_POINTS_PER_AXIS}, got {n_per_axis}")

@@ -63,7 +63,7 @@ class Grid1D:
         if not (self.upper > self.lower):
             raise ValueError("upper must exceed lower")
         if self.n_points < 3:
-            raise ValueError("need at least 3 interior nodes")
+            raise ValueError(f"need at least 3 interior nodes, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -344,6 +344,12 @@ OSCILLATOR_KINDS = frozenset({ChannelKind.HO, ChannelKind.SHO, ChannelKind.RADIA
 #: WKB decay at which a pair's box ends: exp(-20) of the amplitude at the
 #: highest level's outer turning point, so the wall shifts it by about exp(-40).
 BOX_DECAY = 20.0
+#: Most points of a pair's coarse grid (its fine grid holds 2 n + 1).  Rounding
+#: in the 1/h^2 entries grows as n^2 and the discretization error falls as n^-2:
+#: here the 1D commands pass with the worst gating check at 0.43 of its
+#: tolerance, and hf-check's expectation pair below 0.01 (README), while at
+#: 50001 hf-check fails at omega 1e-3 and 2.5 with g1^2 <= 0.3, and passes at 1.
+MAX_PAIR_POINTS = 20001
 
 
 def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
@@ -430,7 +436,11 @@ def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points:
     levels.  Where that edge lies beyond the default box, the coarse grid is
     first solved again on the longer box at the same spacing.  The angular
     kinds keep (0, pi).  ``want_vectors`` goes to every solve of the pair.
+    Past ``MAX_PAIR_POINTS`` it raises ValueError before any solve.
     """
+    if n_points > MAX_PAIR_POINTS:
+        raise ValueError(f"grid-points must be at most {MAX_PAIR_POINTS}: past it, rounding in "
+                         f"the 1/h^2 entries grows past the discretization error, got {n_points}")
     coarse = solve_channel(spec, params, n_points, k, want_vectors)
     nodes = None
     if spec.kind in OSCILLATOR_KINDS:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wolfes4 import cli, grid3d
+from wolfes4 import cli, grid3d, numsolve
 from wolfes4.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -422,7 +422,8 @@ class TestResolveCommand:
     def test_reduced_sweep_warns(self, workdir, capsys):
         code, out, err = run_cli(capsys, "resolve", "--g1sq", "3")
         assert code == EXIT_PASS
-        assert "reduced sweep" in err
+        assert err == ("warning: resolution run on a reduced sweep (single g1sq value); "
+                       "the standard sweep spans g1sq in {0, 1, 3, 7.5}\n")
 
     def test_reduced_sweep_via_config_file(self, workdir, capsys):
         cfg = workdir / "run.cfg"
@@ -534,7 +535,12 @@ class TestVerifyCommand:
         assert (seen[0]["n_per_axis"], seen[0]["extent"], seen[0]["tol"]) == (41, 5.0, 0.01)
 
     @pytest.mark.parametrize("argv", [("all", "--grid-points", "15", "--max-quanta", "1"),
-                                      ("3d", "--grid-points", "4001")])
+                                      ("3d", "--grid-points", "4001"),
+                                      # past the 1D bound and below the 1D least alike
+                                      ("3d", "--grid-points", "20002"),
+                                      ("all", "--grid-points", "20002"),
+                                      ("3d", "--grid-points", "2"),
+                                      ("all", "--grid-points", "2")])
     def test_3d_grid_points_checked_before_any_leg(self, workdir, capsys, monkeypatch,
                                                    argv):
         ran = []
@@ -544,7 +550,7 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_USAGE and out == "" and ran == []
         bound = "at least 16" if int(argv[2]) < 16 else "at most 121"
-        assert f"the 3D grid's points per axis must be {bound}, got {argv[2]}" in err
+        assert err == f"error: the 3D grid's points per axis must be {bound}, got {argv[2]}\n"
 
     def test_all_grid_points_size_the_3d_grid_only(self, workdir, capsys):
         # no 1D leg passes on a channel of the 16 to 121 points the 3D grid
@@ -749,15 +755,21 @@ class TestExitCodes:
                                       ("verify", "spherical"), ("hf-check",), ("audit",)])
     def test_1d_grid_points_above_the_bound_rejected_before_any_solve(
             self, workdir, capsys, monkeypatch, argv):
-        ran = []
-        for name in ("resolve_formula_offsets", "verify_jacobi_route",
-                     "verify_spherical_route", "hellmann_feynman_check", "bk_audit"):
-            monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: ran.append(name))
+        # the bound is numsolve's, checked by every pair before its first solve;
+        # the state file keeps `verify` from resolving in memory first
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        solves = []
+        monkeypatch.setattr(numsolve, "solve_channel", lambda *a, **kw: solves.append(a))
         code, out, err = run_cli(capsys, *argv, "--grid-points", "20002")
-        assert code == EXIT_USAGE and out == "" and ran == []
+        assert code == EXIT_USAGE and out == "" and solves == []
         assert err == ("error: grid-points must be at most 20001: past it, rounding in "
                        "the 1/h^2 entries grows past the discretization error, got 20002\n")
-        assert RunConfig(grid_points=cli.MAX_GRID_POINTS).grid_points == 20001
+
+    @pytest.mark.parametrize("points", ["1", "30000"])
+    def test_spectrum_ignores_grid_points(self, workdir, capsys, points):
+        plain = run_cli(capsys, "spectrum", "--max-quanta", "2")
+        assert plain[0] == EXIT_PASS
+        assert run_cli(capsys, "spectrum", "--max-quanta", "2", "--grid-points", points) == plain
 
     def test_cli_import_leaves_scipy_sparse_out(self):
         # no command pays for importing scipy.sparse: neither the CLI's

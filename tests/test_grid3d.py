@@ -169,6 +169,13 @@ class TestAxisLayout:
                 verify_3d(P, k=2, offset=1.0, n_per_axis=n_per_axis, extent=extent)
         with pytest.raises(ValueError, match="at most 121"):
             solve_hd_3d(P, 122, 5.0, k=1)
+        # a solve needs one X2 node: 2 points hold it, fewer hold none
+        for n_per_axis in (1, 0, -1):
+            with pytest.raises(ValueError, match="^the 3D grid's points per axis must be "
+                                                 f"at least 2, got {n_per_axis}$"):
+                solve_hd_3d(P, n_per_axis, 5.0, k=2)
+        for n_per_axis in (2, 3):
+            assert solve_hd_3d(P, n_per_axis, 5.0, k=2).eigenvalues.size
 
 
 class TestDvrAxis:

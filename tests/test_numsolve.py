@@ -48,7 +48,7 @@ class TestGrid1D:
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least 3 interior nodes, got 2$"):
             Grid1D(0.0, 1.0, 2)
 
 
@@ -453,6 +453,32 @@ class TestFittedBox:
         for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
             with pytest.raises(ValueError):
                 recommended_grid(kind, P, 101, 51)
+
+
+class TestPairBound:
+    """A pair's coarse grid holds at most MAX_PAIR_POINTS, checked before any solve."""
+
+    @pytest.mark.parametrize("kind", ChannelKind, ids=lambda kind: kind.value)
+    def test_past_the_bound_rejected_before_any_solve(self, monkeypatch, kind):
+        calls = solve_calls(monkeypatch)
+        with pytest.raises(ValueError) as exc:
+            solve_channel_extrapolated(ChannelSpec(kind), P, 20002, 1)
+        assert str(exc.value) == ("grid-points must be at most 20001: past it, rounding in "
+                                  "the 1/h^2 entries grows past the discretization error, "
+                                  "got 20002")
+        assert calls == []
+
+    def test_the_bound_is_admitted(self, monkeypatch):
+        # the fine grid of the largest pair holds twice the bound: no Grid1D limit
+        calls = solve_calls(monkeypatch)
+        pair = solve_channel_extrapolated(ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0), P,
+                                          numsolve.MAX_PAIR_POINTS, 2)
+        assert [n for n, _, _ in calls] == [20001, 40003]
+        assert pair.fine.grid.n_points == 40003
+        # f^2 = (m + b)^2 with b(b - 1) = 1 for m = 0, 1, up to the bisection
+        # noise of eps * max|T| ~ 4e-8 that the bound keeps in check
+        b = 0.5 + math.sqrt(1.25)
+        assert pair.values == pytest.approx([b**2, (1 + b) ** 2], abs=1e-6)
 
 
 @pytest.fixture(scope="module")
