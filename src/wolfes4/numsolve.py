@@ -23,7 +23,8 @@ extrapolation valid everywhere.
 
 Eigenvalues come from Sturm-sequence bisection and eigenvectors from inverse
 iteration (LAPACK stebz/stein via scipy); both are deterministic for a fixed
-matrix.
+matrix.  scipy is imported on the first tridiagonal solve, so the 3D route and
+``spectrum``, which make none, never load it.
 
 Three kinds are mirror-symmetric: HO about 0 and both angular kinds about
 pi/2 (``MIRROR_KINDS``).  Their matrix, assembled as for every kind, splits
@@ -46,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import ModelParams
 
@@ -156,7 +156,11 @@ def eigen_tridiag(T: TridiagonalMatrix, k: int, want_vectors: bool = False) -> E
 
     ``solve_channel`` sends the SHO and RADIAL matrices here whole and each
     mirror kind's matrix as its even and odd blocks (``_solve_mirror``).
+    scipy is imported here, on the first call, so that importing this module
+    (as ``grid3d`` does) loads no scipy.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     n = T.dimension
     if not (1 <= k <= n):
         raise ValueError(f"k must lie in [1, {n}], got {k}")

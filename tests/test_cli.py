@@ -5,6 +5,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -39,6 +41,19 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, cwd=None):
+    """A fresh interpreter on this source tree, run from cwd.
+
+    The package must import from cwd, so a relative PYTHONPATH is replaced
+    by the absolute source path.
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=cwd, env=env)
 
 
 class TestFormatting:
@@ -771,58 +786,50 @@ class TestExitCodes:
         assert plain[0] == EXIT_PASS
         assert run_cli(capsys, "spectrum", "--max-quanta", "2", "--grid-points", points) == plain
 
-    def test_cli_import_leaves_scipy_sparse_out(self):
-        # no command pays for importing scipy.sparse: neither the CLI's
-        # imports nor a 3D solve, whose plane matrices are dense
-        import subprocess
-        import sys
-
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, wolfes4.cli; assert 'scipy.sparse' not in sys.modules\n"
-             "from wolfes4.model import ModelParams\n"
-             "from wolfes4.verify import verify_3d\n"
-             "verify_3d(ModelParams(1.0, 3.0), 6, offset=1.0, n_per_axis=16, extent=5.0)\n"
-             "assert not [m for m in sys.modules if m.startswith('scipy.sparse')]"],
-            capture_output=True, text=True, env=env)
+    def test_cli_import_and_verify_3d_leave_scipy_out(self):
+        # only a tridiagonal (1D channel) solve loads scipy: neither the CLI's
+        # imports nor a 3D solve, whose plane matrices are dense, load any
+        done = run_python(
+            "-c",
+            "import sys, wolfes4.cli\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "from wolfes4.model import ModelParams\n"
+            "from wolfes4.verify import verify_3d\n"
+            "verify_3d(ModelParams(1.0, 3.0), 6, offset=1.0, n_per_axis=16, extent=5.0)\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
         assert done.returncode == 0, done.stderr
 
-    def test_package_root_imports_nothing(self):
-        import subprocess
-        import sys
+    @pytest.mark.parametrize("argv, loads_scipy", [
+        (["verify", "3d", "--grid-points", "16", "--domain-extent", "5"], False),
+        (["spectrum", "--max-quanta", "2"], False),
+        (["resolve"], True)], ids=["verify-3d", "spectrum", "resolve"])
+    def test_only_a_1d_solve_loads_scipy(self, workdir, argv, loads_scipy):
+        # the state file keeps `verify 3d` from resolving, which solves 1D channels
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        done = run_python(
+            "-c",
+            "import sys\n"
+            "from wolfes4.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+            cwd=workdir)
+        assert done.returncode == 0, done.stderr
+        code, loaded = done.stdout.splitlines()[-1].split()
+        assert int(code) != EXIT_USAGE
+        assert loaded == str(loads_scipy)
 
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, wolfes4\n"
-             "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]"],
-            capture_output=True, text=True, env=env)
+    def test_package_root_imports_nothing(self):
+        done = run_python(
+            "-c",
+            "import sys, wolfes4\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')]")
         assert done.returncode == 0, done.stderr
 
     def test_module_entry_point(self, workdir):
-        import subprocess
-        import sys
-
-        # the package must import from the subprocess's working directory,
-        # so a relative PYTHONPATH is replaced by the absolute source path
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(src), env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", "wolfes4", "spectrum", "--max-quanta", "0"],
-            capture_output=True, text=True, cwd=workdir, env=env)
+        done = run_python("-m", "wolfes4", "spectrum", "--max-quanta", "0", cwd=workdir)
         assert done.returncode == EXIT_PASS
         assert json.loads(done.stdout)["levels"]
-        done = subprocess.run([sys.executable, "-m", "wolfes4", "verify", "bogus"],
-                              capture_output=True, text=True, cwd=workdir, env=env)
+        done = run_python("-m", "wolfes4", "verify", "bogus", cwd=workdir)
         assert done.returncode == EXIT_USAGE
 
 
