@@ -3,14 +3,16 @@
 Commands: ``spectrum``, ``verify {jacobi|spherical|3d|all}``, ``hf-check``,
 ``resolve``, ``audit``.  Exit codes: 0 = pass, 1 = verification failure
 (or an ambiguous formula resolution, an eigensolve that did not converge,
-or a LAPACK failure), 2 = usage or configuration error.  Output is JSON
-(default) or CSV with a fixed float format, so identical configurations
-produce byte-identical reports.
+or a LAPACK failure), 2 = usage or configuration error; ``audit`` exits 0
+whatever its entries read, as they measure the published claims, not this
+code.  Output is JSON (default) or CSV with a fixed float format, so
+identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import math
 import os
@@ -30,6 +32,7 @@ from .verify import (
     GRID3D_EXTENT,
     GRID3D_POINTS,
     STANDARD_SWEEP,
+    CheckEntry,
     ResolutionError,
     VerificationReport,
     bk_audit,
@@ -162,55 +165,48 @@ def to_json(obj, indent: int = 0) -> str:
             + "\n" + "  " * indent + brackets[1])
 
 
-def _csv_field(x) -> str:
-    if isinstance(x, float):
-        x = format_float(x)
-    s = str(x)
-    if any(c in s for c in ',"\n'):
-        s = '"' + s.replace('"', '""') + '"'
-    return s
-
-
 def to_csv(header: list[str], rows: list[list]) -> str:
+    """CSV text, one line per row; floats written as format_float writes them."""
     out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_csv_field(x) for x in row) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([format_float(x) if isinstance(x, float) else x for x in row]
+                     for row in rows)
     return out.getvalue()
-
-
-def report_payload(config: RunConfig, report: VerificationReport,
-                   resolved: dict | None) -> dict:
-    payload = {
-        "params": {"omega": config.omega, "g1_squared": config.g1_squared},
-        "checks": [
-            {"name": c.name, "status": c.status, "measured": c.measured,
-             "reference": c.reference, "tolerance": c.tolerance,
-             "provenance": c.provenance}
-            for c in report.checks
-        ],
-    }
-    if resolved is not None:
-        payload["resolved"] = resolved
-    return payload
 
 
 def render_checks(config: RunConfig, report: VerificationReport,
                   resolved: dict | None) -> str:
-    if config.format == "json":
-        return to_json(report_payload(config, report, resolved)) + "\n"
-    rows = [[c.name, c.status, c.measured, c.reference, c.tolerance, c.provenance]
-            for c in report.checks]
-    return to_csv(["name", "status", "measured", "reference", "tolerance",
-                   "provenance"], rows)
+    """A check report: CheckEntry's fields are its JSON keys and its CSV header."""
+    names = [f.name for f in fields(CheckEntry)]
+    rows = [[getattr(c, name) for name in names] for c in report.checks]
+    if config.format == "csv":
+        return to_csv(names, rows)
+    payload = {"params": {"omega": config.omega, "g1_squared": config.g1_squared},
+               "checks": [dict(zip(names, row)) for row in rows]}
+    if resolved is not None:
+        payload["resolved"] = resolved
+    return to_json(payload) + "\n"
+
+
+def write_file(path: str, text: str) -> None:
+    """The one writer of the files a command leaves: its --out report and the state file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def emit(config: RunConfig, text: str) -> None:
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(config.out, text)
     else:
         sys.stdout.write(text)
+
+
+def emit_checks(config: RunConfig, report: VerificationReport,
+                resolved: dict | None = None) -> int:
+    """Emit a check report; its exit code is 0 when every entry passes, else 1."""
+    emit(config, render_checks(config, report, resolved))
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # -- config and state files -------------------------------------------------
@@ -251,16 +247,19 @@ def state_file_path(config_path: str | None) -> str:
 
 
 def write_state_file(path: str, offset: float, rule: str) -> None:
-    text = ("# resolved formula constants (written by `wolfes4 resolve`)\n"
-            f"sho_offset = {offset:g}\n"
-            f"radial_rule = {rule}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_file(path, "# resolved formula constants (written by `wolfes4 resolve`)\n"
+                     f"sho_offset = {offset:g}\n"
+                     f"radial_rule = {rule}\n")
 
 
-def load_state_file(path: str) -> tuple[float, str] | None:
-    """The stored (offset, rule), or None when the file is absent, unreadable or
-    holds no usable pair."""
+def _resolved(offset: float, rule: str) -> dict:
+    """A resolution as a report's ``resolved`` entry; its keys are the state file's."""
+    return {"sho_offset": offset, "radial_rule": rule}
+
+
+def load_state_file(path: str) -> dict | None:
+    """The stored resolution as a report's ``resolved`` entry, or None when the
+    file is absent, unreadable or holds no usable pair."""
     if not os.path.exists(path):
         return None
     try:
@@ -271,7 +270,7 @@ def load_state_file(path: str) -> tuple[float, str] | None:
         return None
     if offset not in SHO_OFFSET_CANDIDATES or rule not in RADIAL_RULES:
         return None
-    return offset, rule
+    return _resolved(offset, rule)
 
 
 # -- argument parsing -------------------------------------------------------
@@ -319,26 +318,22 @@ def _given(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _resolution(config_path: str | None) -> tuple[float, str]:
+def _resolution(config_path: str | None) -> dict:
     """Stored resolution if present, otherwise computed in memory."""
     stored = load_state_file(state_file_path(config_path))
     if stored is not None:
         return stored
     offset, rule, _ = resolve_formula_offsets()
-    return offset, rule
+    return _resolved(offset, rule)
 
 
 def cmd_spectrum(config: RunConfig, config_path: str | None) -> int:
-    stored = load_state_file(state_file_path(config_path))
-    if stored is None:
-        offset = SHO_OFFSET_CANDIDATES[0]
-        resolved = None
+    resolved = load_state_file(state_file_path(config_path))
+    if resolved is None:
         sys.stderr.write(
             "warning: formula resolution has not been run; printing the "
             "published level formula (offset 1/2). Run `wolfes4 resolve`.\n")
-    else:
-        offset, rule = stored
-        resolved = {"sho_offset": offset, "radial_rule": rule}
+    offset = resolved["sho_offset"] if resolved else SHO_OFFSET_CANDIDATES[0]
     table = enumerate_spectrum(config.params, config.max_quanta, offset,
                                config.sector_multiplicity)
     if config.format == "json":
@@ -367,8 +362,8 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
             **_given(n_per_axis=config.grid_points, extent=config.domain_extent)}
     if which in ("3d", "all"):
         check_grid(config.params, **grid)
-    offset, rule = _resolution(config_path)
-    resolved = {"sho_offset": offset, "radial_rule": rule}
+    resolved = _resolution(config_path)
+    offset = resolved["sho_offset"]
     report = VerificationReport()
     # under `verify all` --grid-points sizes the 3D grid only: no 1D leg
     # passes on a channel of the 16 to 121 points the 3D grid admits
@@ -383,15 +378,7 @@ def cmd_verify(config: RunConfig, which: str, config_path: str | None) -> int:
     if which in ("3d", "all"):
         report.extend(verify_3d(config.params, k=6, offset=offset, **grid,
                                 **_given(tol=config.tol)))
-    emit(config, render_checks(config, report, resolved))
-    return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def cmd_hf_check(config: RunConfig, config_path: str | None) -> int:
-    report = hellmann_feynman_check(
-        config.params, n2=0, **_given(tol=config.tol, n_points=config.grid_points))
-    emit(config, render_checks(config, report, None))
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return emit_checks(config, report, resolved)
 
 
 def cmd_resolve(config: RunConfig, config_path: str | None,
@@ -406,16 +393,7 @@ def cmd_resolve(config: RunConfig, config_path: str | None,
             "the standard sweep spans g1sq in {"
             + ", ".join(f"{g:g}" for g in STANDARD_SWEEP) + "}\n")
     write_state_file(state_file_path(config_path), offset, rule)
-    resolved = {"sho_offset": offset, "radial_rule": rule}
-    emit(config, render_checks(config, report, resolved))
-    return EXIT_PASS if report.passed else EXIT_FAIL
-
-
-def cmd_audit(config: RunConfig, config_path: str | None) -> int:
-    report = bk_audit(config.params,
-                      **_given(tol=config.tol, n_points=config.grid_points))
-    emit(config, render_checks(config, report, None))
-    return EXIT_PASS
+    return emit_checks(config, report, _resolved(offset, rule))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -426,20 +404,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         config, given = make_config(args)
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    try:
         if args.command == "spectrum":
             return cmd_spectrum(config, args.config)
         if args.command == "verify":
             return cmd_verify(config, args.which, args.config)
-        if args.command == "hf-check":
-            return cmd_hf_check(config, args.config)
         if args.command == "resolve":
             return cmd_resolve(config, args.config, explicit_g1sq="g1_squared" in given)
+        channel = _given(tol=config.tol, n_points=config.grid_points)
+        if args.command == "hf-check":
+            return emit_checks(config, hellmann_feynman_check(config.params, n2=0, **channel))
         if args.command == "audit":
-            return cmd_audit(config, args.config)
+            emit_checks(config, bk_audit(config.params, **channel))
+            return EXIT_PASS  # a failed entry is a finding on the published claims
     # LinAlgError subclasses ValueError but is a solver failure, not a usage error
     except (ConvergenceError, LinAlgError, ResolutionError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,6 +16,12 @@ expected failures; the change that makes one caught adds its row:
   ``verify 3d`` at g1^2 = 3: 0.96.
 - c/x^2 sampled at every b in place of ``numsolve.inverse_square_diag``, on
   ``verify jacobi --g1sq 0.3``: 0.89.
+- the ``kinetic_prefactor`` argument of ``numsolve.inverse_square_diag``
+  scaled by 1.1 at every call site (the oscillator channels, both angular
+  poles and the 3D X2 barrier), so the stencil annihilates the wrong power
+  x^b: ``verify 3d`` at g1^2 = 3 reads 0.098 (0.067 clean), ``hf-check
+  --g1sq 0.3`` 0.031 (0.011), ``verify jacobi --g1sq 0.3`` 1.5e-2 (6.1e-5)
+  and ``verify spherical`` at 3 3.7e-4 (1.6e-5).
 """
 
 import json

@@ -1,9 +1,12 @@
-"""The benchmark's tracer, loaded as it ships, sees every 3D and 1D solve it wraps."""
+"""The benchmark's tracer, loaded as it ships, sees every 3D and 1D solve it wraps,
+and every command's report and its rendering."""
 
 import importlib.util
 import pathlib
 import sys
 from collections import Counter
+
+import pytest
 
 from wolfes4 import cli, grid3d, verify
 
@@ -69,3 +72,39 @@ def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, caps
     # two grids a pair; at one level no box grows
     assert (len(pairs), len(solves)) == (5, 10)
     assert all(span.parent in pairs for span in solves)
+
+
+#: argv, and the span its report is made in: a verify function, or spectrum's level table
+COMMANDS = {
+    "resolve": (["resolve"], "verify.resolve_formula_offsets"),
+    "audit": (["audit"], "verify.bk_audit"),
+    "hf-check": (["hf-check"], "verify.hellmann_feynman_check"),
+    "verify-jacobi": (["verify", "jacobi"], "verify.verify_jacobi_route"),
+    "spectrum": (["spectrum"], "model.enumerate_spectrum"),
+    "spectrum-csv": (["spectrum", "--format", "csv"], "model.enumerate_spectrum"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_command_reports_and_renders_inside_one_span(tmp_path, monkeypatch, capsys,
+                                                          command):
+    # the tracer patches the names cli looks up when a command runs; a
+    # command that bound its report function or its renderer at import time
+    # would run outside these spans and empty the verify, model and cli metrics
+    argv, report_span = COMMANDS[command]
+    monkeypatch.chdir(tmp_path)
+    cli.write_state_file(str(tmp_path / cli.STATE_FILE_NAME), 1.0, "candidate")
+    tracing = load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        code = cli.main(argv)
+    finally:
+        tracer.restore()
+    assert capsys.readouterr().out
+    assert code == cli.EXIT_PASS
+    names = Counter(span.name for span in tracer.spans)
+    assert (names[report_span], names["cli.render"]) == (1, 1)
+    (report,) = [span for span in tracer.spans if span.name == report_span]
+    (render,) = [span for span in tracer.spans if span.name == "cli.render"]
+    assert report.end <= render.start
