@@ -8,9 +8,10 @@ grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
 domain at half the spacing.  Every Richardson pair comes from
 ``solve_channel_extrapolated``, which returns both solves, each with its grid,
 and their extrapolant (``RichardsonPair``, as ``grid3d.solve_partner`` does
-for 3D).  The levels fix the box: the pair of an oscillator kind solves its
-fine grid only out to where its highest level has decayed, and on a longer
-box at the same spacing where the default one is too short.
+for 3D), and on request a third solve at twice the spacing below them.  The
+levels fix the box: the coarsest grid of an oscillator kind is solved on the
+default box, on a longer one at the same spacing where that is too short, and
+the finer grids only out to where its highest level has decayed.
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -348,10 +349,11 @@ OSCILLATOR_KINDS = frozenset({ChannelKind.HO, ChannelKind.SHO, ChannelKind.RADIA
 #: WKB decay at which a pair's box ends: exp(-20) of the amplitude at the
 #: highest level's outer turning point, so the wall shifts it by about exp(-40).
 BOX_DECAY = 20.0
-#: Most points of a pair's coarse grid (its fine grid holds 2 n + 1).  Rounding
-#: in the 1/h^2 entries grows as n^2 and the discretization error falls as n^-2:
-#: here the 1D commands pass with the worst gating check at 0.43 of its
-#: tolerance, and hf-check's expectation pair below 0.01 (README), while at
+#: Most points of a pair's coarse grid (its fine grid holds 2 n + 1, a third
+#: grid below it (n - 1) // 2).  Rounding in the 1/h^2 entries grows as n^2 and
+#: the discretization error falls as n^-2: here the 1D commands pass with the
+#: worst gating check at 0.43 of its tolerance, and hf-check's three-grid
+#: expectation within 1.4e-6 of it against the closed form (README), while at
 #: 50001 hf-check fails at omega 1e-3 and 2.5 with g1^2 <= 0.3, and passes at 1.
 MAX_PAIR_POINTS = 20001
 
@@ -418,11 +420,14 @@ class RichardsonPair:
     """Solves at spacings h and h / ``ratio``, and their extrapolant ``values``.
 
     ``coarse`` and ``fine`` are a channel's EigenResults or grid3d's GridLevels.
+    ``coarser`` is a channel's third solve below the pair, at about 2h, when
+    ``solve_channel_extrapolated`` was asked for it; it enters no ``values``.
     """
 
     coarse: EigenResult
     fine: EigenResult
     ratio: float
+    coarser: EigenResult | None = None
     values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -431,35 +436,46 @@ class RichardsonPair:
 
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
-                               k: int, want_vectors: bool = False) -> RichardsonPair:
+                               k: int, want_vectors: bool = False,
+                               coarser: bool = False) -> RichardsonPair:
     """The pair at n_points and 2 n_points + 1 (h and h/2), Richardson-extrapolated.
 
-    An ``OSCILLATOR_KINDS`` pair solves the fine grid only out to where its
-    highest coarse level has decayed (``_box_nodes``), as a node subset of
-    the 2 n_points + 1 grid at exactly h/2, and never on fewer nodes than
-    levels.  Where that edge lies beyond the default box, the coarse grid is
-    first solved again on the longer box at the same spacing.  The angular
-    kinds keep (0, pi).  ``want_vectors`` goes to every solve of the pair.
-    Past ``MAX_PAIR_POINTS`` it raises ValueError before any solve.
+    ``coarser`` adds a third solve below the pair, at (n_points - 1) // 2
+    points (exactly 2h for odd n_points), as the pair's ``coarser``.  The
+    coarsest grid of the sequence is solved on the default box.  For an
+    ``OSCILLATOR_KINDS`` pair its highest level then fixes the box of every
+    finer grid: each is solved only out to where that level has decayed
+    (``_box_nodes``), at exactly its spacing, and never on fewer nodes than
+    levels; the fine grid is a node subset of its default grid.  Where that
+    edge lies beyond the default box, the coarsest grid is first solved again
+    on the longer box at the same spacing.  The angular kinds keep (0, pi).
+    ``want_vectors`` goes to every solve.  Past ``MAX_PAIR_POINTS`` it raises
+    ValueError before any solve.
     """
     if n_points > MAX_PAIR_POINTS:
         raise ValueError(f"grid-points must be at most {MAX_PAIR_POINTS}: past it, rounding in "
                          f"the 1/h^2 entries grows past the discretization error, got {n_points}")
-    coarse = solve_channel(spec, params, n_points, k, want_vectors)
-    nodes = None
+    sizes = [n_points, 2 * n_points + 1]
+    if coarser:
+        sizes.insert(0, (n_points - 1) // 2)
+    first = solve_channel(spec, params, sizes[0], k, want_vectors)
+    boxes = [None] * (len(sizes) - 1)  # of the finer grids
     if spec.kind in OSCILLATOR_KINDS:
-        reach = n_points
-        while (box := _box_nodes(spec, params, n_points, reach,
-                                 coarse.eigenvalues[-1])) is None:
+        reach = sizes[0]
+        while (box := _box_nodes(spec, params, sizes[0], reach,
+                                 first.eigenvalues[-1])) is None:
             # look farther out; an odd factor keeps HO's node parity, so the longer
             # box holds the default nodes and, by interlacing, no higher levels
             reach *= 3
-        if box > n_points:
-            coarse = solve_channel(spec, params, n_points, k, want_vectors, nodes=box)
-            box = _box_nodes(spec, params, n_points, reach, coarse.eigenvalues[-1])
-        nodes = 2 * max(box, k // 2, 1) + 1
-    fine = solve_channel(spec, params, 2 * n_points + 1, k, want_vectors, nodes=nodes)
-    return RichardsonPair(coarse, fine, 2.0)
+        if box > sizes[0]:
+            first = solve_channel(spec, params, sizes[0], k, want_vectors, nodes=box)
+            box = _box_nodes(spec, params, sizes[0], reach, first.eigenvalues[-1])
+        # the same box at each finer spacing, rounded out: 2 box + 1 nodes at half of it
+        intervals = max(box, k // 2, 1) + 1
+        boxes = [-(-intervals * (size + 1) // (sizes[0] + 1)) - 1 for size in sizes[1:]]
+    solves = [first] + [solve_channel(spec, params, size, k, want_vectors, nodes=nodes)
+                        for size, nodes in zip(sizes[1:], boxes)]
+    return RichardsonPair(solves[-2], solves[-1], 2.0, coarser=solves[0] if coarser else None)
 
 
 def expectation(v: np.ndarray, observable: Callable[[np.ndarray], np.ndarray],

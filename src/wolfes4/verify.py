@@ -316,22 +316,51 @@ def verify_spherical_route(params: ModelParams, n_cap: int, *,
     return report
 
 
+def _eliminate(values: Sequence[float], spacings: Sequence[float],
+               exponents: Sequence[float]) -> float:
+    """Cancel the error terms h^p, for each p of ``exponents`` in turn, from
+    values at falling spacings h; len(values) = len(exponents) + 1.
+
+    Generalized Richardson extrapolation with known exponents (the
+    E-algorithm; Sidi, Practical Extrapolation Methods, 2003): each step
+    extrapolates neighbouring values by ``richardson`` at the ratio that
+    cancels the next term as the steps before have left it, which is the
+    spacing ratio to the power p / 2 where the ratios are equal.
+    """
+    terms = [[(h / spacings[-1]) ** p for p in exponents] for h in spacings]
+    for j in range(len(exponents)):
+        q = [t[j] / u[j] for t, u in zip(terms, terms[1:])]
+        values = [richardson(a, b, math.sqrt(r)) for a, b, r in zip(values, values[1:], q)]
+        terms = [[(r * y - x) / (r - 1.0) for x, y in zip(t, u)]
+                 for t, u, r in zip(terms, terms[1:], q)]
+    (value,) = values
+    return float(value)
+
+
 def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION_TOL,
                            n_points: int = CHANNEL_POINTS) -> VerificationReport:
     """Three-way derivative comparison dE/d(g1^2) on one SHO level.
 
     Compares the central finite difference of the numeric eigenvalue (step
     1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), taken on
-    each grid of the channel's Richardson pair, and the closed form
-    omega/(6 delta); all three must agree pairwise within ``tol`` and be
-    strictly positive.  Raises ValueError below g1^2 = 1e-3, where
-    g1^2 - step would leave the coupling range.
+    each of three grids of the channel, at (n_points - 1) // 2, n_points and
+    2 n_points + 1 points, with the two lowest exponents of its trapezoid
+    error eliminated, and the closed form omega/(6 delta); all three must
+    agree pairwise within ``tol`` and be strictly positive.  Raises
+    ValueError below g1^2 = 1e-3, where g1^2 - step would leave the coupling
+    range, and, before any solve, for fewer than 2 max(n2 + 1, 3) + 1
+    ``n_points``: the coarsest grid must hold the level and 3 nodes.
     """
     delta_g2 = 1e-3 * max(1.0, params.g1_squared)
     if params.g1_squared - delta_g2 < 0:
         raise ValueError(f"hf-check needs g1sq >= 1e-3, so that the central difference "
                          f"of step 1e-3 stays in the admissible coupling range, "
                          f"got {params.g1_squared:g}")
+    least = 2 * max(n2 + 1, 3) + 1
+    if n_points < least:
+        raise ValueError(f"hf-check solves its expectation on (grid-points - 1) // 2 points "
+                         f"too, at least {least // 2} of them, so it needs at least {least} "
+                         f"grid points, got {n_points}")
     tol = tol * params.omega
     report = VerificationReport()
     spec = ChannelSpec(ChannelKind.SHO)
@@ -346,20 +375,26 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     d_fd = central(delta_g2)
     d_fd_half = central(delta_g2 / 2.0)
 
-    pair = solve_channel_extrapolated(spec, params, n_points, n2 + 1, want_vectors=True)
-    coarse, fine = (expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), res.grid)
-                    for res in (pair.coarse, pair.fine))
+    pair = solve_channel_extrapolated(spec, params, n_points, n2 + 1, want_vectors=True,
+                                      coarser=True)
+    grids = (pair.coarser, pair.coarse, pair.fine)
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
-    # goes as x^(2b - 2) and its trapezoid error as h^(2b - 1) (Navot 1961):
-    # the pair is extrapolated at order min(2, 2 delta), not at 2 throughout.
-    d_exp = float(richardson(coarse, fine, pair.ratio ** min(1.0, delta_constant(params))))
+    # goes as x^(2b - 2) and its trapezoid error has the term h^(2 delta)
+    # beside the even powers of h (Navot 1961): from 2 delta = 2 at
+    # g1^2 = 2.25 up, the two lowest are 2 and min(2 delta, 4).
+    wall = 2.0 * delta_constant(params)
+    exponents = sorted({wall, 2.0, 4.0})[:2]
+    d_exp = _eliminate([expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2),
+                                    res.grid) for res in grids],
+                       [res.grid.spacing for res in grids], exponents)
 
     d_closed = hf_derivative_closed_form(params)
 
     report.add("hf-fd-vs-closed", d_fd, d_closed, tol,
                f"central difference, step {delta_g2:g}")
     report.add("hf-expectation-vs-closed", d_exp, d_closed, tol,
-               "eigenvector expectation of 1/(6 X2^2), Richardson pair")
+               "eigenvector expectation of 1/(6 X2^2) on three grids, the two lowest of "
+               f"h^(2 delta), h^2 and h^4 cancelled; 2 delta = {wall:.6g}")
     report.add("hf-fd-vs-expectation", d_fd, d_exp, tol,
                "the two independent numerical derivatives")
     report.add("hf-positivity", min(d_fd, d_exp, d_closed), 0.0, math.inf,

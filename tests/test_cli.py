@@ -276,7 +276,7 @@ class TestReportBytes:
                      "bdb2578da29f3fe5b6e2f0fa2b882e6657b04ef413e11a6d52dc9c8ae0ec528d",
                      id="spherical-g1sq-3"),
         pytest.param(("hf-check", "--g1sq", "3"),
-                     "d4347f8316a94443eca624bbf493f5602b6b8e76f7d88da1fb8d5eb136098c5c",
+                     "6cbd7dcba328269383678ba5f5bbc035370fc7685a209ada7da479e2ec4e4787",
                      id="hf-check-g1sq-3"),
         pytest.param(("audit", "--g1sq", "3"),
                      "bdb748f0e0feb5316e2329096bea80a26876d80e57196a0b85c6a50237f1eaa5",
@@ -288,13 +288,13 @@ class TestReportBytes:
                      "f9cc7d87bf79017b5956ac64259d8e870986dcab4e697161cac109f21f6e56e5",
                      id="spherical-g1sq-0.3"),
         pytest.param(("hf-check", "--g1sq", "0.3"),
-                     "6b13329b88f53fd267ebbb0e42d094a5ec788517fefc83ccff2c3fc937fe9d20",
+                     "3cae30867dc7bab92036c5a55d2510ce291e6bdc4015e9faa5b8011ae1d2148d",
                      id="hf-check-g1sq-0.3"),
         pytest.param(("audit", "--g1sq", "0.3"),
                      "ccfae2f890c2690e11a2bdc6794fb102834af42b2ee9313e60952286c03d52ed",
                      id="audit-g1sq-0.3"),
         pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3"),
-                     "15ae88777aa8a6087abeec2cdf64140bc9fff01df0fb978240ba4475fb1c518e",
+                     "dd39758b92cd1fe82b526e8f16150ecb0fe00f73da8fc86dfde0aea6d531702d",
                      id="hf-check-omega-2.5-g1sq-1e-3"),
     ])
     def test_route_1d_report_bytes(self, workdir, capsys, argv, sha256):
@@ -726,6 +726,19 @@ class TestHfCheckCommand:
         assert code == EXIT_USAGE and out == ""
         assert err.count("\n") == 1 and "coupling" in err
 
+    @pytest.mark.parametrize("points", ["3", "5", "6"])
+    def test_too_few_grid_points_for_its_coarsest_grid_is_usage_error(
+            self, workdir, capsys, monkeypatch, points):
+        # the expectation's third grid, at (n - 1) // 2 points, needs the 3 a
+        # Grid1D holds; checked before any solve, as the bound at 20001 is
+        solves = []
+        monkeypatch.setattr(numsolve, "solve_channel", lambda *a, **kw: solves.append(a))
+        code, out, err = run_cli(capsys, "hf-check", "--grid-points", points)
+        assert code == EXIT_USAGE and out == "" and solves == []
+        assert err == ("error: hf-check solves its expectation on (grid-points - 1) // 2 "
+                       "points too, at least 3 of them, so it needs at least 7 grid points, "
+                       f"got {points}\n")
+
 
 class TestAuditCommand:
     def test_json_report(self, workdir, capsys):
@@ -758,7 +771,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, least", [(("resolve",), 6),
                                              (("verify", "jacobi"), 7),
-                                             (("verify", "spherical"), 5)])
+                                             (("verify", "spherical"), 5),
+                                             (("hf-check",), 7)])
     def test_too_few_grid_points_is_usage_error(self, workdir, capsys, argv, least):
         code, out, err = run_cli(capsys, *argv, "--grid-points", str(least - 1))
         assert code == EXIT_USAGE and out == ""

@@ -444,6 +444,25 @@ class TestFittedBox:
             # n + 1/2 to the closed-form accuracy of the pair
             assert np.max(np.abs(e - (np.arange(k) + 0.5))) < 1e-5
 
+    @pytest.mark.parametrize("n", [2001, 2000])
+    def test_coarser_grid_fixes_the_box_of_the_pair(self, monkeypatch, n):
+        # the third grid is solved first, on the default box, and its level's
+        # box, rounded out, holds both grids of the pair, which keeps h and h/2
+        calls = solve_calls(monkeypatch)
+        spec = ChannelSpec(ChannelKind.SHO)
+        pair = solve_channel_extrapolated(spec, P, n, 1, coarser=True)
+        assert [size for size, _, _ in calls] == [(n - 1) // 2, n, 2 * n + 1]
+        coarser, coarse, fine = (res.grid for res in (pair.coarser, pair.coarse, pair.fine))
+        assert coarser == recommended_grid(ChannelKind.SHO, P, (n - 1) // 2)
+        assert coarse.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
+        assert fine.n_points == 2 * coarse.n_points + 1
+        box = numsolve._box_nodes(spec, P, coarser.n_points, coarser.n_points,
+                                  pair.coarser.eigenvalues[-1])
+        reach = (box + 1) * coarser.spacing
+        assert reach - 1e-12 <= coarse.upper < reach + coarse.spacing
+        assert np.array_equal(pair.values, richardson(pair.coarse.eigenvalues,
+                                                      pair.fine.eigenvalues))
+
     def test_never_fewer_nodes_than_levels(self, monkeypatch):
         calls = solve_calls(monkeypatch)
         solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), P, 21, 21)

@@ -20,8 +20,9 @@ expected failures; the change that makes one caught adds its row:
   scaled by 1.1 at every call site (the oscillator channels, both angular
   poles and the 3D X2 barrier), so the stencil annihilates the wrong power
   x^b: ``verify 3d`` at g1^2 = 3 reads 0.098 (0.067 clean), ``hf-check
-  --g1sq 0.3`` 0.031 (0.011), ``verify jacobi --g1sq 0.3`` 1.5e-2 (6.1e-5)
-  and ``verify spherical`` at 3 3.7e-4 (1.6e-5).
+  --g1sq 0.3`` 0.018 (0.0053, from ``hf-step-halving``), ``verify jacobi
+  --g1sq 0.3`` 1.5e-2 (6.1e-5) and ``verify spherical`` at 3 3.7e-4
+  (1.6e-5).
 """
 
 import json

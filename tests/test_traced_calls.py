@@ -55,7 +55,8 @@ def test_verify_3d_solves_run_inside_their_spans(tmp_path, monkeypatch, capsys):
 def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, capsys):
     # the tracer wraps verify.solve_channel_extrapolated and solve_channel
     # where verify and numsolve look them up; hf-check's four levels and its
-    # expectation are five Richardson pairs, and no solve runs outside one
+    # expectation are five Richardson pairs, the expectation's with a third
+    # grid below it, and no solve runs outside one
     monkeypatch.chdir(tmp_path)
     tracing = load_tracing(monkeypatch)
     tracer = tracing.Tracer()
@@ -69,8 +70,8 @@ def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, caps
     pairs = {span.id for span in tracer.spans
              if span.name == "numsolve.solve_channel_extrapolated"}
     solves = [span for span in tracer.spans if span.name == "numsolve.solve_channel"]
-    # two grids a pair; at one level no box grows
-    assert (len(pairs), len(solves)) == (5, 10)
+    # two grids a pair and one more for the expectation; at one level no box grows
+    assert (len(pairs), len(solves)) == (5, 11)
     assert all(span.parent in pairs for span in solves)
 
 
