@@ -11,7 +11,14 @@ and their extrapolant (``RichardsonPair``, as ``grid3d.solve_partner`` does
 for 3D), and on request a third solve at twice the spacing below them.  The
 levels fix the box: the coarsest grid of an oscillator kind is solved on the
 default box, on a longer one at the same spacing where that is too short, and
-the finer grids only out to where its highest level has decayed.
+the finer grids only out to where its highest level has decayed.  A given
+point count fixes the pair; with none, the pair is sized to the tolerance of
+the check that asks for it: a pilot of three coarse grids estimates each
+level's h^4 error term, which predicts the error of every pair of ``RUNGS``,
+and the coarsest pair predicted to meet the tolerance, at most the
+(``CHANNEL_POINTS``, 2 ``CHANNEL_POINTS`` + 1) pair, is solved
+(``_sized_pair``; the grid-convergence practice of Roache, J. Fluids Eng.
+116, 405, 1994).
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -356,6 +363,24 @@ BOX_DECAY = 20.0
 #: expectation within 1.4e-6 of it against the closed form (README), while at
 #: 50001 hf-check fails at omega 1e-3 and 2.5 with g1^2 <= 0.3, and passes at 1.
 MAX_PAIR_POINTS = 20001
+#: Coarse grid of the finest pair a sized solve returns (``_sized_pair``), and
+#: the grid of a check that needs one point count for all its solves.
+CHANNEL_POINTS = 2001
+#: Point counts a sized pair is chosen from, coarsest first: each is
+#: (n - 1) // 2 of the next, exactly twice its spacing for odd n, up to the
+#: (CHANNEL_POINTS, 2 CHANNEL_POINTS + 1) pair.
+RUNGS = (124, 249, 499, 1000, CHANNEL_POINTS, 2 * CHANNEL_POINTS + 1)
+#: A sized pair's error is aimed within this fraction of its check's tolerance:
+#: low-level checks read 1e-5 to 2e-4 of it at the (2001, 4003) pair.
+PAIR_ERROR_FRACTION = 1e-4
+#: The factor by which the pilot's predicted error must clear that aim.  Where
+#: the eigenfunctions meet a wall as x^b with 1 < b < 3/2 (g1^2 < 2.25, on the
+#: SHO and ANGULAR_PHI kinds) a power of h below h^4 is left, which the pilot
+#: under-predicts.  At omega in {1e-3, 1, 2.5}, g1^2 from 0 to 1e4 and the
+#: levels the checks ask, the pairs taken below (2001, 4003) erred by at most
+#: 0.80 of the aim at tol 1e-4 (6.4 times it with a factor of 1), and by 1.15
+#: times it at tol 1e-5.
+PILOT_SAFETY = 4.0
 
 
 def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
@@ -435,9 +460,38 @@ class RichardsonPair:
             self.coarse.eigenvalues, self.fine.eigenvalues, self.ratio))
 
 
-def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int,
-                               k: int, want_vectors: bool = False,
-                               coarser: bool = False) -> RichardsonPair:
+def _fit_box(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
+             want_vectors: bool) -> tuple[EigenResult, int | None]:
+    """The coarsest grid's solve and the box it fixes for every finer grid.
+
+    The box is given in intervals at the coarsest grid's spacing, None for
+    the angular kinds, which keep (0, pi); see ``solve_channel_extrapolated``.
+    """
+    first = solve_channel(spec, params, n_points, k, want_vectors)
+    if spec.kind not in OSCILLATOR_KINDS:
+        return first, None
+    reach = n_points
+    while (box := _box_nodes(spec, params, n_points, reach, first.eigenvalues[-1])) is None:
+        # look farther out; an odd factor keeps HO's node parity, so the longer
+        # box holds the default nodes and, by interlacing, no higher levels
+        reach *= 3
+    if box > n_points:
+        first = solve_channel(spec, params, n_points, k, want_vectors, nodes=box)
+        box = _box_nodes(spec, params, n_points, reach, first.eigenvalues[-1])
+    return first, max(box, k // 2, 1) + 1
+
+
+def _solve_on_box(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
+                  want_vectors: bool, coarsest: int, intervals: int | None) -> EigenResult:
+    """A finer grid of n_points at its own spacing, on the box of ``intervals``
+    intervals of the coarsest grid's spacing, rounded out."""
+    nodes = None if intervals is None else -(-intervals * (n_points + 1) // (coarsest + 1)) - 1
+    return solve_channel(spec, params, n_points, k, want_vectors, nodes=nodes)
+
+
+def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int | None,
+                               k: int, want_vectors: bool = False, coarser: bool = False,
+                               tol: float | None = None) -> RichardsonPair:
     """The pair at n_points and 2 n_points + 1 (h and h/2), Richardson-extrapolated.
 
     ``coarser`` adds a third solve below the pair, at (n_points - 1) // 2
@@ -451,31 +505,59 @@ def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points:
     on the longer box at the same spacing.  The angular kinds keep (0, pi).
     ``want_vectors`` goes to every solve.  Past ``MAX_PAIR_POINTS`` it raises
     ValueError before any solve.
+
+    With n_points None the pair is sized to ``tol``, the tolerance its values
+    answer to, by ``_sized_pair``; ``coarser`` then adds nothing.
     """
+    if n_points is None:
+        return _sized_pair(spec, params, k, tol, want_vectors)
     if n_points > MAX_PAIR_POINTS:
         raise ValueError(f"grid-points must be at most {MAX_PAIR_POINTS}: past it, rounding in "
                          f"the 1/h^2 entries grows past the discretization error, got {n_points}")
     sizes = [n_points, 2 * n_points + 1]
     if coarser:
         sizes.insert(0, (n_points - 1) // 2)
-    first = solve_channel(spec, params, sizes[0], k, want_vectors)
-    boxes = [None] * (len(sizes) - 1)  # of the finer grids
-    if spec.kind in OSCILLATOR_KINDS:
-        reach = sizes[0]
-        while (box := _box_nodes(spec, params, sizes[0], reach,
-                                 first.eigenvalues[-1])) is None:
-            # look farther out; an odd factor keeps HO's node parity, so the longer
-            # box holds the default nodes and, by interlacing, no higher levels
-            reach *= 3
-        if box > sizes[0]:
-            first = solve_channel(spec, params, sizes[0], k, want_vectors, nodes=box)
-            box = _box_nodes(spec, params, sizes[0], reach, first.eigenvalues[-1])
-        # the same box at each finer spacing, rounded out: 2 box + 1 nodes at half of it
-        intervals = max(box, k // 2, 1) + 1
-        boxes = [-(-intervals * (size + 1) // (sizes[0] + 1)) - 1 for size in sizes[1:]]
-    solves = [first] + [solve_channel(spec, params, size, k, want_vectors, nodes=nodes)
-                        for size, nodes in zip(sizes[1:], boxes)]
+    first, intervals = _fit_box(spec, params, sizes[0], k, want_vectors)
+    solves = [first] + [_solve_on_box(spec, params, size, k, want_vectors, sizes[0], intervals)
+                        for size in sizes[1:]]
     return RichardsonPair(solves[-2], solves[-1], 2.0, coarser=solves[0] if coarser else None)
+
+
+def _sized_pair(spec: ChannelSpec, params: ModelParams, k: int, tol: float | None,
+                want_vectors: bool) -> RichardsonPair:
+    """The coarsest pair of adjacent ``RUNGS`` whose predicted error is within
+    ``PAIR_ERROR_FRACTION`` * tol by the factor ``PILOT_SAFETY``.
+
+    The pilot is the three coarsest rungs that hold the k levels, the first
+    on the default box, its highest level fixing the box of every finer grid
+    as in ``solve_channel_extrapolated``.  With e = E + a h^2 + c h^4 + ...,
+    the second divided difference of its levels in h^2 estimates each
+    level's c, and a pair at h and h' extrapolates to E - c h^2 h'^2: that is
+    its predicted error, the largest over the levels.  The top pair is taken
+    when no coarser one qualifies.  Each pair is extrapolated at the ratio of
+    its spacings, and reuses the pilot's solves it shares.
+    """
+    if tol is None or not tol > 0:
+        raise ValueError(f"a pair sized without a point count needs a positive tol, got {tol}")
+    rungs = [n for n in RUNGS if n >= k]
+    if len(rungs) < 3:
+        return solve_channel_extrapolated(spec, params, CHANNEL_POINTS, k, want_vectors)
+    first, intervals = _fit_box(spec, params, rungs[0], k, want_vectors)
+    solves = {rungs[0]: first}
+
+    def solve(n: int) -> EigenResult:
+        if n not in solves:
+            solves[n] = _solve_on_box(spec, params, n, k, want_vectors, rungs[0], intervals)
+        return solves[n]
+
+    s = [1.0 / (n + 1) ** 2 for n in rungs]  # h^2 in units of the default box squared
+    e = [solve(n).eigenvalues for n in rungs[:3]]
+    c = np.max(np.abs(((e[0] - e[1]) / (s[0] - s[1]) - (e[1] - e[2]) / (s[1] - s[2]))
+                      / (s[0] - s[2])))
+    i = next((i for i in range(len(rungs) - 2)
+              if PILOT_SAFETY * c * s[i] * s[i + 1] <= PAIR_ERROR_FRACTION * tol),
+             len(rungs) - 2)
+    return RichardsonPair(solve(rungs[i]), solve(rungs[i + 1]), (rungs[i + 1] + 1) / (rungs[i] + 1))
 
 
 def expectation(v: np.ndarray, observable: Callable[[np.ndarray], np.ndarray],

@@ -6,6 +6,10 @@ azimuthal -> polar -> radial eigensolves, and direct 3D diagonalization.
 Every comparison is recorded as a named check entry with the measured value,
 the reference, the tolerance and a provenance note; a report passes only if
 every gating entry passes.  Energies scale with omega; so do their tolerances.
+A 1D check given no point count passes its tolerance to each channel pair,
+which sizes its grids to it (``numsolve.solve_channel_extrapolated``); a
+given count fixes every pair, and ``hellmann_feynman_check``, whose central
+difference compares solves at four couplings, keeps ``CHANNEL_POINTS``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .model import (
     sho_energy_resolved,
 )
 from .numsolve import (
+    CHANNEL_POINTS,
     ChannelKind,
     ChannelSpec,
     richardson,
@@ -50,8 +55,6 @@ STANDARD_SWEEP = (0.0, 1.0, 3.0, 7.5)
 STANDARD_RADIAL_KSQ = (2.0, 6.0)
 #: Lowest levels of each channel compared against the candidate formulas.
 RESOLUTION_LEVELS = 6
-#: Default point count of the 1D channel checks, each pair's coarse grid.
-CHANNEL_POINTS = 2001
 #: Default grid of the 3D check: points per axis, box half-width in oscillator lengths.
 GRID3D_POINTS = 61
 GRID3D_EXTENT = 7.0
@@ -103,12 +106,14 @@ class VerificationReport:
         self.checks.extend(other.checks)
 
 
-def _require_points(n_points: int, levels: int, route: str) -> None:
-    """Reject, before any solve, a channel grid of fewer points than the most
-    levels ``route`` asks of one channel."""
-    if n_points < levels:
-        raise ValueError(f"{route} asks a channel for {levels} levels, so it needs "
-                         f"at least {levels} grid points, got {n_points}")
+def _require_points(n_points: int | None, levels: int, route: str) -> None:
+    """Reject, before any solve, a given channel grid of fewer points than the
+    most levels ``route`` asks of one channel, or than the 3 a grid holds."""
+    least = max(levels, 3)
+    if n_points is not None and n_points < least:
+        why = (f"{route} asks a channel for {levels} levels" if levels >= 3
+               else f"{route} solves every channel on at least 3 points")
+        raise ValueError(f"{why}, so it needs at least {least} grid points, got {n_points}")
 
 
 def _pmap(fn: Callable, items: Sequence) -> list:
@@ -121,7 +126,7 @@ def _pmap(fn: Callable, items: Sequence) -> list:
 
 
 def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
-                            n_points: int = CHANNEL_POINTS, tol: float = RESOLUTION_TOL,
+                            n_points: int | None = None, tol: float = RESOLUTION_TOL,
                             ) -> tuple[float, str, VerificationReport]:
     """Select the SHO offset and the radial exponent rule that match the numerics.
 
@@ -131,8 +136,9 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     STANDARD_RADIAL_KSQ) against both printed and corrected exponent rules.
     Exactly one candidate per family must fit within ``tol`` uniformly, in
     units of omega; anything else raises ResolutionError with the residuals.
-    Raises ValueError for an empty ``params_list`` or fewer ``n_points`` than
-    RESOLUTION_LEVELS.
+    Each pair is sized to the smaller of ``tol`` and ANCHOR_TOL unless
+    ``n_points`` is given.  Raises ValueError for an empty ``params_list`` or
+    fewer ``n_points`` than RESOLUTION_LEVELS.
     """
     if params_list is None:
         params_list = [ModelParams(omega=1.0, g1_squared=g) for g in STANDARD_SWEEP]
@@ -146,14 +152,15 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     radial_cases = [(k2, ModelParams(omega=w, g1_squared=0.0))
                     for w in omegas for k2 in STANDARD_RADIAL_KSQ]
     sho_spec = ChannelSpec(ChannelKind.SHO)
+    aim = min(tol, ANCHOR_TOL)  # in units of omega, as the residuals and anchors are
     sho_numeric = _pmap(
-        lambda case: solve_channel_extrapolated(sho_spec, case[0], n_points,
-                                                RESOLUTION_LEVELS).values,
+        lambda case: solve_channel_extrapolated(sho_spec, case[0], n_points, RESOLUTION_LEVELS,
+                                                tol=aim * case[0].omega).values,
         sho_cases)
     radial_numeric = _pmap(
         lambda case: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=case[0]), case[1], n_points,
-            RESOLUTION_LEVELS).values,
+            RESOLUTION_LEVELS, tol=aim * case[1].omega).values,
         radial_cases)
 
     # A case holds the closed form's arguments before the candidate, its
@@ -212,17 +219,19 @@ def resolve_formula_offsets(params_list: Sequence[ModelParams] | None = None,
     return offset, rule, report
 
 
-def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
-                           ) -> list[tuple[float, QuantumTriple]]:
+def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int | None,
+                           tol: float = RESOLUTION_TOL) -> list[tuple[float, QuantumTriple]]:
     """Numeric composite levels E(n2) + (E(n1) + E(n3)) for all triples with N <= cutoff.
 
-    Adding the two HO levels first makes (n1, n2, n3) and (n3, n2, n1) carry
-    bitwise-equal energies, so the sort names the first of them.
+    Both channels' pairs are sized to ``tol``, in units of omega, unless
+    ``n_points`` is given.  Adding the two HO levels first makes (n1, n2, n3)
+    and (n3, n2, n1) carry bitwise-equal energies, so the sort names the
+    first of them.
     """
-    e_ho = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), params,
-                                      n_points, cutoff + 1).values
-    e_sho = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), params,
-                                       n_points, cutoff // 2 + 1).values
+    e_ho = solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), params, n_points,
+                                      cutoff + 1, tol=tol * params.omega).values
+    e_sho = solve_channel_extrapolated(ChannelSpec(ChannelKind.SHO), params, n_points,
+                                       cutoff // 2 + 1, tol=tol * params.omega).values
     out = []
     for n2 in range(cutoff // 2 + 1):
         for n1 in range(cutoff - 2 * n2 + 1):
@@ -235,12 +244,15 @@ def _jacobi_numeric_levels(params: ModelParams, cutoff: int, n_points: int,
 
 def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
                         tol: float = RESOLUTION_TOL,
-                        n_points: int = CHANNEL_POINTS) -> VerificationReport:
-    """Check that summed 1D channel numerics reproduce the closed-form table, on
-    at least cutoff + 1 ``n_points``, the HO levels it asks for."""
+                        n_points: int | None = None) -> VerificationReport:
+    """Check that summed 1D channel numerics reproduce the closed-form table.
+
+    Each channel pair is sized to ``tol`` unless ``n_points`` is given, which
+    must be at least cutoff + 1, the HO levels it asks for, and 3.
+    """
     _require_points(n_points, cutoff + 1, "the Jacobi route")
     report = VerificationReport()
-    numeric = _jacobi_numeric_levels(params, cutoff, n_points)
+    numeric = _jacobi_numeric_levels(params, cutoff, n_points, tol)
     closed = enumerate_spectrum(params, cutoff, offset, sector_multiplicity=1)
 
     i = 0
@@ -257,27 +269,29 @@ def verify_jacobi_route(params: ModelParams, cutoff: int, *, offset: float,
     return report
 
 
-def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
-                     ) -> dict[SphericalQuantum, float]:
+def _spherical_chain(params: ModelParams, n_cap: int, n_points: int | None,
+                     tol: float = RESOLUTION_TOL) -> dict[SphericalQuantum, float]:
     """Chained energies of exactly the states (n, l, m) with 2n + l + m <= n_cap.
 
     f^2 for m <= n_cap; then, in row m, k^2 for l <= n_cap - m; then, for each
     (l, m), E for n <= (n_cap - l - m) // 2.  No channel is asked for a level
-    outside that set.
+    outside that set.  Unless ``n_points`` is given, each pair is sized to
+    ``tol`` in units of omega: E's to tol * omega, and f^2's and k^2's to tol,
+    as an error in either moves E by at most omega times it.
     """
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
-        params, n_points, n_cap + 1).values
+        params, n_points, n_cap + 1, tol=tol).values
     k2_rows = _pmap(
         lambda m: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2[m])),
-            params, n_points, n_cap - m + 1).values,
+            params, n_points, n_cap - m + 1, tol=tol).values,
         range(n_cap + 1))
     cases = [(l, m) for m in range(n_cap + 1) for l in range(n_cap - m + 1)]
     radial_rows = _pmap(
         lambda lm: solve_channel_extrapolated(
             ChannelSpec(ChannelKind.RADIAL, coefficient=float(k2_rows[lm[1]][lm[0]])),
-            params, n_points, (n_cap - lm[0] - lm[1]) // 2 + 1).values,
+            params, n_points, (n_cap - lm[0] - lm[1]) // 2 + 1, tol=tol * params.omega).values,
         cases)
     return {SphericalQuantum(n_r=n, l=l, m=m): float(e)
             for (l, m), row in zip(cases, radial_rows) for n, e in enumerate(row)}
@@ -285,20 +299,22 @@ def _spherical_chain(params: ModelParams, n_cap: int, n_points: int,
 
 def verify_spherical_route(params: ModelParams, n_cap: int, *,
                            offset: float, tol: float = RESOLUTION_TOL,
-                           n_points: int = CHANNEL_POINTS) -> VerificationReport:
+                           n_points: int | None = None) -> VerificationReport:
     """Check the chained spherical solve against the separated route, as multisets.
 
     Both routes are enumerated completely up to the total-quanta class
     ``n_cap``: the chain solves exactly the (n, l, m) with 2n + l + m <= n_cap.
     The two sorted energy multisets are paired greedily; the first unpaired
-    level is named.  Needs at least n_cap + 1 ``n_points``, the f^2 levels asked.
+    level is named.  Each channel pair is sized to ``tol`` unless ``n_points``
+    is given, which must be at least n_cap + 1, the f^2 levels asked, and 3.
     """
     _require_points(n_points, n_cap + 1, "the spherical route")
-    tol = tol * params.omega
     report = VerificationReport()
 
-    spherical = sorted((e, q) for q, e in _spherical_chain(params, n_cap, n_points).items())
-    jacobi = _jacobi_numeric_levels(params, n_cap, n_points)
+    spherical = sorted((e, q) for q, e in _spherical_chain(params, n_cap, n_points,
+                                                           tol).items())
+    jacobi = _jacobi_numeric_levels(params, n_cap, n_points, tol)
+    tol = tol * params.omega
 
     report.add("spherical-state-count", float(len(spherical)), float(len(jacobi)),
                0.0, f"both routes enumerate every state with total quanta <= {n_cap}; "
@@ -406,21 +422,26 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
 
 
 def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
-             n_points: int = CHANNEL_POINTS) -> VerificationReport:
+             n_points: int | None = None) -> VerificationReport:
     """Measure the three claims of the earlier spherical-coordinate treatment.
 
     The audited claims: the spectrum does not depend on the barrier strength;
     the azimuthal eigenvalues are all equal at fixed strength; the polar
     separation constants equal l(l+1) regardless of strength.  Each entry
     records the measured counter-evidence.  The spectrum is compared with
-    the one at g1^2 = 1 (at 3 when g1^2 is 1 already).
+    the one at g1^2 = 1 (at 3 when g1^2 is 1 already).  Each channel pair is
+    sized to ``tol``, in units of omega, unless ``n_points`` is given, which
+    must be at least 3.
     """
+    _require_points(n_points, 2, "audit")
     other = replace(params, g1_squared=1.0 if params.g1_squared != 1.0 else 3.0)
     report = VerificationReport()
     sho = ChannelSpec(ChannelKind.SHO)
 
-    g_here = float(solve_channel_extrapolated(sho, params, n_points, 1).values[0])
-    g_there = float(solve_channel_extrapolated(sho, other, n_points, 1).values[0])
+    g_here = float(solve_channel_extrapolated(sho, params, n_points, 1,
+                                              tol=tol * params.omega).values[0])
+    g_there = float(solve_channel_extrapolated(sho, other, n_points, 1,
+                                               tol=tol * params.omega).values[0])
     predicted = params.omega * (delta_constant(params) - delta_constant(other))
     report.add("audit-spectrum-depends-on-g1", g_here - g_there, predicted, tol * params.omega,
                f"numeric ground levels at g1^2 = {params.g1_squared:g} vs "
@@ -428,7 +449,7 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
     f2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_PHI, coefficient=params.g1_squared / 3.0),
-        params, n_points, 2).values
+        params, n_points, 2, tol=tol).values
     claimed = params.g1_squared / 3.0 + 0.25
     report.add("audit-f2-not-all-equal", float(f2[1] - f2[0]), 0.0, math.inf,
                f"f^2_0 = {f2[0]:.6f}, f^2_1 = {f2[1]:.6f}; the audited claim is "
@@ -437,7 +458,7 @@ def bk_audit(params: ModelParams, tol: float = RESOLUTION_TOL,
 
     k2 = solve_channel_extrapolated(
         ChannelSpec(ChannelKind.ANGULAR_THETA, coefficient=float(f2[0])),
-        params, n_points, 1).values
+        params, n_points, 1, tol=tol).values
     report.add("audit-k2-not-l(l+1)", float(k2[0]), 0.0, math.inf,
                "k^2 for l = 0, m = 0; the audited claim pins it to l(l+1) = 0",
                ok=abs(float(k2[0])) > 1.0)

@@ -245,17 +245,29 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("argv, code, sha256", [
         pytest.param((), EXIT_PASS,
-                     "bce47bf52f9df74c96d8a295655f8cbabeeb7c0163d5b544539e9b61ca80b983",
+                     "d5895c12a35b1ed5460e6ba85b741ff88007f5b7dbeb2c658992a8b867563513",
                      id="sweep"),
+        pytest.param(("--grid-points", "2001"), EXIT_PASS,
+                     "bce47bf52f9df74c96d8a295655f8cbabeeb7c0163d5b544539e9b61ca80b983",
+                     id="sweep-grid-points-2001"),
         pytest.param(("--format", "csv"), EXIT_PASS,
-                     "7fc03281d9816b4b6b1cb627de7aa41b3f487459ff9766c71e5e157aad75a81c",
+                     "81c92a0f524fa99a4757f07dc482e57c4f9f068dcb2b1d6eebcab8b79114f1bd",
                      id="sweep-csv"),
+        pytest.param(("--format", "csv", "--grid-points", "2001"), EXIT_PASS,
+                     "7fc03281d9816b4b6b1cb627de7aa41b3f487459ff9766c71e5e157aad75a81c",
+                     id="sweep-csv-grid-points-2001"),
         pytest.param(("--g1sq", "0.3"), EXIT_PASS,
-                     "ed695a7a0775d9c89c0844d468ed4045b9fe7ce17427b81ffdb855dc541cd4e6",
+                     "5ed8ca1ce40fa91e521da8fa097abf47b054c66e8a63a891924f3995fa5760af",
                      id="g1sq-0.3"),
+        pytest.param(("--g1sq", "0.3", "--grid-points", "2001"), EXIT_PASS,
+                     "ed695a7a0775d9c89c0844d468ed4045b9fe7ce17427b81ffdb855dc541cd4e6",
+                     id="g1sq-0.3-grid-points-2001"),
         pytest.param(("--omega", "2.5"), EXIT_PASS,
-                     "3698c9e574bfaebdc8fa199c188ba12929140f90cbd7364a1f64c3cdcf30f01b",
+                     "72d9b8cbcd2b58e04f56637d59550b4df91d94282a3fa7b8ab31b5f99518ac92",
                      id="omega-2.5"),
+        pytest.param(("--omega", "2.5", "--grid-points", "2001"), EXIT_PASS,
+                     "3698c9e574bfaebdc8fa199c188ba12929140f90cbd7364a1f64c3cdcf30f01b",
+                     id="omega-2.5-grid-points-2001"),
         pytest.param(("--grid-points", "301", "--tol", "1e-15"), EXIT_FAIL,
                      "d95f9fdd3f6ee4af85fdf3068405244c140c59f19c8962978b186caa60a674d1",
                      id="ambiguous"),
@@ -263,44 +275,75 @@ class TestReportBytes:
     def test_resolve_report_bytes(self, workdir, capsys, argv, code, sha256):
         # the report on stdout, or on failure the error line with every
         # candidate's residual on stderr; the residuals hold to the last bit
-        # on one LAPACK build only, as do the Lanczos pins of test_grid3d
+        # on one LAPACK build only, as do the Lanczos pins of test_grid3d.
+        # Each default, whose pairs are sized, sits next to its run at
+        # --grid-points 2001, whose (2001, 4003) pairs keep their bytes
         got, out, err = run_cli(capsys, "resolve", *argv)
         assert got == code and (out == "") == (code == EXIT_FAIL)
         assert hashlib.sha256((err if code else out).encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv, sha256", [
         pytest.param(("verify", "jacobi", "--g1sq", "3"),
-                     "8985aeeeb3885cc96c0ffd042850ddd92c2fb490c71122a4a3e8f661c8697413",
+                     "ece8203a0b716b1908e1ae11df75f4a1815f200aee337b7049d7d83a80432a15",
                      id="jacobi-g1sq-3"),
+        pytest.param(("verify", "jacobi", "--g1sq", "3", "--grid-points", "2001"),
+                     "8985aeeeb3885cc96c0ffd042850ddd92c2fb490c71122a4a3e8f661c8697413",
+                     id="jacobi-g1sq-3-grid-points-2001"),
         pytest.param(("verify", "spherical", "--g1sq", "3"),
-                     "bdb2578da29f3fe5b6e2f0fa2b882e6657b04ef413e11a6d52dc9c8ae0ec528d",
+                     "528e5fb1a3b2037659181bef792d63a3fe9999a8bb6b96285dedcae58973cc3c",
                      id="spherical-g1sq-3"),
+        pytest.param(("verify", "spherical", "--g1sq", "3", "--grid-points", "2001"),
+                     "bdb2578da29f3fe5b6e2f0fa2b882e6657b04ef413e11a6d52dc9c8ae0ec528d",
+                     id="spherical-g1sq-3-grid-points-2001"),
         pytest.param(("hf-check", "--g1sq", "3"),
                      "6cbd7dcba328269383678ba5f5bbc035370fc7685a209ada7da479e2ec4e4787",
                      id="hf-check-g1sq-3"),
+        pytest.param(("hf-check", "--g1sq", "3", "--grid-points", "2001"),
+                     "6cbd7dcba328269383678ba5f5bbc035370fc7685a209ada7da479e2ec4e4787",
+                     id="hf-check-g1sq-3-grid-points-2001"),
         pytest.param(("audit", "--g1sq", "3"),
-                     "bdb748f0e0feb5316e2329096bea80a26876d80e57196a0b85c6a50237f1eaa5",
+                     "0899821b31898dd920dd34bf7d1877b19c2443a0ab87aff5af9d0069ec0642c2",
                      id="audit-g1sq-3"),
+        pytest.param(("audit", "--g1sq", "3", "--grid-points", "2001"),
+                     "bdb748f0e0feb5316e2329096bea80a26876d80e57196a0b85c6a50237f1eaa5",
+                     id="audit-g1sq-3-grid-points-2001"),
         pytest.param(("verify", "jacobi", "--g1sq", "0.3"),
-                     "7d2e3ef89b2b1a647e81cb679ecfc3072311685d2e241d6ee566f510fec13b99",
+                     "7d575a8ab8d1e241ca229db0bc8cc9b5934829e60b5f93300bcc7f57a3cdf1da",
                      id="jacobi-g1sq-0.3"),
+        pytest.param(("verify", "jacobi", "--g1sq", "0.3", "--grid-points", "2001"),
+                     "7d2e3ef89b2b1a647e81cb679ecfc3072311685d2e241d6ee566f510fec13b99",
+                     id="jacobi-g1sq-0.3-grid-points-2001"),
         pytest.param(("verify", "spherical", "--g1sq", "0.3"),
-                     "f9cc7d87bf79017b5956ac64259d8e870986dcab4e697161cac109f21f6e56e5",
+                     "233564423574b1228f803b7cc3d024b8f69ca6083e25e2f67a35e548a525d4e5",
                      id="spherical-g1sq-0.3"),
+        pytest.param(("verify", "spherical", "--g1sq", "0.3", "--grid-points", "2001"),
+                     "f9cc7d87bf79017b5956ac64259d8e870986dcab4e697161cac109f21f6e56e5",
+                     id="spherical-g1sq-0.3-grid-points-2001"),
         pytest.param(("hf-check", "--g1sq", "0.3"),
                      "3cae30867dc7bab92036c5a55d2510ce291e6bdc4015e9faa5b8011ae1d2148d",
                      id="hf-check-g1sq-0.3"),
+        pytest.param(("hf-check", "--g1sq", "0.3", "--grid-points", "2001"),
+                     "3cae30867dc7bab92036c5a55d2510ce291e6bdc4015e9faa5b8011ae1d2148d",
+                     id="hf-check-g1sq-0.3-grid-points-2001"),
         pytest.param(("audit", "--g1sq", "0.3"),
-                     "ccfae2f890c2690e11a2bdc6794fb102834af42b2ee9313e60952286c03d52ed",
+                     "1f5ac923a8fc3d7aa4c88410721742b2f1fc40bc18b0bdd48c62f549a56b58f2",
                      id="audit-g1sq-0.3"),
+        pytest.param(("audit", "--g1sq", "0.3", "--grid-points", "2001"),
+                     "ccfae2f890c2690e11a2bdc6794fb102834af42b2ee9313e60952286c03d52ed",
+                     id="audit-g1sq-0.3-grid-points-2001"),
         pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3"),
                      "dd39758b92cd1fe82b526e8f16150ecb0fe00f73da8fc86dfde0aea6d531702d",
                      id="hf-check-omega-2.5-g1sq-1e-3"),
+        pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3", "--grid-points", "2001"),
+                     "dd39758b92cd1fe82b526e8f16150ecb0fe00f73da8fc86dfde0aea6d531702d",
+                     id="hf-check-omega-2.5-g1sq-1e-3-grid-points-2001"),
     ])
     def test_route_1d_report_bytes(self, workdir, capsys, argv, sha256):
         # the 1D commands of the routes-1d benchmark, after the state file
         # `resolve` writes at the standard sweep; the levels hold to the last
-        # bit on one LAPACK build only, as do the resolve pins
+        # bit on one LAPACK build only, as do the resolve pins.  Each default
+        # sits next to its run at --grid-points 2001, as the resolve pins do;
+        # hf-check solves at 2001 points either way
         write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (EXIT_PASS, "")
@@ -772,7 +815,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, least", [(("resolve",), 6),
                                              (("verify", "jacobi"), 7),
                                              (("verify", "spherical"), 5),
-                                             (("hf-check",), 7)])
+                                             (("hf-check",), 7),
+                                             (("audit",), 3),
+                                             (("verify", "jacobi", "--max-quanta", "0"), 3)])
     def test_too_few_grid_points_is_usage_error(self, workdir, capsys, argv, least):
         code, out, err = run_cli(capsys, *argv, "--grid-points", str(least - 1))
         assert code == EXIT_USAGE and out == ""

@@ -474,6 +474,51 @@ class TestFittedBox:
                 recommended_grid(kind, P, 101, 51)
 
 
+class TestSizedPair:
+    """With no point count, a pair is chosen from RUNGS by a three-grid pilot."""
+
+    def test_rungs_halve_the_spacing_up_to_the_top_pair(self):
+        rungs = numsolve.RUNGS
+        assert all(coarse == (fine - 1) // 2 for coarse, fine in zip(rungs, rungs[1:]))
+        assert rungs[-2:] == (numsolve.CHANNEL_POINTS, 2 * numsolve.CHANNEL_POINTS + 1)
+
+    @pytest.mark.parametrize("tol, pair", [(1.0, (249, 499)), (1e-4, (1000, 2001)),
+                                           (1e-12, (2001, 4003))])
+    def test_pilot_fixes_the_box_and_its_solves_are_reused(self, monkeypatch, tol, pair):
+        # the pilot's coarsest grid is solved on the default box and fixes the
+        # box of each finer grid; a pair inside the pilot solves nothing more
+        calls = solve_calls(monkeypatch)
+        spec = ChannelSpec(ChannelKind.SHO)
+        sized = solve_channel_extrapolated(spec, P, None, 2, tol=tol)
+        solves = list(calls)
+        assert [n for n, _, _ in solves] == [124, 249, 499] + [n for n in pair if n > 499]
+        assert solves[0][2] == recommended_grid(ChannelKind.SHO, P, 124)
+        reach = numsolve._fit_box(spec, P, 124, 2, False)[1] * solves[0][2].spacing
+        for n, _, grid in solves[1:]:
+            assert grid.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
+            assert reach - 1e-12 <= grid.upper < reach + grid.spacing
+        assert (sized.coarse.grid.n_points, sized.fine.grid.n_points) != pair  # fitted box
+        assert sized.ratio == (pair[1] + 1) / (pair[0] + 1)
+        assert np.array_equal(sized.values, richardson(sized.coarse.eigenvalues,
+                                                       sized.fine.eigenvalues, sized.ratio))
+
+    def test_a_looser_tolerance_never_takes_a_finer_pair(self):
+        spec = ChannelSpec(ChannelKind.ANGULAR_PHI, 0.1)
+        spacings = [solve_channel_extrapolated(spec, P, None, 5, tol=tol).coarse.grid.spacing
+                    for tol in (1e-14, 1e-8, 1e-4, 1.0)]
+        assert spacings == sorted(spacings)
+
+    def test_a_given_point_count_ignores_tol(self):
+        spec = ChannelSpec(ChannelKind.HO)
+        assert np.array_equal(solve_channel_extrapolated(spec, P, 301, 3, tol=1.0).values,
+                              solve_channel_extrapolated(spec, P, 301, 3).values)
+
+    def test_sizing_needs_a_positive_tol(self):
+        for tol in (None, 0.0):
+            with pytest.raises(ValueError, match="needs a positive tol"):
+                solve_channel_extrapolated(ChannelSpec(ChannelKind.HO), P, None, 1, tol=tol)
+
+
 class TestPairBound:
     """A pair's coarse grid holds at most MAX_PAIR_POINTS, checked before any solve."""
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from wolfes4 import grid3d, verify
+from wolfes4 import grid3d, numsolve, verify
 from wolfes4.grid3d import lanczos_lowest, solve_hd_3d
 from wolfes4.model import (
     ModelParams,
@@ -234,9 +234,9 @@ class TestSphericalRoute:
         n_cap = min(m_max, l_max, 2 * n_max + 1)
         solved = []
 
-        def spy(spec, params, n_points, k):
+        def spy(spec, params, n_points, k, tol=None):
             solved.append((spec.kind, k))
-            return solve_channel_extrapolated(spec, params, n_points, k)
+            return solve_channel_extrapolated(spec, params, n_points, k, tol=tol)
 
         monkeypatch.setattr(verify, "solve_channel_extrapolated", spy)
         verify_spherical_route(P3, n_cap=n_cap, offset=1.0, n_points=201)
@@ -280,6 +280,63 @@ class TestSphericalRoute:
         assert pairs and not pairs[-1].passed
         assert all(c.passed for c in pairs[:-1])
         assert "(n,l,m)" in pairs[-1].provenance and "(n1,n2,n3)" in pairs[-1].provenance
+
+
+def exact_levels(spec, params, k):
+    """The k lowest eigenvalues of a channel's own operator, in closed form.
+
+    Each kind is x^b-regular at its walls with b(b - 1) its inverse-square
+    strength over its kinetic prefactor; RADIAL and ANGULAR_THETA take their
+    coupling as solved, so a chained pair is judged against its own problem.
+    """
+    n = np.arange(k)
+    w = params.omega
+    if spec.kind is ChannelKind.HO:
+        return w * (n + 0.5)
+    if spec.kind is ChannelKind.SHO:
+        return w * (2 * n + 1 + delta_constant(params))
+    if spec.kind is ChannelKind.RADIAL:  # s(s + 1) = k^2
+        return w * (2 * n + 1.5 + 0.5 * (math.sqrt(4 * spec.coefficient + 1) - 1))
+    if spec.kind is ChannelKind.ANGULAR_PHI:  # f^2 = (m + b)^2
+        return (n + 0.5 + math.sqrt(0.25 + spec.coefficient)) ** 2
+    return (n + math.sqrt(spec.coefficient) + 0.5) ** 2 - 0.25  # k^2 = (l + f + 1/2)^2 - 1/4
+
+
+class TestSizedPairs:
+    """With no point count, each pair is the coarsest its pilot predicts meets its check."""
+
+    @pytest.mark.parametrize("omega", [1e-3, 2.5])
+    @pytest.mark.parametrize("g1sq", [0.0, 0.3, 1e4])
+    def test_each_pair_meets_its_target_at_the_corners(self, monkeypatch, omega, g1sq):
+        # every sized pair of resolution, both routes at --max-quanta 0 and 60
+        # (the spherical route at its cap of 4) and audit: a pair below the
+        # top (2001, 4003) one is within PAIR_ERROR_FRACTION of the tol it
+        # was sized to, and none is finer than the top pair; a pair at the
+        # top is the one an explicit 2001 points solves, on its fitted box
+        pairs = []
+
+        def spy(spec, params, n_points, k, tol=None, **kw):
+            pair = solve_channel_extrapolated(spec, params, n_points, k, tol=tol, **kw)
+            pairs.append((spec, params, k, tol, pair))
+            return pair
+
+        monkeypatch.setattr(verify, "solve_channel_extrapolated", spy)
+        p = ModelParams(omega=omega, g1_squared=g1sq)
+        resolve_formula_offsets([p])
+        for quanta in (0, 60):
+            assert verify_jacobi_route(p, quanta, offset=1.0).passed
+            assert verify_spherical_route(p, min(quanta, 4), offset=1.0).passed
+        bk_audit(p)
+        below = 0
+        for spec, params, k, tol, pair in pairs:
+            top = numsolve.recommended_grid(spec.kind, params, numsolve.CHANNEL_POINTS)
+            assert pair.coarse.grid.spacing >= top.spacing * (1 - 1e-12)
+            assert pair.fine.grid.spacing >= top.spacing / 2 * (1 - 1e-12)
+            if pair.coarse.grid.spacing > top.spacing * (1 + 1e-12):
+                below += 1
+                err = np.max(np.abs(pair.values - exact_levels(spec, params, k)))
+                assert err <= numsolve.PAIR_ERROR_FRACTION * tol, (spec, k)
+        assert below >= len(pairs) // 4
 
 
 class TestHellmannFeynman:
