@@ -5,20 +5,20 @@ Every channel is a Dirichlet problem on a uniform grid with the standard
 n_points nodes on (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for
 the angular kinds), so ``solve_channel`` takes a point count and returns the
 grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
-domain at half the spacing.  Every Richardson pair comes from
-``solve_channel_extrapolated``, which returns both solves, each with its grid,
-and their extrapolant (``RichardsonPair``, as ``grid3d.solve_partner`` does
-for 3D), and on request a third solve at twice the spacing below them.  The
-levels fix the box: the coarsest grid of an oscillator kind is solved on the
-default box, on a longer one at the same spacing where that is too short, and
-the finer grids only out to where its highest level has decayed.  A given
-point count fixes the pair; with none, the pair is sized to the tolerance of
-the check that asks for it: a pilot of three coarse grids estimates each
-level's h^4 error term, which predicts the error of every pair of ``RUNGS``,
-and the coarsest pair predicted to meet the tolerance, at most the
-(``CHANNEL_POINTS``, 2 ``CHANNEL_POINTS`` + 1) pair, is solved
-(``_sized_pair``; the grid-convergence practice of Roache, J. Fluids Eng.
-116, 405, 1994).
+domain at half the spacing.  Every sequence of grids of one channel comes
+from one ladder (``solve_grids``), and the levels fix its box: the coarsest
+grid of an oscillator kind is solved on the default box, on a longer one at
+the same spacing where that is too short, and the finer grids only out to
+where its highest level has decayed.  Every Richardson pair comes from
+``solve_channel_extrapolated``, which returns both solves of a ladder, each
+with its grid, and their extrapolant (``RichardsonPair``, as
+``grid3d.solve_partner`` does for 3D).  A given point count fixes the pair;
+with none, the pair is sized to the tolerance of the check that asks for it:
+a pilot of three coarse grids estimates each level's h^4 error term, which
+predicts the error of every pair of ``RUNGS``, and the coarsest pair
+predicted to meet the tolerance, at most the (``CHANNEL_POINTS``, 2
+``CHANNEL_POINTS`` + 1) pair, is solved (``_sized_pair``; the
+grid-convergence practice of Roache, J. Fluids Eng. 116, 405, 1994).
 
 Inverse-square terms (the barrier, the centrifugal term, the 1/sin^2
 angular terms) all go through ``inverse_square_diag``.  Naive sampling near
@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -351,7 +351,7 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
 HO_EXTENT = 12.0
 #: Extra margin for the half-line channels, whose states reach farther out.
 HALF_LINE_MARGIN = 2.0
-#: Kinds whose box ``solve_channel_extrapolated`` fits to the levels it solves.
+#: Kinds whose box ``solve_grids`` fits to the levels it solves.
 OSCILLATOR_KINDS = frozenset({ChannelKind.HO, ChannelKind.SHO, ChannelKind.RADIAL})
 #: WKB decay at which a pair's box ends: exp(-20) of the amplitude at the
 #: highest level's outer turning point, so the wall shifts it by about exp(-40).
@@ -445,14 +445,11 @@ class RichardsonPair:
     """Solves at spacings h and h / ``ratio``, and their extrapolant ``values``.
 
     ``coarse`` and ``fine`` are a channel's EigenResults or grid3d's GridLevels.
-    ``coarser`` is a channel's third solve below the pair, at about 2h, when
-    ``solve_channel_extrapolated`` was asked for it; it enters no ``values``.
     """
 
     coarse: EigenResult
     fine: EigenResult
     ratio: float
-    coarser: EigenResult | None = None
     values: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -460,104 +457,101 @@ class RichardsonPair:
             self.coarse.eigenvalues, self.fine.eigenvalues, self.ratio))
 
 
-def _fit_box(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
-             want_vectors: bool) -> tuple[EigenResult, int | None]:
-    """The coarsest grid's solve and the box it fixes for every finer grid.
+def _ladder(spec: ChannelSpec, params: ModelParams, coarsest: int, k: int,
+            want_vectors: bool) -> Callable[[int], EigenResult]:
+    """The ladder of ``solve_grids`` from a grid of ``coarsest`` points.
 
-    The box is given in intervals at the coarsest grid's spacing, None for
-    the angular kinds, which keep (0, pi); see ``solve_channel_extrapolated``.
+    That grid is solved now and fixes the box; the function returned solves
+    each point count once, at its own spacing on that box, rounded out.
     """
-    first = solve_channel(spec, params, n_points, k, want_vectors)
-    if spec.kind not in OSCILLATOR_KINDS:
-        return first, None
-    reach = n_points
-    while (box := _box_nodes(spec, params, n_points, reach, first.eigenvalues[-1])) is None:
-        # look farther out; an odd factor keeps HO's node parity, so the longer
-        # box holds the default nodes and, by interlacing, no higher levels
-        reach *= 3
-    if box > n_points:
-        first = solve_channel(spec, params, n_points, k, want_vectors, nodes=box)
-        box = _box_nodes(spec, params, n_points, reach, first.eigenvalues[-1])
-    return first, max(box, k // 2, 1) + 1
+    first = solve_channel(spec, params, coarsest, k, want_vectors)
+    intervals = None  # the box, in intervals at the coarsest spacing; None keeps (0, pi)
+    if spec.kind in OSCILLATOR_KINDS:
+        reach = coarsest
+        while (box := _box_nodes(spec, params, coarsest, reach, first.eigenvalues[-1])) is None:
+            # look farther out; an odd factor keeps HO's node parity, so the longer
+            # box holds the default nodes and, by interlacing, no higher levels
+            reach *= 3
+        if box > coarsest:
+            first = solve_channel(spec, params, coarsest, k, want_vectors, nodes=box)
+            box = _box_nodes(spec, params, coarsest, reach, first.eigenvalues[-1])
+        intervals = max(box, k // 2, 1) + 1
+    solves = {coarsest: first}
+
+    def rung(n_points: int) -> EigenResult:
+        if n_points not in solves:
+            nodes = (None if intervals is None
+                     else -(-intervals * (n_points + 1) // (coarsest + 1)) - 1)
+            solves[n_points] = solve_channel(spec, params, n_points, k, want_vectors, nodes=nodes)
+        return solves[n_points]
+
+    return rung
 
 
-def _solve_on_box(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
-                  want_vectors: bool, coarsest: int, intervals: int | None) -> EigenResult:
-    """A finer grid of n_points at its own spacing, on the box of ``intervals``
-    intervals of the coarsest grid's spacing, rounded out."""
-    nodes = None if intervals is None else -(-intervals * (n_points + 1) // (coarsest + 1)) - 1
-    return solve_channel(spec, params, n_points, k, want_vectors, nodes=nodes)
+def solve_grids(spec: ChannelSpec, params: ModelParams, sizes: Sequence[int], k: int,
+                want_vectors: bool = False) -> list[EigenResult]:
+    """The channel's k lowest levels on grids of ``sizes`` points, coarsest first.
+
+    The coarsest grid is solved on the default box.  For an
+    ``OSCILLATOR_KINDS`` channel its highest level then fixes the box of
+    every finer grid: each is solved only out to where that level has
+    decayed (``_box_nodes``), at exactly its spacing, and never on fewer
+    nodes than levels; a grid of 2 n + 1 points is a node subset of its
+    default grid.  Where that edge lies beyond the default box, the coarsest
+    grid is first solved again on the longer box at the same spacing.  The
+    angular kinds keep (0, pi).  ``want_vectors`` goes to every solve.
+    """
+    rung = _ladder(spec, params, sizes[0], k, want_vectors)
+    return [rung(n) for n in sizes]
 
 
 def solve_channel_extrapolated(spec: ChannelSpec, params: ModelParams, n_points: int | None,
-                               k: int, want_vectors: bool = False, coarser: bool = False,
-                               tol: float | None = None) -> RichardsonPair:
+                               k: int, tol: float | None = None) -> RichardsonPair:
     """The pair at n_points and 2 n_points + 1 (h and h/2), Richardson-extrapolated.
 
-    ``coarser`` adds a third solve below the pair, at (n_points - 1) // 2
-    points (exactly 2h for odd n_points), as the pair's ``coarser``.  The
-    coarsest grid of the sequence is solved on the default box.  For an
-    ``OSCILLATOR_KINDS`` pair its highest level then fixes the box of every
-    finer grid: each is solved only out to where that level has decayed
-    (``_box_nodes``), at exactly its spacing, and never on fewer nodes than
-    levels; the fine grid is a node subset of its default grid.  Where that
-    edge lies beyond the default box, the coarsest grid is first solved again
-    on the longer box at the same spacing.  The angular kinds keep (0, pi).
-    ``want_vectors`` goes to every solve.  Past ``MAX_PAIR_POINTS`` it raises
-    ValueError before any solve.
-
+    Both grids come from ``solve_grids``, on the box the n_points grid
+    fixes.  Past ``MAX_PAIR_POINTS`` it raises ValueError before any solve.
     With n_points None the pair is sized to ``tol``, the tolerance its values
-    answer to, by ``_sized_pair``; ``coarser`` then adds nothing.
+    answer to, by ``_sized_pair``.
     """
     if n_points is None:
-        return _sized_pair(spec, params, k, tol, want_vectors)
+        return _sized_pair(spec, params, k, tol)
     if n_points > MAX_PAIR_POINTS:
         raise ValueError(f"grid-points must be at most {MAX_PAIR_POINTS}: past it, rounding in "
                          f"the 1/h^2 entries grows past the discretization error, got {n_points}")
-    sizes = [n_points, 2 * n_points + 1]
-    if coarser:
-        sizes.insert(0, (n_points - 1) // 2)
-    first, intervals = _fit_box(spec, params, sizes[0], k, want_vectors)
-    solves = [first] + [_solve_on_box(spec, params, size, k, want_vectors, sizes[0], intervals)
-                        for size in sizes[1:]]
-    return RichardsonPair(solves[-2], solves[-1], 2.0, coarser=solves[0] if coarser else None)
+    return RichardsonPair(*solve_grids(spec, params, (n_points, 2 * n_points + 1), k), 2.0)
 
 
-def _sized_pair(spec: ChannelSpec, params: ModelParams, k: int, tol: float | None,
-                want_vectors: bool) -> RichardsonPair:
+def _sized_pair(spec: ChannelSpec, params: ModelParams, k: int,
+                tol: float | None) -> RichardsonPair:
     """The coarsest pair of adjacent ``RUNGS`` whose predicted error is within
     ``PAIR_ERROR_FRACTION`` * tol by the factor ``PILOT_SAFETY``.
 
-    The pilot is the three coarsest rungs that hold the k levels, the first
-    on the default box, its highest level fixing the box of every finer grid
-    as in ``solve_channel_extrapolated``.  With e = E + a h^2 + c h^4 + ...,
-    the second divided difference of its levels in h^2 estimates each
-    level's c, and a pair at h and h' extrapolates to E - c h^2 h'^2: that is
-    its predicted error, the largest over the levels.  The top pair is taken
-    when no coarser one qualifies.  Each pair is extrapolated at the ratio of
-    its spacings, and reuses the pilot's solves it shares.
+    The pilot is the three coarsest rungs that hold the k levels, all on one
+    ``_ladder``, so the first fixes the box of every finer grid as in
+    ``solve_grids``.  With e = E + a h^2 + c h^4 + ..., the second divided
+    difference of its levels in h^2 estimates each level's c, and a pair at
+    h and h' extrapolates to E - c h^2 h'^2: that is its predicted error, the
+    largest over the levels.  The top pair is taken when no coarser one
+    qualifies, and is the only one where fewer than three rungs hold the
+    levels.  Each pair is extrapolated at the ratio of its spacings, and
+    reuses the pilot's solves it shares.
     """
     if tol is None or not tol > 0:
         raise ValueError(f"a pair sized without a point count needs a positive tol, got {tol}")
     rungs = [n for n in RUNGS if n >= k]
-    if len(rungs) < 3:
-        return solve_channel_extrapolated(spec, params, CHANNEL_POINTS, k, want_vectors)
-    first, intervals = _fit_box(spec, params, rungs[0], k, want_vectors)
-    solves = {rungs[0]: first}
-
-    def solve(n: int) -> EigenResult:
-        if n not in solves:
-            solves[n] = _solve_on_box(spec, params, n, k, want_vectors, rungs[0], intervals)
-        return solves[n]
-
+    if len(rungs) < 3:  # too few to pilot: the top pair
+        rung = _ladder(spec, params, CHANNEL_POINTS, k, False)
+        return RichardsonPair(rung(CHANNEL_POINTS), rung(2 * CHANNEL_POINTS + 1), 2.0)
+    rung = _ladder(spec, params, rungs[0], k, False)
     s = [1.0 / (n + 1) ** 2 for n in rungs]  # h^2 in units of the default box squared
-    e = [solve(n).eigenvalues for n in rungs[:3]]
+    e = [rung(n).eigenvalues for n in rungs[:3]]
     c = np.max(np.abs(((e[0] - e[1]) / (s[0] - s[1]) - (e[1] - e[2]) / (s[1] - s[2]))
                       / (s[0] - s[2])))
     i = next((i for i in range(len(rungs) - 2)
               if PILOT_SAFETY * c * s[i] * s[i + 1] <= PAIR_ERROR_FRACTION * tol),
              len(rungs) - 2)
-    return RichardsonPair(solve(rungs[i]), solve(rungs[i + 1]), (rungs[i + 1] + 1) / (rungs[i] + 1))
+    return RichardsonPair(rung(rungs[i]), rung(rungs[i + 1]), (rungs[i + 1] + 1) / (rungs[i] + 1))
 
 
 def expectation(v: np.ndarray, observable: Callable[[np.ndarray], np.ndarray],

@@ -41,6 +41,7 @@ from .numsolve import (
     richardson,
     solve_channel,  # not called here; perfbench/tracing.py wraps it by name
     solve_channel_extrapolated,
+    solve_grids,
     expectation,
 )
 
@@ -359,13 +360,14 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
 
     Compares the central finite difference of the numeric eigenvalue (step
     1e-3 * max(1, g1^2)), the eigenvector expectation of 1/(6 X2^2), taken on
-    each of three grids of the channel, at (n_points - 1) // 2, n_points and
-    2 n_points + 1 points, with the two lowest exponents of its trapezoid
-    error eliminated, and the closed form omega/(6 delta); all three must
-    agree pairwise within ``tol`` and be strictly positive.  Raises
-    ValueError below g1^2 = 1e-3, where g1^2 - step would leave the coupling
-    range, and, before any solve, for fewer than 2 max(n2 + 1, 3) + 1
-    ``n_points``: the coarsest grid must hold the level and 3 nodes.
+    each of three grids of one ``solve_grids`` ladder, at (n_points - 1) // 2,
+    n_points and 2 n_points + 1 points on the box the coarsest fixes, with the
+    two lowest exponents of its trapezoid error eliminated, and the closed
+    form omega/(6 delta); all three must agree pairwise within ``tol`` and be
+    strictly positive.  Raises ValueError below g1^2 = 1e-3, where g1^2 - step
+    would leave the coupling range, and, before any solve, for fewer than
+    2 max(n2 + 1, 3) + 1 ``n_points``: the coarsest grid must hold the level
+    and 3 nodes.
     """
     delta_g2 = 1e-3 * max(1.0, params.g1_squared)
     if params.g1_squared - delta_g2 < 0:
@@ -391,9 +393,8 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     d_fd = central(delta_g2)
     d_fd_half = central(delta_g2 / 2.0)
 
-    pair = solve_channel_extrapolated(spec, params, n_points, n2 + 1, want_vectors=True,
-                                      coarser=True)
-    grids = (pair.coarser, pair.coarse, pair.fine)
+    grids = solve_grids(spec, params, ((n_points - 1) // 2, n_points, 2 * n_points + 1),
+                        n2 + 1, want_vectors=True)
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
     # goes as x^(2b - 2) and its trapezoid error has the term h^(2 delta)
     # beside the even powers of h (Navot 1961): from 2 delta = 2 at

@@ -222,18 +222,17 @@ class TestChannels:
                              ids=lambda spec: spec.kind.value)
     def test_vectors_leave_the_eigenvalues_unchanged(self, spec):
         # hf-check takes its levels from value-only pairs and its expectation
-        # from a vector pair; both must be the same eigenvalues, on the same
-        # boxes (HO's grows at k = 40)
+        # from vector grids of the same ladder; both must be the same
+        # eigenvalues, on the same boxes (HO's grows at k = 40)
         values = solve_channel(spec, P, 2001, 4).eigenvalues
         with_vectors = solve_channel(spec, P, 2001, 4, want_vectors=True).eigenvalues
         assert np.array_equal(values, with_vectors)
         for k in (4, 40) if spec.kind is ChannelKind.HO else (4,):
             pair = solve_channel_extrapolated(spec, P, 2001, k)
-            vector_pair = solve_channel_extrapolated(spec, P, 2001, k, want_vectors=True)
-            assert np.array_equal(pair.values, vector_pair.values)
-            for res, vector_res in ((pair.coarse, vector_pair.coarse),
-                                    (pair.fine, vector_pair.fine)):
+            vector_grids = numsolve.solve_grids(spec, P, (2001, 4003), k, want_vectors=True)
+            for res, vector_res in zip((pair.coarse, pair.fine), vector_grids, strict=True):
                 assert res.grid == vector_res.grid
+                assert np.array_equal(res.eigenvalues, vector_res.eigenvalues)
                 assert vector_res.eigenvectors.shape == (k, vector_res.grid.n_points)
 
     def test_result_carries_its_grid(self):
@@ -446,22 +445,20 @@ class TestFittedBox:
 
     @pytest.mark.parametrize("n", [2001, 2000])
     def test_coarser_grid_fixes_the_box_of_the_pair(self, monkeypatch, n):
-        # the third grid is solved first, on the default box, and its level's
-        # box, rounded out, holds both grids of the pair, which keeps h and h/2
+        # hf-check's third grid is solved first, on the default box, and its
+        # level's box, rounded out, holds both grids above it, which keeps h and h/2
         calls = solve_calls(monkeypatch)
         spec = ChannelSpec(ChannelKind.SHO)
-        pair = solve_channel_extrapolated(spec, P, n, 1, coarser=True)
+        solves = numsolve.solve_grids(spec, P, ((n - 1) // 2, n, 2 * n + 1), 1)
         assert [size for size, _, _ in calls] == [(n - 1) // 2, n, 2 * n + 1]
-        coarser, coarse, fine = (res.grid for res in (pair.coarser, pair.coarse, pair.fine))
+        coarser, coarse, fine = (res.grid for res in solves)
         assert coarser == recommended_grid(ChannelKind.SHO, P, (n - 1) // 2)
         assert coarse.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
         assert fine.n_points == 2 * coarse.n_points + 1
         box = numsolve._box_nodes(spec, P, coarser.n_points, coarser.n_points,
-                                  pair.coarser.eigenvalues[-1])
+                                  solves[0].eigenvalues[-1])
         reach = (box + 1) * coarser.spacing
         assert reach - 1e-12 <= coarse.upper < reach + coarse.spacing
-        assert np.array_equal(pair.values, richardson(pair.coarse.eigenvalues,
-                                                      pair.fine.eigenvalues))
 
     def test_never_fewer_nodes_than_levels(self, monkeypatch):
         calls = solve_calls(monkeypatch)
@@ -493,7 +490,8 @@ class TestSizedPair:
         solves = list(calls)
         assert [n for n, _, _ in solves] == [124, 249, 499] + [n for n in pair if n > 499]
         assert solves[0][2] == recommended_grid(ChannelKind.SHO, P, 124)
-        reach = numsolve._fit_box(spec, P, 124, 2, False)[1] * solves[0][2].spacing
+        box = numsolve._box_nodes(spec, P, 124, 124, solve_channel(spec, P, 124, 2).eigenvalues[-1])
+        reach = (box + 1) * solves[0][2].spacing
         for n, _, grid in solves[1:]:
             assert grid.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
             assert reach - 1e-12 <= grid.upper < reach + grid.spacing
@@ -501,6 +499,25 @@ class TestSizedPair:
         assert sized.ratio == (pair[1] + 1) / (pair[0] + 1)
         assert np.array_equal(sized.values, richardson(sized.coarse.eigenvalues,
                                                        sized.fine.eigenvalues, sized.ratio))
+
+    @pytest.mark.parametrize("spec", [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.SHO),
+                                      ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0)],
+                             ids=lambda spec: spec.kind.value)
+    def test_too_few_rungs_for_a_pilot_take_the_top_pair(self, monkeypatch, spec):
+        # with fewer than three rungs holding the k levels there is no pilot:
+        # the pair is the explicit one at CHANNEL_POINTS, whatever the tol;
+        # miniature rungs keep the solves small
+        monkeypatch.setattr(numsolve, "RUNGS", (4, 9, 19, 39))
+        monkeypatch.setattr(numsolve, "CHANNEL_POINTS", 19)
+        sized = solve_channel_extrapolated(spec, P, None, 10, tol=1e-4)
+        pair = solve_channel_extrapolated(spec, P, 19, 10)
+        assert sized.ratio == pair.ratio == 2.0
+        assert np.array_equal(sized.values, pair.values)
+        for res, top in ((sized.coarse, pair.coarse), (sized.fine, pair.fine)):
+            assert res.grid == top.grid
+            assert np.array_equal(res.eigenvalues, top.eigenvalues)
+        assert np.array_equal(pair.values, richardson(pair.coarse.eigenvalues,
+                                                      pair.fine.eigenvalues))
 
     def test_a_looser_tolerance_never_takes_a_finer_pair(self):
         spec = ChannelSpec(ChannelKind.ANGULAR_PHI, 0.1)

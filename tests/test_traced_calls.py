@@ -52,11 +52,12 @@ def test_verify_3d_solves_run_inside_their_spans(tmp_path, monkeypatch, capsys):
                if span.name == "numsolve.richardson") == 1
 
 
-def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, capsys):
-    # the tracer wraps verify.solve_channel_extrapolated and solve_channel
-    # where verify and numsolve look them up; hf-check's four levels and its
-    # expectation are five Richardson pairs, the expectation's with a third
-    # grid below it, and no solve runs outside one
+def test_hf_check_solves_its_levels_in_pairs_and_its_expectation_on_one_ladder(
+        tmp_path, monkeypatch, capsys):
+    # the tracer wraps verify.solve_channel_extrapolated, and solve_channel and
+    # richardson where verify and numsolve look them up; hf-check's four levels
+    # are four Richardson pairs, and its expectation's three grids are solved
+    # by the check itself, on one ladder, with no extrapolation of their levels
     monkeypatch.chdir(tmp_path)
     tracing = load_tracing(monkeypatch)
     tracer = tracing.Tracer()
@@ -70,9 +71,13 @@ def test_hf_check_solves_every_channel_inside_a_pair(tmp_path, monkeypatch, caps
     pairs = {span.id for span in tracer.spans
              if span.name == "numsolve.solve_channel_extrapolated"}
     solves = [span for span in tracer.spans if span.name == "numsolve.solve_channel"]
-    # two grids a pair and one more for the expectation; at one level no box grows
-    assert (len(pairs), len(solves)) == (5, 11)
-    assert all(span.parent in pairs for span in solves)
+    # two grids a pair and three for the expectation; at one level no box grows
+    assert (len(pairs), len(solves)) == (4, 11)
+    (check,) = [span for span in tracer.spans if span.name == "verify.hellmann_feynman_check"]
+    assert sum(span.parent == check.id for span in solves) == 3
+    assert all(span.parent in pairs for span in solves if span.parent != check.id)
+    # one extrapolation a pair, and the three-grid elimination's three
+    assert sum(span.name == "numsolve.richardson" for span in tracer.spans) == 7
 
 
 #: argv, and the span its report is made in: a verify function, or spectrum's level table
