@@ -34,7 +34,7 @@ class ModelParams:
     g1_squared: float = 3.0
 
     def __post_init__(self) -> None:
-        # a subnormal square loses the precision of every level
+        # omega^2 scales coords.potential_particle; the solvers work in units of omega
         if not (self.omega > 0 and sys.float_info.min <= self.omega * self.omega < math.inf):
             raise ValueError(
                 f"omega must be positive with a finite, normal square, got {self.omega}")

@@ -1,7 +1,9 @@
 """Finite-difference eigensolvers for the five 1D operator channels.
 
 Every channel is a Dirichlet problem on a uniform grid with the standard
-3-point stencil.  A channel's kind fixes its spacing (``recommended_grid``:
+3-point stencil, at omega = 1 as in ``grid3d``: the oscillator kinds are solved
+in oscillator lengths, and ``solve_channel`` multiplies their levels by omega.
+A channel's kind fixes its spacing (``recommended_grid``:
 n_points nodes on (-L, L) for HO, (0, L) for SHO and RADIAL, (0, pi) for
 the angular kinds), so ``solve_channel`` takes a point count and returns the
 grid with its result; ``n_points`` and ``2 * n_points + 1`` give the same
@@ -105,9 +107,9 @@ class TridiagonalMatrix:
 class EigenResult:
     """Ascending eigenvalues plus optional eigenvectors (rows).
 
-    Vectors from ``solve_channel`` are trapezoid-normalized on ``grid``, the
-    grid it solved on (sum v_i^2 * spacing = 1); those from ``eigen_tridiag``,
-    which has no grid, carry unit Euclidean norm.  ``residual_bound`` is the
+    Vectors from ``solve_channel`` are trapezoid-normalized (sum v_i^2 *
+    spacing = 1) on ``grid``, in oscillator lengths for the oscillator kinds;
+    those from ``eigen_tridiag`` carry unit norm.  ``residual_bound`` is the
     eigenpairs' largest ||T v - lambda v||, None without vectors.
     """
 
@@ -139,8 +141,8 @@ class ChannelSpec:
     """Which 1D operator to solve, plus its coupling where one is needed.
 
     ``coefficient`` means k^2 for RADIAL, f^2 for ANGULAR_THETA and the
-    1/sin^2 strength (g1^2/3) for ANGULAR_PHI; HO and SHO ignore it and read
-    ModelParams instead.
+    1/sin^2 strength (g1^2/3) for ANGULAR_PHI; HO and SHO ignore it, and SHO
+    reads g1^2 from ModelParams, whose omega scales every oscillator level.
     """
 
     kind: ChannelKind
@@ -289,12 +291,13 @@ def inverse_square_diag(j: np.ndarray, coupling: float, kinetic_prefactor: float
 def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> TridiagonalMatrix:
     """Assemble one channel's 3-point stencil on its ``recommended_grid``.
 
-    Two families: the oscillator -u''/2 + omega^2 x^2/2 + c/x^2 with c = 0
-    (HO), g1^2/6 (SHO) or k^2/2 (RADIAL), and the angular -u'' + c/sin^2(x),
-    singular at both ends, with c = g1^2/3 (ANGULAR_PHI, eigenvalues f^2) or
-    f^2 - 1/4 (ANGULAR_THETA, in the symmetrized form w = sqrt(sin) * Theta
-    of -w'' + (f^2 - 1/4)/sin^2 * w = (k^2 + 1/4) w).  The stencil of
-    -kappa u'' is diag 2 kappa / h^2, offdiag -kappa / h^2, with Dirichlet ends.
+    Two families: the oscillator -u''/2 + x^2/2 + c/x^2 in oscillator lengths
+    and units of omega, with c = 0 (HO), g1^2/6 (SHO) or k^2/2 (RADIAL), and
+    the angular -u'' + c/sin^2(x), singular at both ends, with c = g1^2/3
+    (ANGULAR_PHI, eigenvalues f^2) or f^2 - 1/4 (ANGULAR_THETA, in the
+    symmetrized form w = sqrt(sin) * Theta of -w'' + (f^2 - 1/4)/sin^2 * w =
+    (k^2 + 1/4) w).  The stencil of -kappa u'' is diag 2 kappa / h^2, offdiag
+    -kappa / h^2, with Dirichlet ends.
     """
     n = grid.n_points
     j = np.arange(1, n + 1)
@@ -311,7 +314,7 @@ def channel_tridiag(spec: ChannelSpec, params: ModelParams, grid: Grid1D) -> Tri
         return TridiagonalMatrix(diag, np.full(n - 1, -1.0 / h**2))
     c = {ChannelKind.HO: 0.0, ChannelKind.SHO: params.g1_squared / 6.0,
          ChannelKind.RADIAL: 0.5 * spec.coefficient}[spec.kind]
-    diag = 1.0 / h**2 + 0.5 * params.omega**2 * x**2 + inverse_square_diag(j, c, 0.5, h)
+    diag = 1.0 / h**2 + 0.5 * x**2 + inverse_square_diag(j, c, 0.5, h)
     return TridiagonalMatrix(diag, np.full(n - 1, -0.5 / h**2))
 
 
@@ -321,24 +324,25 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
 
     The channel's kind and the point count fix the spacing; ``nodes`` keeps
     that spacing on a box of ``nodes`` nodes instead (``recommended_grid``).
-    The result carries the grid for integrals over its vectors.
-    A kind of ``MIRROR_KINDS`` solves as its even and odd half-problems
-    (``_solve_mirror``: ceil(k/2) even and floor(k/2) odd levels, interleaved
-    by the oscillation theorem; the residual of the unfolded vectors is
-    measured on the full matrix); SHO and RADIAL solve the full matrix.
-    Returned values are the physical ones: energies for HO/SHO/RADIAL, the
-    1/sin^2 eigenvalues f^2 for ANGULAR_PHI, and the separation constants
-    k^2 (symmetric-operator eigenvalues minus 1/4) for ANGULAR_THETA, whose
-    vectors are those of the symmetrized substitution w = sqrt(sin)*Theta.
+    The result carries the grid for integrals over its vectors.  A kind of
+    ``MIRROR_KINDS`` solves as its even and odd half-problems
+    (``_solve_mirror``); SHO and RADIAL solve the full matrix.
+    Returned values are the physical ones: energies for HO/SHO/RADIAL (omega
+    times the levels of their matrix), the 1/sin^2 eigenvalues f^2 for
+    ANGULAR_PHI, and the separation constants k^2 (symmetric-operator
+    eigenvalues minus 1/4) for ANGULAR_THETA, whose vectors are those of the
+    symmetrized substitution w = sqrt(sin)*Theta.
     """
-    grid = recommended_grid(spec.kind, params, n_points, nodes)
+    grid = recommended_grid(spec.kind, n_points, nodes)
     T = channel_tridiag(spec, params, grid)
     if spec.kind in MIRROR_KINDS:
         res = _solve_mirror(T, k, want_vectors)
     else:
         res = eigen_tridiag(T, k, want_vectors=want_vectors)
     vals = res.eigenvalues
-    if spec.kind is ChannelKind.ANGULAR_THETA:
+    if spec.kind in OSCILLATOR_KINDS:
+        vals = params.omega * vals
+    elif spec.kind is ChannelKind.ANGULAR_THETA:
         vals = vals - 0.25
     vecs = res.eigenvectors
     if vecs is not None:
@@ -347,7 +351,7 @@ def solve_channel(spec: ChannelSpec, params: ModelParams, n_points: int, k: int,
                        residual_bound=res.residual_bound, grid=grid)
 
 
-#: Half-width of the default HO box in units of 1/sqrt(omega).
+#: Half-width of the default HO box in oscillator lengths 1/sqrt(omega).
 HO_EXTENT = 12.0
 #: Extra margin for the half-line channels, whose states reach farther out.
 HALF_LINE_MARGIN = 2.0
@@ -359,9 +363,9 @@ BOX_DECAY = 20.0
 #: Most points of a pair's coarse grid (its fine grid holds 2 n + 1, a third
 #: grid below it (n - 1) // 2).  Rounding in the 1/h^2 entries grows as n^2 and
 #: the discretization error falls as n^-2: here the 1D commands pass with the
-#: worst gating check at 0.43 of its tolerance, and hf-check's three-grid
-#: expectation within 1.4e-6 of it against the closed form (README), while at
-#: 50001 hf-check fails at omega 1e-3 and 2.5 with g1^2 <= 0.3, and passes at 1.
+#: worst gating check at 0.20 of its tolerance, and hf-check's three-grid
+#: expectation within 1.4e-6 of it against the closed form (README); at 50001
+#: they pass too, each command's worst entry 3 to 36 times higher (0.60).
 MAX_PAIR_POINTS = 20001
 #: Coarse grid of the finest pair a sized solve returns (``_sized_pair``), and
 #: the grid of a check that needs one point count for all its solves.
@@ -376,35 +380,30 @@ PAIR_ERROR_FRACTION = 1e-4
 #: The factor by which the pilot's predicted error must clear that aim.  Where
 #: the eigenfunctions meet a wall as x^b with 1 < b < 3/2 (g1^2 < 2.25, on the
 #: SHO and ANGULAR_PHI kinds) a power of h below h^4 is left, which the pilot
-#: under-predicts.  At omega in {1e-3, 1, 2.5}, g1^2 from 0 to 1e4 and the
-#: levels the checks ask, the pairs taken below (2001, 4003) erred by at most
-#: 0.80 of the aim at tol 1e-4 (6.4 times it with a factor of 1), and by 1.15
-#: times it at tol 1e-5.
+#: under-predicts.  At every omega, g1^2 from 0 to 1e4 and the levels the checks
+#: ask, the pairs taken below (2001, 4003) erred by at most 0.80 of the aim at tol
+#: 1e-4 (6.4 times it with a factor of 1), and at tol 1e-5, an aim below the
+#: bisection accuracy at strong couplings, by up to 5.5 times it.
 PILOT_SAFETY = 4.0
 
 
-def recommended_grid(kind: ChannelKind, params: ModelParams, n_points: int,
-                     nodes: int | None = None) -> Grid1D:
+def recommended_grid(kind: ChannelKind, n_points: int, nodes: int | None = None) -> Grid1D:
     """Solve domain of a channel: the spacing of n_points nodes on the kind's default box.
 
     The default boxes are (-L, L) for HO and (0, L + margin) for SHO and
-    RADIAL, with L = ``HO_EXTENT`` / sqrt(omega), and (0, pi) for the
-    angular kinds.  ``nodes`` keeps that spacing on the box scaled about 0 to
-    hold ``nodes`` nodes: symmetric for HO, from the wall at 0 for SHO and
-    RADIAL; the angular kinds keep (0, pi).  Scaling the box with
-    1/sqrt(omega) makes the discrete operators at different omega exact
-    multiples of each other, so the scaling law holds on the grid and not
-    just in the limit.
+    RADIAL, with L = ``HO_EXTENT`` in oscillator lengths, the same at every
+    omega, and (0, pi) for the angular kinds.  ``nodes`` keeps that spacing
+    on the box scaled about 0 to hold ``nodes`` nodes: symmetric for HO, from
+    the wall at 0 for SHO and RADIAL; the angular kinds keep (0, pi).
     """
     if kind not in OSCILLATOR_KINDS:
         if nodes is not None:
             raise ValueError(f"the {kind.value} channel keeps its box (0, pi)")
         return Grid1D(0.0, math.pi, n_points)
-    scale = 1.0 / math.sqrt(params.omega)
     if kind is ChannelKind.HO:
-        lower, upper = -HO_EXTENT * scale, HO_EXTENT * scale
+        lower, upper = -HO_EXTENT, HO_EXTENT
     else:
-        lower, upper = 0.0, (HO_EXTENT + HALF_LINE_MARGIN) * scale
+        lower, upper = 0.0, HO_EXTENT + HALF_LINE_MARGIN
     if nodes is None:
         return Grid1D(lower, upper, n_points)
     stretch = (nodes + 1) / (n_points + 1)
@@ -424,12 +423,12 @@ def _box_nodes(spec: ChannelSpec, params: ModelParams, n_points: int, nodes: int
     Both counts are at the spacing of n_points nodes on the default box; the
     search runs over the box of ``nodes`` nodes and gives None if the decay
     does not reach BOX_DECAY inside it.  The decay is the WKB integral of
-    sqrt(2 (V - level)) outward from the outer turning point, with V read
-    from the assembled diagonal, 1/h^2 + V.
+    sqrt(2 (V - E)) outward from the outer turning point, with V read from the
+    diagonal, 1/h^2 + V, and E = ``level`` / omega, both in units of omega.
     """
-    grid = recommended_grid(spec.kind, params, n_points, nodes)
+    grid = recommended_grid(spec.kind, n_points, nodes)
     h = grid.spacing
-    excess = channel_tridiag(spec, params, grid).diag - 1.0 / h**2 - level
+    excess = channel_tridiag(spec, params, grid).diag - 1.0 / h**2 - level / params.omega
     allowed = np.flatnonzero(excess <= 0.0)
     turn = allowed[-1] + 1 if len(allowed) else 0
     decay = np.cumsum(np.sqrt(2.0 * excess[turn:])) * h

@@ -398,12 +398,13 @@ def hellmann_feynman_check(params: ModelParams, n2: int, tol: float = RESOLUTION
     # The eigenvector meets the wall as x^b, b = delta + 1/2, so the integrand
     # goes as x^(2b - 2) and its trapezoid error has the term h^(2 delta)
     # beside the even powers of h (Navot 1961): from 2 delta = 2 at
-    # g1^2 = 2.25 up, the two lowest are 2 and min(2 delta, 4).
+    # g1^2 = 2.25 up, the two lowest are 2 and min(2 delta, 4).  The grids
+    # are in oscillator lengths x = sqrt(omega) X2, where 1/(6 X2^2) is omega/(6 x^2).
     wall = 2.0 * delta_constant(params)
     exponents = sorted({wall, 2.0, 4.0})[:2]
-    d_exp = _eliminate([expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2),
-                                    res.grid) for res in grids],
-                       [res.grid.spacing for res in grids], exponents)
+    d_exp = params.omega * _eliminate(
+        [expectation(res.eigenvectors[n2], lambda x: 1.0 / (6.0 * x**2), res.grid)
+         for res in grids], [res.grid.spacing for res in grids], exponents)
 
     d_closed = hf_derivative_closed_form(params)
 

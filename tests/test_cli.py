@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,10 +264,10 @@ class TestReportBytes:
                      "ed695a7a0775d9c89c0844d468ed4045b9fe7ce17427b81ffdb855dc541cd4e6",
                      id="g1sq-0.3-grid-points-2001"),
         pytest.param(("--omega", "2.5"), EXIT_PASS,
-                     "72d9b8cbcd2b58e04f56637d59550b4df91d94282a3fa7b8ab31b5f99518ac92",
+                     "6697fb9dc2ae8d96f21a271750253fc9754e5cf4815baa4e6f631cf240f21aa0",
                      id="omega-2.5"),
         pytest.param(("--omega", "2.5", "--grid-points", "2001"), EXIT_PASS,
-                     "3698c9e574bfaebdc8fa199c188ba12929140f90cbd7364a1f64c3cdcf30f01b",
+                     "2885fde7ce37a83df8ab50790b04cafea309c59df6069f31b028101252af4018",
                      id="omega-2.5-grid-points-2001"),
         pytest.param(("--grid-points", "301", "--tol", "1e-15"), EXIT_FAIL,
                      "d95f9fdd3f6ee4af85fdf3068405244c140c59f19c8962978b186caa60a674d1",
@@ -332,10 +333,10 @@ class TestReportBytes:
                      "ccfae2f890c2690e11a2bdc6794fb102834af42b2ee9313e60952286c03d52ed",
                      id="audit-g1sq-0.3-grid-points-2001"),
         pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3"),
-                     "dd39758b92cd1fe82b526e8f16150ecb0fe00f73da8fc86dfde0aea6d531702d",
+                     "82b0aba4dda7cdde8ffb87dcf7d18e2db9c5bd000eef06d3ba91d92da516bdf6",
                      id="hf-check-omega-2.5-g1sq-1e-3"),
         pytest.param(("hf-check", "--omega", "2.5", "--g1sq", "1e-3", "--grid-points", "2001"),
-                     "dd39758b92cd1fe82b526e8f16150ecb0fe00f73da8fc86dfde0aea6d531702d",
+                     "82b0aba4dda7cdde8ffb87dcf7d18e2db9c5bd000eef06d3ba91d92da516bdf6",
                      id="hf-check-omega-2.5-g1sq-1e-3-grid-points-2001"),
     ])
     def test_route_1d_report_bytes(self, workdir, capsys, argv, sha256):
@@ -692,9 +693,13 @@ class TestVerifyCommand:
         assert err.startswith("error: sector ") and err.count("\n") == 1
         assert "Perron-Frobenius" in err and "np.float64" not in err
 
-    def test_lapack_failure_is_not_a_usage_error(self, workdir, capsys):
-        # numpy's LinAlgError subclasses ValueError
-        code, out, err = run_cli(capsys, "verify", "jacobi", "--omega", "1e150")
+    def test_lapack_failure_is_not_a_usage_error(self, workdir, capsys, monkeypatch):
+        # numpy's LinAlgError, the class scipy raises, subclasses ValueError
+        def failing(T, k, want_vectors=False):
+            raise np.linalg.LinAlgError("stebz (eigh_tridiagonal) did not converge")
+
+        monkeypatch.setattr(numsolve, "eigen_tridiag", failing)
+        code, out, err = run_cli(capsys, "verify", "jacobi")
         assert code == EXIT_FAIL and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -703,6 +708,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "jacobi", "--omega", "1e8")
         assert code == EXIT_PASS
         assert {c["tolerance"] for c in json.loads(out)["checks"][:-1]} == {1e4}
+
+    @pytest.mark.parametrize("argv", [("verify", "jacobi", "--omega", "1e150"),
+                                      ("verify", "spherical", "--omega", "1e150"),
+                                      ("hf-check", "--omega", "1e145"),
+                                      ("audit", "--omega", "1e150")])
+    def test_1d_routes_pass_at_the_extreme_omega(self, workdir, capsys, argv):
+        # every 1D channel is solved at omega = 1 and its levels multiplied by
+        # omega, so no matrix entry grows with omega; a stencil at physical
+        # scale overflowed stebz at 1e150 and read nan in hf-check at 1e145
+        write_state_file(str(workdir / cli.STATE_FILE_NAME), 1.0, "candidate")
+        code, out, _ = run_cli(capsys, *argv)
+        checks = json.loads(out)["checks"]
+        assert code == EXIT_PASS and all(c["status"] == "pass" for c in checks)
+        # JSON writes a non-finite value as a string
+        assert not any(isinstance(c["measured"], str) for c in checks)
 
     def test_usage_error_on_bad_selector(self, workdir, capsys):
         assert main(["verify", "everything"]) == EXIT_USAGE

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wolfes4 import numsolve
 from wolfes4.model import (
@@ -41,7 +43,7 @@ class TestGrid1D:
         # the pair n, 2n + 1 of every Richardson extrapolation: same box, h / 2
         for kind in ChannelKind:
             for n in (100, 2001):
-                g, r = (recommended_grid(kind, P, m) for m in (n, 2 * n + 1))
+                g, r = (recommended_grid(kind, m) for m in (n, 2 * n + 1))
                 assert (r.lower, r.upper) == (g.lower, g.upper)
                 assert r.spacing == g.spacing / 2
 
@@ -60,22 +62,25 @@ class TestChannelTridiag:
     """The 3-point stencil of each family, against arrays built by hand at n = 5."""
 
     def test_oscillator_stencil(self):
-        # -u''/2 + omega^2 x^2 / 2 + g1^2 / (6 x^2) on (0, 14 / sqrt(omega)); at
-        # g1^2 = 3 the endpoint power b(b - 1) = 1 keeps the exact-local-power diagonal
-        p = ModelParams(omega=2.5, g1_squared=3.0)
-        grid = recommended_grid(ChannelKind.SHO, p, 5)
-        T = channel_tridiag(ChannelSpec(ChannelKind.SHO), p, grid)
-        h = 14.0 / math.sqrt(2.5) / 6
+        # -u''/2 + x^2 / 2 + g1^2 / (6 x^2) on (0, 14), in oscillator lengths and
+        # units of omega, so the matrix is the same at every omega; at g1^2 = 3
+        # the endpoint power b(b - 1) = 1 keeps the exact-local-power diagonal
+        grid = recommended_grid(ChannelKind.SHO, 5)
+        T = channel_tridiag(ChannelSpec(ChannelKind.SHO), P, grid)
+        h = 14.0 / 6
         j = np.arange(1.0, 6.0)
         b = 0.5 + math.sqrt(1.25)
-        expected = 1 / h**2 + 0.5 * 2.5**2 * (j * h) ** 2 + 0.5 / h**2 * power_step(j, b)
+        expected = 1 / h**2 + 0.5 * (j * h) ** 2 + 0.5 / h**2 * power_step(j, b)
         assert T.diag == pytest.approx(expected, rel=1e-12)
         assert T.offdiag == pytest.approx([-0.5 / h**2] * 4, rel=1e-15)
+        other = channel_tridiag(ChannelSpec(ChannelKind.SHO), ModelParams(2.5, 3.0), grid)
+        assert np.array_equal(other.diag, T.diag)
+        assert np.array_equal(other.offdiag, T.offdiag)
 
     def test_angular_stencil(self):
         # -u'' + c / sin^2(x) on (0, pi): the smooth remainder sampled, both
         # poles by the exact-local-power diagonal, b(b - 1) = c = 1
-        grid = recommended_grid(ChannelKind.ANGULAR_PHI, P, 5)
+        grid = recommended_grid(ChannelKind.ANGULAR_PHI, 5)
         T = channel_tridiag(ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0), P, grid)
         h = math.pi / 6
         j = np.arange(1.0, 6.0)
@@ -91,7 +96,7 @@ class TestChannelTridiag:
         assert np.array_equal(theta.offdiag, T.offdiag)
 
     def test_symmetric_potential_gives_symmetric_diagonal(self):
-        grid = recommended_grid(ChannelKind.HO, P, 11)
+        grid = recommended_grid(ChannelKind.HO, 11)
         T = channel_tridiag(ChannelSpec(ChannelKind.HO), P, grid)
         assert T.diag == pytest.approx(T.diag[::-1])
 
@@ -200,15 +205,13 @@ class TestChannels:
 
     def test_kind_fixes_domain(self):
         # (-L, L) for HO, (0, L) on the half line, (0, pi) for the angles
-        for omega in (1.0, 4.0, 1e-6):
-            p = ModelParams(omega=omega, g1_squared=3.0)
-            grids = {kind: recommended_grid(kind, p, 100) for kind in ChannelKind}
-            ho = grids[ChannelKind.HO]
-            assert ho.lower == -ho.upper and ho.upper > 0
-            for kind in (ChannelKind.SHO, ChannelKind.RADIAL):
-                assert grids[kind].lower == 0.0 and grids[kind].upper > 0
-            for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
-                assert (grids[kind].lower, grids[kind].upper) == (0.0, math.pi)
+        grids = {kind: recommended_grid(kind, 100) for kind in ChannelKind}
+        ho = grids[ChannelKind.HO]
+        assert ho.lower == -ho.upper and ho.upper > 0
+        for kind in (ChannelKind.SHO, ChannelKind.RADIAL):
+            assert grids[kind].lower == 0.0 and grids[kind].upper > 0
+        for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
+            assert (grids[kind].lower, grids[kind].upper) == (0.0, math.pi)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValueError):
@@ -238,13 +241,45 @@ class TestChannels:
     def test_result_carries_its_grid(self):
         for kind in ChannelKind:
             spec = ChannelSpec(kind, 1.0)
-            assert solve_channel(spec, P, 101, 1).grid == recommended_grid(kind, P, 101)
+            assert solve_channel(spec, P, 101, 1).grid == recommended_grid(kind, 101)
 
     def test_monotone_refinement(self):
         # Dirichlet truncation approaches the limit from below as h shrinks
         spec = ChannelSpec(ChannelKind.SHO)
         vals = [solve_channel(spec, P, n, 1).eigenvalues[0] for n in (500, 1001, 2003)]
         assert vals[0] < vals[1] < vals[2] < sho_energy_resolved(0, P, 1.0)
+
+
+OMEGA_SPECS = [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.SHO),
+               ChannelSpec(ChannelKind.RADIAL, 2.0), ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0),
+               ChannelSpec(ChannelKind.ANGULAR_THETA, 1.25)]
+
+
+class TestOmegaScaling:
+    """Every channel is solved at omega = 1, in oscillator lengths 1/sqrt(omega)."""
+
+    # log10 omega over the range ModelParams admits, omega^2 finite and normal:
+    # from 1.49e-154 to 1.34e154, its ends among the examples
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(st.floats(min_value=-153.8, max_value=154.1))
+    @example(math.log10(1.5e-154))
+    @example(math.log10(1.3e154))
+    def test_levels_are_omega_times_the_unit_levels(self, log_omega):
+        p = ModelParams(omega=10.0**log_omega, g1_squared=3.0)
+        for spec in OMEGA_SPECS:
+            unit = solve_channel(spec, P, 101, 4, want_vectors=True)
+            res = solve_channel(spec, p, 101, 4, want_vectors=True)
+            scale = p.omega if spec.kind in numsolve.OSCILLATOR_KINDS else 1.0
+            assert np.array_equal(res.eigenvalues, scale * unit.eigenvalues)
+            assert np.array_equal(res.eigenvectors, unit.eigenvectors)
+            assert res.grid == unit.grid
+        # the ladders of the box fit: shrunk to the levels, and grown for HO's top 40
+        ladders = [(s, (124, 249), 3) for s in OMEGA_SPECS[:3]] + [(OMEGA_SPECS[0], (249, 499), 40)]
+        for spec, sizes, k in ladders:
+            unit = numsolve.solve_grids(spec, P, sizes, k)
+            for res, unit_res in zip(numsolve.solve_grids(spec, p, sizes, k), unit, strict=True):
+                assert res.grid == unit_res.grid
+                assert np.array_equal(res.eigenvalues, p.omega * unit_res.eigenvalues)
 
 
 MIRROR_SPECS = [ChannelSpec(ChannelKind.HO), ChannelSpec(ChannelKind.ANGULAR_PHI, 1.0),
@@ -256,11 +291,11 @@ def bisection_accuracy(T):
     return np.finfo(float).eps * (np.max(np.abs(T.diag)) + 2.0 * np.max(np.abs(T.offdiag)))
 
 
-def mirror_case(kind, g1sq, omega):
+def mirror_case(kind, g1sq):
     """The channel at one coupling: g1^2/3 for ANGULAR_PHI, f^2 = g1^2/3 + 1/4 for ANGULAR_THETA."""
     coefficient = {ChannelKind.HO: 0.0, ChannelKind.ANGULAR_PHI: g1sq / 3.0,
                    ChannelKind.ANGULAR_THETA: g1sq / 3.0 + 0.25}[kind]
-    return ChannelSpec(kind, coefficient), ModelParams(omega=omega, g1_squared=g1sq)
+    return ChannelSpec(kind, coefficient), ModelParams(omega=1.0, g1_squared=g1sq)
 
 
 class TestMirrorFold:
@@ -270,11 +305,12 @@ class TestMirrorFold:
                              ids=lambda kind: kind.value)
     def test_fold_matches_the_full_matrix(self, kind):
         shift = 0.25 if kind is ChannelKind.ANGULAR_THETA else 0.0
-        solved = set()  # HO ignores g1^2 and the angular kinds omega: solve each matrix once
-        for g1sq, omega, n in itertools.product((0.0, 0.3, 3.0, 1e4), (1e-3, 1.0, 2.5),
-                                                (3, 4, 5, 6, 2000, 2001, 4003)):
-            spec, p = mirror_case(kind, g1sq, omega)
-            T = channel_tridiag(spec, p, recommended_grid(kind, p, n))
+        # no matrix depends on omega (TestOmegaScaling), and HO ignores g1^2:
+        # solve each matrix once
+        solved = set()
+        for g1sq, n in itertools.product((0.0, 0.3, 3.0, 1e4), (3, 4, 5, 6, 2000, 2001, 4003)):
+            spec, p = mirror_case(kind, g1sq)
+            T = channel_tridiag(spec, p, recommended_grid(kind, n))
             if T.diag.tobytes() in solved:
                 continue
             solved.add(T.diag.tobytes())
@@ -292,7 +328,7 @@ class TestMirrorFold:
                 gaps = np.diff(fold.eigenvalues)
                 assert np.all(gaps >= 0.0)
                 assert np.all(gaps[np.diff(full.eigenvalues[:k]) > tol] > 0.0)
-        assert len(solved) == 7 * (3 if kind is ChannelKind.HO else 4)
+        assert len(solved) == 7 * (1 if kind is ChannelKind.HO else 4)
 
     def test_every_level_of_a_small_grid(self):
         # `verify jacobi --grid-points n --max-quanta n - 1` asks HO for all n
@@ -301,7 +337,7 @@ class TestMirrorFold:
         # first (at n = 12 among others)
         spec = ChannelSpec(ChannelKind.HO)
         for n in range(8, 41):
-            T = channel_tridiag(spec, P, recommended_grid(ChannelKind.HO, P, n))
+            T = channel_tridiag(spec, P, recommended_grid(ChannelKind.HO, n))
             full = eigen_tridiag(T, n)
             accuracy = bisection_accuracy(T)
             for want_vectors in (False, True):
@@ -419,7 +455,7 @@ class TestFittedBox:
             (_, _, coarse), (n_fine, _, fine) = calls
             assert n_fine == 4003 and 6 <= fine.n_points < 4003
             assert fine.spacing == pytest.approx(coarse.spacing / 2, rel=1e-14)
-            full = recommended_grid(spec.kind, p, 4003).nodes()
+            full = recommended_grid(spec.kind, 4003).nodes()
             start = int(np.argmin(np.abs(full - fine.nodes()[0])))
             assert fine.nodes() == pytest.approx(full[start:start + fine.n_points],
                                                  rel=0, abs=1e-12)
@@ -435,7 +471,7 @@ class TestFittedBox:
             calls.clear()
             e = solve_channel_extrapolated(spec, P, 2001, k).values
             assert len(calls) == (3 if grows else 2)
-            assert calls[0][2] == recommended_grid(ChannelKind.HO, P, 2001)
+            assert calls[0][2] == recommended_grid(ChannelKind.HO, 2001)
             if grows:
                 longer = calls[1][2]
                 assert (calls[1][0], longer.spacing) == (2001, pytest.approx(calls[0][2].spacing))
@@ -452,8 +488,8 @@ class TestFittedBox:
         solves = numsolve.solve_grids(spec, P, ((n - 1) // 2, n, 2 * n + 1), 1)
         assert [size for size, _, _ in calls] == [(n - 1) // 2, n, 2 * n + 1]
         coarser, coarse, fine = (res.grid for res in solves)
-        assert coarser == recommended_grid(ChannelKind.SHO, P, (n - 1) // 2)
-        assert coarse.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
+        assert coarser == recommended_grid(ChannelKind.SHO, (n - 1) // 2)
+        assert coarse.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, n).spacing)
         assert fine.n_points == 2 * coarse.n_points + 1
         box = numsolve._box_nodes(spec, P, coarser.n_points, coarser.n_points,
                                   solves[0].eigenvalues[-1])
@@ -468,7 +504,7 @@ class TestFittedBox:
     def test_angular_kinds_keep_their_box(self):
         for kind in (ChannelKind.ANGULAR_PHI, ChannelKind.ANGULAR_THETA):
             with pytest.raises(ValueError):
-                recommended_grid(kind, P, 101, 51)
+                recommended_grid(kind, 101, 51)
 
 
 class TestSizedPair:
@@ -489,11 +525,11 @@ class TestSizedPair:
         sized = solve_channel_extrapolated(spec, P, None, 2, tol=tol)
         solves = list(calls)
         assert [n for n, _, _ in solves] == [124, 249, 499] + [n for n in pair if n > 499]
-        assert solves[0][2] == recommended_grid(ChannelKind.SHO, P, 124)
+        assert solves[0][2] == recommended_grid(ChannelKind.SHO, 124)
         box = numsolve._box_nodes(spec, P, 124, 124, solve_channel(spec, P, 124, 2).eigenvalues[-1])
         reach = (box + 1) * solves[0][2].spacing
         for n, _, grid in solves[1:]:
-            assert grid.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, P, n).spacing)
+            assert grid.spacing == pytest.approx(recommended_grid(ChannelKind.SHO, n).spacing)
             assert reach - 1e-12 <= grid.upper < reach + grid.spacing
         assert (sized.coarse.grid.n_points, sized.fine.grid.n_points) != pair  # fitted box
         assert sized.ratio == (pair[1] + 1) / (pair[0] + 1)

@@ -329,7 +329,7 @@ class TestSizedPairs:
         bk_audit(p)
         below = 0
         for spec, params, k, tol, pair in pairs:
-            top = numsolve.recommended_grid(spec.kind, params, numsolve.CHANNEL_POINTS)
+            top = numsolve.recommended_grid(spec.kind, numsolve.CHANNEL_POINTS)
             assert pair.coarse.grid.spacing >= top.spacing * (1 - 1e-12)
             assert pair.fine.grid.spacing >= top.spacing / 2 * (1 - 1e-12)
             if pair.coarse.grid.spacing > top.spacing * (1 + 1e-12):
